@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 check failure
 (a failed checker, or no verified escape radius for the sequence).
 All subcommands are deterministic for identical flags; nets are deterministic
-by construction, so --seed only pins the interface.
+by construction.
 """
 from __future__ import annotations
 
@@ -235,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "potentials, capacities, Klimek-metric diagnostics.",
         epilog="Sequences: " + ", ".join(SEQUENCE_NAMES)
                + ", custom:FILE.json. Models: disk:a,R | segment | ellipse:R.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for randomized nets; all nets are deterministic")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for rasters (0 = auto; env NONAUTO_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)

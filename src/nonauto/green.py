@@ -36,10 +36,11 @@ def _ret(values, scalar):
 
 
 def _inv_float(d: int) -> float:
-    """1/d as a double; underflows to 0.0 for astronomically large d."""
-    if d.bit_length() <= 52:
-        return 1.0 / d
-    return float(Fraction(1, d))
+    """1/d as a double; underflows to 0.0 for astronomically large d.
+
+    int / int is correctly rounded and never overflows an intermediate.
+    """
+    return 1 / d
 
 
 def _apply_scale2(u: np.ndarray, s: int) -> np.ndarray:
@@ -394,11 +395,34 @@ class GreenValue:
             raise ValueError("value and error_bound must be non-negative")
 
 
+def _double_step(p: Polynomial, w: complex) -> complex | None:
+    """p(w) in plain doubles, or None where the step must run scaled instead.
+
+    The one switching rule of both scalar engines: doubles are left on
+    overflow (of either part or of the modulus), when a nonzero value
+    flushes to zero, or when |p(w)| or the unscaled Horner value
+    |p(w)| / 2**scale2 falls below _TINY_SWITCH, where round-off in
+    subnormal intermediates would start to show (a positive scale2 can
+    lift a subnormal Horner value back into range with its lost bits).
+    """
+    try:
+        nxt = evaluate(p, w)
+        a = abs(nxt)
+    except (MagnitudeOverflow, OverflowError):  # abs() overflows past 1.8e308
+        return None
+    if a == 0:
+        return None if w != 0 else nxt
+    if math.ldexp(a, -max(p.scale2, 0)) < _TINY_SWITCH:
+        return None
+    return nxt
+
+
 def orbit_bounded(seq: PolySequence, z, n_steps: int, escape_radius: float):
     """(bounded, escaped_at): exact escape certificate; bounded = not yet escaped.
 
-    Runs in plain doubles while safe, switching to scaled arithmetic on
-    overflow or underflow so deep orbits and huge-coefficient steps stay exact.
+    Runs in plain doubles while _double_step allows it, then redoes that step
+    and every later one in ScaledComplex arithmetic, so deep orbits and
+    huge-coefficient steps stay exact.
     """
     if escape_radius <= 0:
         raise ValueError("escape radius must be positive")
@@ -410,18 +434,13 @@ def orbit_bounded(seq: PolySequence, z, n_steps: int, escape_radius: float):
     for k in range(1, n_steps + 1):
         p = seq.get(k)
         if sw is None:
-            try:
-                nxt = evaluate(p, w)
-            except MagnitudeOverflow:
-                sw = ScaledComplex.from_complex(w)
-            else:
-                if (nxt == 0 and w != 0) or 0 < abs(nxt) < _TINY_SWITCH:
-                    sw = ScaledComplex.from_complex(w)  # redo this step exactly
-                else:
-                    w = nxt
-                    if w.real * w.real + w.imag * w.imag > r2:
-                        return False, k
-                    continue
+            nxt = _double_step(p, w)
+            if nxt is not None:
+                w = nxt
+                if w.real * w.real + w.imag * w.imag > r2:
+                    return False, k
+                continue
+            sw = ScaledComplex.from_complex(w)  # redo this step exactly
         sw = evaluate_scaled(p, sw)
         if sw.exceeds(escape_radius):
             return False, k
@@ -431,19 +450,24 @@ def orbit_bounded(seq: PolySequence, z, n_steps: int, escape_radius: float):
 def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
                   target: ModelSet = UNIT_DISK, tail_bound: float | None = None,
                   exponent_cap: int = DEFAULT_EXPONENT_CAP) -> GreenValue:
-    """(1/D_N) g_target(P_N(z)) with P_N = p_N o ... o p_1, via scaled orbits.
+    """(1/D_N) g_target(P_N(z)) with P_N = p_N o ... o p_1.
 
-    escape_radius should come from escape_radius_search / check_guided.  The
-    orbit is exact until its base-2 exponent passes exponent_cap; there the
-    asymptotic fallback truncates at N = that step.  error_bound accumulates
-    round-off, asymptotic-evaluation corrections, and 2*tail_bound/D_N when a
-    tail constant (see klimek.tail_constant) is supplied.
+    The orbit runs in plain doubles while it is safe and switches to
+    ScaledComplex arithmetic on the rule orbit_bounded uses (_double_step),
+    so both engines see the same orbit.  escape_radius should come from
+    escape_radius_search / check_guided; escaped_at is the first step whose
+    value exceeds it.  The orbit is exact until its base-2 exponent passes
+    exponent_cap; there the asymptotic fallback truncates at N = that step.
+    error_bound accumulates round-off, asymptotic-evaluation corrections,
+    and 2*tail_bound/D_N when a tail constant (see klimek.tail_constant) is
+    supplied.
     """
     if escape_radius <= 0:
         raise ValueError("escape radius must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    w = ScaledComplex.from_complex(z)
+    w: complex | None = complex(z)
+    sw = ScaledComplex.from_complex(w)
     d_prod = 1
     log_d = 0.0
     d_exact: int | None = 1
@@ -453,20 +477,23 @@ def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
     steps_run = 0
     for k in range(1, n_steps + 1):
         p = seq.get(k)
-        w = evaluate_scaled(p, w)
-        d_prod *= p.degree
-        log_d += math.log(p.degree)
+        if w is not None:
+            w = _double_step(p, w)  # None from here on: the orbit runs scaled
+        sw = ScaledComplex.from_complex(w) if w is not None else evaluate_scaled(p, sw)
+        d = p.degree
+        d_prod *= d
+        log_d += math.log(d)
         if d_exact is not None:
-            grown = d_exact * p.degree
+            grown = d_exact * d
             d_exact = grown if grown <= _UINT64_MAX else None
         steps_run = k
-        err += 16.0 * EPS * p.degree * _inv_float(d_prod)
-        if escaped_at is None and w.exceeds(escape_radius):
+        err += 16.0 * EPS * d * _inv_float(d_prod)
+        if escaped_at is None and sw.exceeds(escape_radius):
             escaped_at = k
-        if abs(w.exponent) > exponent_cap:
+        if abs(sw.exponent) > exponent_cap:
             fallback_at = k
             break
-    value, eval_err = _normalized_green(target, w, d_prod)
+    value, eval_err = _normalized_green(target, sw, d_prod)
     err += eval_err + 4.0 * EPS * (abs(value) + 1.0)
     if tail_bound is not None:
         err += 2.0 * tail_bound * _inv_float(d_prod)

@@ -182,14 +182,59 @@ _ZERO = ScaledComplex(0j, 0)
 
 
 def evaluate_scaled(p: Polynomial, w: ScaledComplex) -> ScaledComplex:
-    """Horner evaluation that never overflows; exact up to per-step rounding."""
-    acc = ScaledComplex.from_complex(p.coeffs[-1])
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * w + c
-    if p.scale2:
-        if acc.mantissa != 0:
-            acc = ScaledComplex(acc.mantissa, acc.exponent + p.scale2)
-    return acc
+    """Horner evaluation that never overflows; exact up to per-step rounding.
+
+    Bit-identical to the Horner loop `acc = acc * w + c` over ScaledComplex
+    operands, but the accumulator is a local (mantissa, exponent) pair,
+    normalized in the same order as ScaledComplex.__mul__ / __add__ (a term
+    more than 128 binades below the other is dropped), so one object is
+    built per call instead of several per coefficient.
+    """
+    frexp, ldexp = math.frexp, math.ldexp
+    wm, we = w.mantissa, w.exponent
+    w_zero = wm == 0
+    lead = _norm(complex(p.coeffs[-1]), 0)
+    m, e = lead.mantissa, lead.exponent
+    for c in p.coeffs[-2::-1]:
+        # acc * w
+        if w_zero or m == 0:
+            m, e = 0j, 0
+        else:
+            m *= wm
+            e += we
+            a = abs(m)
+            if a == 0.0:
+                m, e = 0j, 0
+            else:
+                k = frexp(a)[1] - 1
+                if k:
+                    m = complex(ldexp(m.real, -k), ldexp(m.imag, -k))
+                    e += k
+        # + c, normalizing c only when it is not dropped
+        if c == 0:
+            continue
+        ce = frexp(abs(c))[1] - 1
+        shift = e - ce
+        if m != 0 and shift > 128:  # c below one ulp of acc
+            continue
+        cm = complex(ldexp(c.real, -ce), ldexp(c.imag, -ce)) if ce else complex(c)
+        if m == 0 or shift < -128:  # acc is zero, or below one ulp of c
+            m, e = cm, ce
+            continue
+        if shift < 0:
+            m, cm, e, shift = cm, m, ce, -shift
+        m += complex(ldexp(cm.real, -shift), ldexp(cm.imag, -shift))
+        a = abs(m)
+        if a == 0.0:
+            m, e = 0j, 0
+        else:
+            k = frexp(a)[1] - 1
+            if k:
+                m = complex(ldexp(m.real, -k), ldexp(m.imag, -k))
+                e += k
+    if p.scale2 and m != 0:
+        e += p.scale2
+    return ScaledComplex(m, e)
 
 
 def compose(p: Polynomial, q: Polynomial) -> Polynomial:

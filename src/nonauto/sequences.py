@@ -258,18 +258,45 @@ def custom_sequence(polys: Sequence[Polynomial], repeat: str = "cycle") -> PolyS
 
 
 def load_sequence_file(path) -> PolySequence:
-    """JSON wire format: {"polynomials": [[[re,im],...], ...], "repeat": "cycle"|"none"}."""
+    """JSON wire format: {"polynomials": [[[re,im],...], ...], "repeat": "cycle"|"none"}.
+
+    Every departure from the format raises SequenceError naming the offending
+    entry; only the file read itself raises OSError.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        rows = doc["polynomials"]
-    except (TypeError, KeyError) as exc:
-        raise SequenceError("sequence file needs a 'polynomials' array") from exc
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SequenceError(f"sequence file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "polynomials" not in doc:
+        raise SequenceError("sequence file needs a 'polynomials' array")
+    rows = doc["polynomials"]
+    if not isinstance(rows, list):
+        raise SequenceError("'polynomials' must be an array of coefficient lists")
     polys = []
-    for row in rows:
-        coeffs = [complex(float(re), float(im)) for re, im in row]
-        polys.append(polynomial(*coeffs))
-    return custom_sequence(polys, doc.get("repeat", "cycle"))
+    for i, row in enumerate(rows, start=1):
+        if not isinstance(row, list) or not row:
+            raise SequenceError(f"polynomial {i} must be a non-empty array of [re, im] pairs")
+        polys.append(polynomial(*(_wire_coefficient(pair, i, j) for j, pair in enumerate(row))))
+    repeat = doc.get("repeat", "cycle")
+    if not isinstance(repeat, str):
+        raise SequenceError("'repeat' must be the string 'cycle' or 'none'")
+    return custom_sequence(polys, repeat)
+
+
+def _wire_coefficient(pair, i: int, j: int) -> complex:
+    """One [re, im] pair of the wire format as a finite complex number."""
+    if (not isinstance(pair, list) or len(pair) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+        raise SequenceError(f"polynomial {i}, coefficient {j}: expected [re, im] numbers, "
+                            f"got {json.dumps(pair)}")
+    try:
+        c = complex(float(pair[0]), float(pair[1]))
+    except OverflowError as exc:  # integers beyond double range
+        raise SequenceError(f"polynomial {i}, coefficient {j} is out of double range") from exc
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise SequenceError(f"polynomial {i}, coefficient {j} is not finite")
+    return c
 
 
 # --- circle sampling -------------------------------------------------------
@@ -280,27 +307,34 @@ def circle_points(radius: float, m: int) -> np.ndarray:
 
 
 def values_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
-    """Unscaled Horner values: true p = 2**scale2 * these."""
+    """Unscaled Horner values: true p = 2**scale2 * these.
+
+    Runs in place on one accumulator; elementwise, so the value at a point
+    does not depend on which other points are sampled with it.
+    """
     acc = np.full(pts.shape, p.coeffs[-1], dtype=np.complex128)
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * pts + c
+    for c in p.coeffs[-2::-1]:
+        acc *= pts
+        acc += c
     return acc
 
-def log_abs_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
-    vals = values_on(p, pts)
+
+def _log_abs(vals: np.ndarray, scale2: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         la = np.log(np.abs(vals))
-    return la + p.scale2 * LN2
+    return la + scale2 * LN2
 
 
-def _zeros_inside(p: Polynomial, radius: float, m: int) -> int:
-    """Zeros of p in the open disk |z| < radius, via the argument principle.
+def log_abs_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
+    return _log_abs(values_on(p, pts), p.scale2)
 
-    Valid when p has no zero on the circle and the sampling resolves the
-    winding (we use >= 16 points per degree).
+
+def _winding(vals: np.ndarray) -> int:
+    """Winding number about 0 of the closed curve through vals.
+
+    Valid when no value is zero and the sampling resolves the winding (we
+    use >= 16 points per degree).
     """
-    m = max(m, 16 * p.degree, 64)
-    vals = values_on(p, circle_points(radius, m))
     if not np.all(np.isfinite(vals)):
         raise SequenceError("circle values overflow doubles; cannot count zeros")
     args = np.angle(vals)
@@ -309,11 +343,43 @@ def _zeros_inside(p: Polynomial, radius: float, m: int) -> int:
     return int(round(float(inc.sum()) / (2.0 * np.pi)))
 
 
-def _zeros_contained(p: Polynomial, radius: float, m: int) -> bool:
-    """All zeros inside the closed radius-disk: cheap Cauchy bound, else winding."""
-    if cauchy_root_bound(p) <= radius:
-        return True
-    return _zeros_inside(p, radius, m) == p.degree
+class _Circle:
+    """p_n sampled on the circle |z| = radius, for the pull-back certificate.
+
+    min_log and min_point give min log|p| over max(m, 8d) equally spaced
+    samples.  zeros_contained() tells whether every zero lies in the closed
+    disk: the Cauchy bound when it suffices, else the argument principle on
+    max(m, 16d, 64) samples.  When the winding count is needed and that
+    count is exactly twice the minimum's, p is sampled once: every other
+    sample is bit for bit the smaller circle.  Otherwise it samples twice.
+    """
+
+    def __init__(self, p: Polynomial, radius: float, m: int):
+        self.p, self.radius = p, radius
+        m_min = max(m, 8 * p.degree)
+        self.m_winding = (None if cauchy_root_bound(p) <= radius
+                          else max(m, 16 * p.degree, 64))
+        self.vals = None
+        if self.m_winding == 2 * m_min:
+            pts = circle_points(radius, self.m_winding)
+            self.vals = values_on(p, pts)
+            pts = pts[::2]
+            # contiguous, so abs and log run the loops they run on the small circle
+            logs = _log_abs(self.vals[::2].copy(), p.scale2)
+        else:
+            pts = circle_points(radius, m_min)
+            logs = log_abs_on(p, pts)
+        i = int(np.argmin(logs))
+        self.min_log = float(logs[i])
+        self.min_point = complex(pts[i])
+
+    def zeros_contained(self) -> bool:
+        if self.m_winding is None:
+            return True
+        vals = self.vals
+        if vals is None:
+            vals = values_on(self.p, circle_points(self.radius, self.m_winding))
+        return _winding(vals) == self.p.degree
 
 
 # --- checkers --------------------------------------------------------------
@@ -334,15 +400,16 @@ def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> Chec
     margin = math.inf
     for n in range(2, n_max + 1):
         p = seq.get(n)
-        pts = circle_points(R, max(m, 8 * p.degree))
-        logs = log_abs_on(p, pts)
-        i = int(np.argmin(logs))
-        min_ratio = math.exp(float(logs[i]) - math.log(R))
+        circle = _Circle(p, R, m)
+        try:
+            min_ratio = math.exp(circle.min_log - math.log(R))
+        except OverflowError:  # the circle minimum is beyond double range
+            min_ratio = math.inf
         if min_ratio < 1.0:
             return CheckReport(False, (2, n_max), min_ratio - 1.0,
-                               Witness(n, complex(pts[i]), min_ratio * R),
+                               Witness(n, circle.min_point, min_ratio * R),
                                note="circle minimum below R")
-        if not _zeros_contained(p, R, m):
+        if not circle.zeros_contained():
             return CheckReport(False, (2, n_max), min_ratio - 1.0,
                                Witness(n, None, float(cauchy_root_bound(p))),
                                note="zeros not contained in the disk")
@@ -362,9 +429,8 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
     while radius <= ceiling:
         ok = True
         for n in range(2, n_max + 1):
-            p = seq.get(n)
-            logs = log_abs_on(p, circle_points(radius, max(m, 8 * p.degree)))
-            if float(logs.min()) < 1.0 + math.log(radius) or not _zeros_contained(p, radius, m):
+            circle = _Circle(seq.get(n), radius, m)
+            if circle.min_log < 1.0 + math.log(radius) or not circle.zeros_contained():
                 ok, worst = False, n
                 break
         if ok:

@@ -150,6 +150,21 @@ class TestRenderCommand:
         assert code == 2
         assert "degree" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"polynomials": [[1, 2]]}',
+        '{"polynomials": 5}',
+        '{"polynomials": [[[0, 0], [0, 0], ["1", 0]]]}',
+        '{"polynomials": [[[0, 0], [0, 0], [1, 0, 0]]]}',
+        '{"polynomials": [[[0, 0], [0, 0], [1, 0]]], "repeat": null}',
+        '{"polynomials": [[[0, 0], [0, 0], [1, 0]]',
+    ])
+    def test_malformed_custom_json_exits_2(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "green", "--seq", f"custom:{bad}", "--z", "0.1", "--n", "5")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_threads_identical_output(self, capsys, tmp_path):
         paths = []
         for threads, name in ((1, "a.pgm"), (4, "b.pgm")):

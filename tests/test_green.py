@@ -11,7 +11,7 @@ from nonauto.green import (CapacityEstimate, Disk, Ellipse, GreenValue, Preimage
                            green_field, green_model, green_nonauto, green_preimage,
                            orbit_bounded, sublevel_membership)
 from nonauto.poly import Polynomial, compose, evaluate, monomial, polynomial
-from nonauto.sequences import builtin, escape_radius_search
+from nonauto.sequences import builtin, custom_sequence, escape_radius_search
 
 SEG = Segment()
 
@@ -251,6 +251,62 @@ class TestGreenNonauto:
     def test_escaped_at_recorded(self, min_cheb, min_cheb_radius):
         gv = green_nonauto(min_cheb, 3.0, 12, min_cheb_radius)
         assert gv.escaped_at == 1 if 3.0 > min_cheb_radius else gv.escaped_at >= 1
+
+    def test_tiny_complex_start_keeps_its_imaginary_part(self, classical_cheb):
+        # Run fully scaled, the first step T_2(z) = 2z^2 - 1 dropped 2z^2
+        # whole (imaginary part included), the orbit stayed on [-1, 1] and
+        # escaped at 81; doubles keep the imaginary part and agree with
+        # orbit_bounded and with the closed form T_{n!}(z) = cosh(n! acosh z).
+        mpmath = pytest.importorskip("mpmath")
+        z = -1.2682671773462695e-28 - 2.64027926635129e-29j
+        gv = green_nonauto(classical_cheb, z, 120, 4.0)
+        assert gv.escaped_at == 28
+        assert orbit_bounded(classical_cheb, z, 120, 4.0) == (False, 28)
+        with mpmath.workdps(60):
+            t = mpmath.acosh(mpmath.mpc(z))
+            m = 1
+            for k in range(1, 29):
+                m *= k
+                assert (abs(mpmath.cosh(m * t)) > 4) == (k == 28)
+
+    def test_escape_step_agrees_with_orbit_bounded_at_tiny_starts(self, classical_cheb, rng):
+        for _ in range(20):
+            z = complex(*rng.uniform(-1, 1, 2)) * 10.0 ** rng.uniform(-40, -10)
+            _, escaped = orbit_bounded(classical_cheb, z, 120, 4.0)
+            assert escaped is not None
+            assert green_nonauto(classical_cheb, z, 120, 4.0).escaped_at == escaped
+
+    def test_subnormal_step_runs_scaled(self):
+        # z**2 at z = 3.3e-158 is subnormal in doubles (about 28 bits); the
+        # step must rerun scaled, or 2**2100 * w**2 carries a 3e-10 error
+        mpmath = pytest.importorskip("mpmath")
+        seq = custom_sequence([monomial(2), monomial(2, 1.0, 2100)], repeat="none")
+        z = 3.3e-158
+        gv = green_nonauto(seq, z, 2, 4.0)
+        with mpmath.workdps(50):
+            want = float(mpmath.log(mpmath.mpf(2) ** 2100 * mpmath.mpf(z) ** 4) / 4)
+        assert abs(gv.value - want) <= gv.error_bound
+
+    def test_scaled_step_of_a_subnormal_horner_value_runs_scaled(self):
+        # (1.1e-160)**2 is subnormal before 2**600 lifts it to 5e-140; taken
+        # in doubles that step is off by 3e-5 relative
+        mpmath = pytest.importorskip("mpmath")
+        seq = custom_sequence([monomial(2, 1.0, 600), monomial(2, 1.0, 1200)], repeat="none")
+        z = 1.1e-160
+        gv = green_nonauto(seq, z, 2, 4.0)
+        with mpmath.workdps(50):
+            w = mpmath.mpf(2) ** 1200 * (mpmath.mpf(2) ** 600 * mpmath.mpf(z) ** 2) ** 2
+            want = float(mpmath.log(w) / 4)
+        assert gv.escaped_at == 2
+        assert abs(gv.value - want) <= gv.error_bound
+
+    def test_modulus_beyond_double_range_runs_scaled(self):
+        # z**2 = 1.386e308 * (1 + 1j): both parts finite, |z**2| = 1.96e308 is not
+        seq = builtin("power", degrees=2)
+        z = 1.4e154 * cmath.exp(1j * math.pi / 8)
+        gv = green_nonauto(seq, z, 3, 2.0)
+        assert abs(gv.value - math.log(abs(z))) <= gv.error_bound
+        assert orbit_bounded(seq, z, 3, 2.0) == (False, 1)
 
     def test_general_target_matches_pullback_formula(self, min_cheb, min_cheb_radius):
         gv_seg = green_nonauto(min_cheb, 2.5, 6, min_cheb_radius, target=SEG)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonauto.poly import (MagnitudeOverflow, Polynomial, ScaledComplex,
@@ -90,6 +90,33 @@ class TestEvaluateScaled:
         p = monomial(2, 1.5, scale2=4000)
         out = evaluate_scaled(p, ScaledComplex.from_complex(2.0))
         assert out.exponent == 4002 and out.mantissa == 1.5
+
+    @given(st.lists(st.one_of(st.just(0j), finite_coeff, finite_coeff.map(lambda c: c.real),
+                              finite_coeff.map(lambda c: c.imag * 1j),
+                              st.tuples(finite_coeff, st.integers(-140, 140))
+                              .map(lambda t: t[0] * 2.0 ** t[1])),
+                    min_size=1, max_size=14),
+           st.integers(-2000, 2000), st.one_of(st.just(0j), finite_coeff),
+           st.one_of(st.integers(-5000, 5000), st.integers(-140, 140)))
+    @settings(max_examples=400)
+    # acc = 2**128 meets c = 1j: the last shift that still adds the smaller term
+    @example([1j, 1.0], 0, 1.0, 128)
+    @example([1j, 1.0], 0, 1.0, 129)
+    @example([1.0, 1j], 0, 1.0, -128)
+    def test_bit_identical_to_operator_horner(self, coeffs, scale2, w0, w_exp):
+        """The unrolled loop reproduces `acc * w + c` over ScaledComplex exactly."""
+        if len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs[-1] = 1.0
+        p = Polynomial(tuple(complex(c) for c in coeffs), scale2)
+        w = ScaledComplex.from_complex(w0, w_exp)
+        acc = ScaledComplex.from_complex(p.coeffs[-1])
+        for c in reversed(p.coeffs[:-1]):
+            acc = acc * w + c
+        if p.scale2 and acc.mantissa != 0:
+            acc = ScaledComplex(acc.mantissa, acc.exponent + p.scale2)
+        out = evaluate_scaled(p, w)
+        assert out.exponent == acc.exponent
+        assert repr(out.mantissa) == repr(acc.mantissa)  # also tells signed zeros apart
 
 
 class TestScaledComplex:

@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from nonauto.poly import LN2, chebyshev_minimal, coeffs_close, evaluate, polynomial
-from nonauto.sequences import (CheckReport, SequenceError, Witness, builtin,
+from hypothesis import given
+from hypothesis import strategies as st
+
+from nonauto.poly import (LN2, cauchy_root_bound, chebyshev_minimal, coeffs_close,
+                          evaluate, polynomial)
+from nonauto.sequences import (CheckReport, SequenceError, Witness, _Circle, builtin,
                                check_finite_condition, check_guided, check_P2,
-                               custom_sequence, escape_radius_search,
-                               load_sequence_file)
+                               circle_points, custom_sequence, escape_radius_search,
+                               load_sequence_file, log_abs_on, values_on)
 
 
 class TestBuiltins:
@@ -98,6 +102,45 @@ class TestCustomSequences:
             load_sequence_file(path)
 
 
+class TestMalformedJson:
+    @pytest.mark.parametrize("doc", [
+        {"polynomials": [[1, 2]]},
+        {"polynomials": 5},
+        [1, 2],
+        {"polynomials": [[["a", 1], [0, 0], [1, 0]]]},
+        {"polynomials": [[[1, 2, 3], [1, 0], [1, 0]]]},
+        {"polynomials": [[[True, 0], [0, 0], [1, 0]]]},
+        {"polynomials": [[]]},
+        {"polynomials": [[[0, 0], [0, 0], [1, 0]]], "repeat": 3},
+        {"polynomials": [[[10**400, 0], [0, 0], [1, 0]]]},
+    ])
+    def test_rejected_with_sequence_error(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SequenceError):
+            load_sequence_file(path)
+
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"polynomials": [')
+        with pytest.raises(SequenceError):
+            load_sequence_file(path)
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(["polynomials", "repeat", "x"]), inner, max_size=3),
+        max_leaves=12))
+    def test_fuzz_loads_or_raises_sequence_error(self, tmp_path_factory, polys):
+        path = tmp_path_factory.mktemp("fuzz") / "seq.json"
+        path.write_text(json.dumps({"polynomials": polys}))
+        try:
+            seq = load_sequence_file(path)
+        except SequenceError:
+            return
+        assert seq.get(1).degree >= 1
+
+
 class TestDegreeLedger:
     def test_exact_product_while_it_fits(self):
         seq = builtin("minimal_chebyshev")
@@ -177,6 +220,117 @@ class TestEscapeRadius:
     def test_unreachable_reports(self):
         with pytest.raises(SequenceError):
             escape_radius_search(builtin("two_pow_neg_n_sq"), 10, ceiling=4.0)
+
+
+def _two_pass_circle(p, radius, m):
+    """(min log|p| on max(m, 8d) samples, its point, zeros-contained thunk),
+    sampling the winding count separately on max(m, 16d, 64) points."""
+    pts = circle_points(radius, max(m, 8 * p.degree))
+    logs = log_abs_on(p, pts)
+    i = int(np.argmin(logs))
+
+    def zeros_contained():
+        if cauchy_root_bound(p) <= radius:
+            return True
+        vals = values_on(p, circle_points(radius, max(m, 16 * p.degree, 64)))
+        if not np.all(np.isfinite(vals)):
+            raise SequenceError("circle values overflow doubles; cannot count zeros")
+        inc = np.diff(np.append(np.angle(vals), np.angle(vals[0])))
+        inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+        return int(round(float(inc.sum()) / (2.0 * np.pi))) == p.degree
+
+    return float(logs[i]), complex(pts[i]), zeros_contained
+
+
+def _two_pass_check_guided(seq, R, n_max, m):
+    margin = math.inf
+    for n in range(2, n_max + 1):
+        p = seq.get(n)
+        min_log, point, zeros_contained = _two_pass_circle(p, R, m)
+        try:
+            min_ratio = math.exp(min_log - math.log(R))
+        except OverflowError:
+            min_ratio = math.inf
+        if min_ratio < 1.0:
+            return CheckReport(False, (2, n_max), min_ratio - 1.0,
+                               Witness(n, point, min_ratio * R), note="circle minimum below R")
+        if not zeros_contained():
+            return CheckReport(False, (2, n_max), min_ratio - 1.0,
+                               Witness(n, None, float(cauchy_root_bound(p))),
+                               note="zeros not contained in the disk")
+        margin = min(margin, min_ratio - 1.0)
+    return CheckReport(True, (2, n_max), margin)
+
+
+def _two_pass_radius(seq, n_max, m):
+    radius = 17.0 / 16.0
+    while radius <= 2.0**20:
+        for n in range(2, n_max + 1):
+            min_log, _, zeros_contained = _two_pass_circle(seq.get(n), radius, m)
+            if min_log < 1.0 + math.log(radius) or not zeros_contained():
+                break
+        else:
+            return radius
+        radius *= 2.0 ** (1.0 / 16.0)
+    return None
+
+
+def _complex_cycle():
+    return custom_sequence([polynomial(-0.12 + 0.35j, 0, 1),
+                            polynomial(0.05 - 0.2j, 0.15 + 0.1j, 0, 1),
+                            polynomial(0.1 + 0.1j, 0, -0.2 + 0.05j, 0, 1)])
+
+
+class TestOnePassCircle:
+    """The one-sampling circle certificate reproduces the two-sampling one exactly."""
+
+    @pytest.mark.parametrize("make, n_max, m", [
+        (lambda: builtin("minimal_chebyshev"), 150, 512),
+        (lambda: builtin("minimal_chebyshev"), 40, 64),
+        (lambda: builtin("classical_chebyshev"), 12, 512),
+        (lambda: builtin("classical_chebyshev"), 12, 64),
+        (lambda: builtin("n_exp_z2"), 60, 512),
+        (_complex_cycle, 60, 512),
+        (_complex_cycle, 30, 64),
+    ])
+    def test_same_radius(self, make, n_max, m):
+        seq = make()
+        assert escape_radius_search(seq, n_max, m=m) == _two_pass_radius(seq, n_max, m)
+
+    @pytest.mark.parametrize("make", [
+        lambda: builtin("minimal_chebyshev"), lambda: builtin("classical_chebyshev"),
+        _complex_cycle])
+    @pytest.mark.parametrize("radius, m", [(1.3, 64), (2.0, 64), (3.0, 512), (3.0, 1024)])
+    def test_same_circle_per_step(self, make, radius, m):
+        seq = make()
+        for n in (2, 3, 7, 8, 9, 16, 40, 64, 65, 70, 128, 150):
+            p = seq.get(n)
+            circle = _Circle(p, radius, m)
+            min_log, point, zeros_contained = _two_pass_circle(p, radius, m)
+            assert (circle.min_log, circle.min_point) == (min_log, point), n
+            assert circle.zeros_contained() == zeros_contained(), n
+
+    @pytest.mark.parametrize("make, n_max", [
+        (lambda: builtin("minimal_chebyshev"), 150),
+        (lambda: builtin("classical_chebyshev"), 12),
+        (lambda: builtin("n_exp_z2"), 60),
+        (_complex_cycle, 60),
+        (lambda: builtin("two_pow_neg_n_sq"), 20),
+    ])
+    @pytest.mark.parametrize("R", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("m", [64, 1024])
+    def test_same_report(self, make, n_max, R, m):
+        seq = make()
+        got = check_guided(seq, R, n_max, m=m)
+        want = _two_pass_check_guided(seq, R, n_max, m)
+        assert got == want
+        assert repr(got.margin) == repr(want.margin)
+
+
+    def test_minimum_beyond_double_range_is_not_a_crash(self):
+        # min |p_n| on |z| = 2 passes 1e308 near n = 10 for n_exp_z2
+        rep = check_guided(builtin("n_exp_z2"), 2.0, 60)
+        assert rep.passed and math.isfinite(rep.margin)
 
 
 class TestP2:
