@@ -192,7 +192,8 @@ def cmd_green(args) -> int:
     gv = green_nonauto(seq, z, args.n, radius, tail_bound=args.tail_bound)
     if args.json:
         print(json.dumps({
-            "value": gv.value, "error_bound": gv.error_bound,
+            "value": gv.value,  # JSON has no inf: an absent bound is null
+            "error_bound": gv.error_bound if math.isfinite(gv.error_bound) else None,
             "escaped_at": gv.escaped_at, "n": gv.ledger.n,
             "truncation_included": gv.truncation_included,
         }, sort_keys=True))

@@ -3,8 +3,11 @@
 Model sets carry exact closed-form potentials (disk, the segment [-1,1],
 filled Joukowski ellipses, polynomial preimages of any of these).  The
 non-autonomous potential of a sequence is the normalized escape rate
-(1/(d_1...d_N)) log+ |p_N o ... o p_1|, evaluated through overflow-safe
-scaled orbit arithmetic with a certified error budget: floating round-off,
+(1/(d_1...d_N)) log+ |p_N o ... o p_1|.  Every orbit engine steps by one
+rule: double Horner inside the safe double band, and outside it the same
+Horner on a rescaled variable with the value carried as mantissa and
+exponent (poly.evaluate_scaled, and _advance for arrays).  The scalar
+potential comes with a certified error budget: floating round-off,
 asymptotic corrections, and (when a tail constant is supplied) the geometric
 truncation term covering every unrun step.
 """
@@ -12,18 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .poly import (EPS, LN2, MagnitudeOverflow, Polynomial, ScaledComplex,
-                   evaluate, evaluate_scaled)
+from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex,
+                   evaluate_conditioned, evaluate_scaled)
 from .sequences import DegreeLedger, PolySequence, circle_points, values_on
 
-_UINT64_MAX = 2**64 - 1
 _SCALED_TO_COMPLEX_EXP = 900       # |exponent| below this: evaluate greens directly
-_TINY_SWITCH = 1e-250              # double orbit values below this go scaled
-DEFAULT_EXPONENT_CAP = 1 << 40     # beyond: asymptotic fallback truncates the orbit
 
 
 def _as_c(z):
@@ -33,14 +32,6 @@ def _as_c(z):
 
 def _ret(values, scalar):
     return float(values) if scalar else values
-
-
-def _inv_float(d: int) -> float:
-    """1/d as a double; underflows to 0.0 for astronomically large d.
-
-    int / int is correctly rounded and never overflows an intermediate.
-    """
-    return 1 / d
 
 
 def _apply_scale2(u: np.ndarray, s: int) -> np.ndarray:
@@ -388,123 +379,70 @@ class GreenValue:
     escaped_at: int | None
     ledger: DegreeLedger
     truncation_included: bool
-    fallback_at: int | None = None
 
     def __post_init__(self):
         if self.value < 0 or self.error_bound < 0:
             raise ValueError("value and error_bound must be non-negative")
 
 
-def _double_step(p: Polynomial, w: complex) -> complex | None:
-    """p(w) in plain doubles, or None where the step must run scaled instead.
-
-    The one switching rule of both scalar engines: doubles are left on
-    overflow (of either part or of the modulus), when a nonzero value
-    flushes to zero, or when |p(w)| or the unscaled Horner value
-    |p(w)| / 2**scale2 falls below _TINY_SWITCH, where round-off in
-    subnormal intermediates would start to show (a positive scale2 can
-    lift a subnormal Horner value back into range with its lost bits).
-    """
-    try:
-        nxt = evaluate(p, w)
-        a = abs(nxt)
-    except (MagnitudeOverflow, OverflowError):  # abs() overflows past 1.8e308
-        return None
-    if a == 0:
-        return None if w != 0 else nxt
-    if math.ldexp(a, -max(p.scale2, 0)) < _TINY_SWITCH:
-        return None
-    return nxt
-
-
 def orbit_bounded(seq: PolySequence, z, n_steps: int, escape_radius: float):
     """(bounded, escaped_at): exact escape certificate; bounded = not yet escaped.
 
-    Runs in plain doubles while _double_step allows it, then redoes that step
-    and every later one in ScaledComplex arithmetic, so deep orbits and
-    huge-coefficient steps stay exact.
+    The orbit steps by evaluate_scaled, exact to rounding at every depth and
+    size; escape_steps is its vector twin.
     """
     if escape_radius <= 0:
         raise ValueError("escape radius must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    w = complex(z)
-    sw: ScaledComplex | None = None
-    r2 = escape_radius * escape_radius
+    w = ScaledComplex.from_complex(z)
     for k in range(1, n_steps + 1):
-        p = seq.get(k)
-        if sw is None:
-            nxt = _double_step(p, w)
-            if nxt is not None:
-                w = nxt
-                if w.real * w.real + w.imag * w.imag > r2:
-                    return False, k
-                continue
-            sw = ScaledComplex.from_complex(w)  # redo this step exactly
-        sw = evaluate_scaled(p, sw)
-        if sw.exceeds(escape_radius):
+        w = evaluate_scaled(seq.get(k), w)
+        if w.exceeds(escape_radius):
             return False, k
     return True, None
 
 
 def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
-                  target: ModelSet = UNIT_DISK, tail_bound: float | None = None,
-                  exponent_cap: int = DEFAULT_EXPONENT_CAP) -> GreenValue:
+                  target: ModelSet = UNIT_DISK, tail_bound: float | None = None) -> GreenValue:
     """(1/D_N) g_target(P_N(z)) with P_N = p_N o ... o p_1.
 
-    The orbit runs in plain doubles while it is safe and switches to
-    ScaledComplex arithmetic on the rule orbit_bounded uses (_double_step),
-    so both engines see the same orbit.  escape_radius should come from
-    escape_radius_search / check_guided; escaped_at is the first step whose
-    value exceeds it.  The orbit is exact until its base-2 exponent passes
-    exponent_cap; there the asymptotic fallback truncates at N = that step.
-    error_bound accumulates round-off, asymptotic-evaluation corrections,
-    and 2*tail_bound/D_N when a tail constant (see klimek.tail_constant) is
-    supplied.
+    The orbit steps by evaluate_scaled, as in orbit_bounded, and is run to
+    step N at every depth: its exponent is an unbounded integer.
+    escape_radius should come from escape_radius_search / check_guided;
+    escaped_at is the first step whose value exceeds it.  error_bound
+    accumulates the round-off of each step k, 16 eps d_k / D_k times its
+    Horner condition number (inf when a step lands on a computed zero away
+    from 0), asymptotic-evaluation corrections, and 2*tail_bound/D_N when a
+    tail constant (see klimek.tail_constant) is supplied.
     """
     if escape_radius <= 0:
         raise ValueError("escape radius must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    w: complex | None = complex(z)
-    sw = ScaledComplex.from_complex(w)
+    w = ScaledComplex.from_complex(z)
     d_prod = 1
-    log_d = 0.0
-    d_exact: int | None = 1
     err = 0.0
     escaped_at: int | None = None
-    fallback_at: int | None = None
-    steps_run = 0
     for k in range(1, n_steps + 1):
         p = seq.get(k)
-        if w is not None:
-            w = _double_step(p, w)  # None from here on: the orbit runs scaled
-        sw = ScaledComplex.from_complex(w) if w is not None else evaluate_scaled(p, sw)
+        w, cond = evaluate_conditioned(p, w)
         d = p.degree
         d_prod *= d
-        log_d += math.log(d)
-        if d_exact is not None:
-            grown = d_exact * d
-            d_exact = grown if grown <= _UINT64_MAX else None
-        steps_run = k
-        err += 16.0 * EPS * d * _inv_float(d_prod)
-        if escaped_at is None and sw.exceeds(escape_radius):
+        err += 16.0 * EPS * d * cond * (1 / d_prod) if cond < math.inf else math.inf
+        if escaped_at is None and w.exceeds(escape_radius):
             escaped_at = k
-        if abs(sw.exponent) > exponent_cap:
-            fallback_at = k
-            break
-    value, eval_err = _normalized_green(target, sw, d_prod)
+    value, eval_err = _normalized_green(target, w, d_prod)
     err += eval_err + 4.0 * EPS * (abs(value) + 1.0)
     if tail_bound is not None:
-        err += 2.0 * tail_bound * _inv_float(d_prod)
-    ledger = DegreeLedger(steps_run, log_d, d_exact)
-    return GreenValue(max(0.0, value), err, escaped_at, ledger,
-                      tail_bound is not None, fallback_at)
+        err += 2.0 * tail_bound * (1 / d_prod)
+    return GreenValue(max(0.0, value), err, escaped_at, seq.ledger(n_steps),
+                      tail_bound is not None)
 
 
 def _normalized_green(target: ModelSet, w: ScaledComplex, d_prod: int):
     """g_target(w)/d_prod and an error bound, valid for any exponent size."""
-    inv_d = _inv_float(d_prod)
+    inv_d = 1 / d_prod
     if w.mantissa == 0:
         return float(target.green(0j)) * inv_d, 4.0 * EPS
     if abs(w.exponent) <= _SCALED_TO_COMPLEX_EXP:
@@ -514,29 +452,37 @@ def _normalized_green(target: ModelSet, w: ScaledComplex, d_prod: int):
         # essentially at the origin; the potential is continuous there
         return float(target.green(0j)) * inv_d, 1e-200
     gamma, g_err = target.robin_offset(w.log_abs())
-    ratio = float(Fraction(w.exponent, d_prod))
-    value = ratio * LN2 + (math.log(abs(w.mantissa)) + gamma) * inv_d
+    value = w.exponent / d_prod * LN2 + (math.log(abs(w.mantissa)) + gamma) * inv_d
     return value, (g_err + 8.0 * EPS * abs(gamma)) * inv_d + 4.0 * EPS * abs(value)
 
 
 # --- vectorized orbit engine -------------------------------------------------
+#
+# A lane holds the value w * 2**e: a double w and e == 0 in the band, else a
+# mantissa |w| in [1, 2) and an integer exponent e (a float, exact below 2**53).
 
 class _StepMeta:
-    __slots__ = ("coeffs", "degree", "scale2", "lead_log", "cutoff",
+    __slots__ = ("coeffs", "degree", "scale2", "lead_log", "valuation", "log_safe",
                  "parity_sub", "parity_rem")
 
     def __init__(self, p: Polynomial):
         c = np.asarray(p.coeffs, dtype=np.complex128)
         self.coeffs = c
-        self.degree = p.degree
+        self.degree = d = p.degree
         self.scale2 = p.scale2
-        self.lead_log = math.log(abs(c[-1])) + p.scale2 * LN2
-        abs_sum = float(np.abs(c).sum())
-        # below this modulus, applying the step cannot overflow doubles
-        self.cutoff = (1e300 / max(abs_sum, 1.0)) ** (1.0 / max(1, p.degree))
-        rem = p.degree % 2
         idx = np.nonzero(c)[0]
-        if p.degree >= 4 and idx.size and bool(np.all(idx % 2 == rem)):
+        self.valuation = int(idx[0]) if idx.size else 0
+        m, ex = _normalize(c[idx], 0.0)
+        mag = np.log2(np.abs(m)) + ex  # log2|a_j|, finite even where |a_j| passes 1.8e308
+        lead2 = float(mag[-1]) + p.scale2
+        self.lead_log = lead2 * LN2
+        # from |w| = 2**log_safe on, each dropped term a_j w**j is below
+        # 2**-53/d of a_d w**d, and |p(w)| >= 2|w|
+        drop = ((mag[:-1] - mag[-1] + math.log2(d) + 53) / (d - idx[:-1])).max(initial=-math.inf)
+        grow = (1 - lead2) / (d - 1) if d > 1 else (-math.inf if lead2 >= 1 else math.inf)
+        self.log_safe = max(float(drop), grow)
+        rem = d % 2
+        if d >= 4 and idx.size and bool(np.all(idx % 2 == rem)):
             self.parity_sub = c[rem::2]
             self.parity_rem = rem
         else:
@@ -544,56 +490,128 @@ class _StepMeta:
             self.parity_rem = 0
 
 
-def _horner(meta: _StepMeta, w: np.ndarray) -> np.ndarray:
-    if meta.parity_sub is not None:
-        u = w * w
-        acc = np.full(w.shape, meta.parity_sub[-1], dtype=np.complex128)
-        for c in meta.parity_sub[-2::-1]:
-            acc *= u
-            if c != 0:
-                acc += c
-        return acc * w if meta.parity_rem else acc
-    acc = np.full(w.shape, meta.coeffs[-1], dtype=np.complex128)
-    for c in meta.coeffs[-2::-1]:
+def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    acc = np.full(w.shape, coeffs[-1], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
         acc *= w
         if c != 0:
             acc += c
     return acc
 
 
+def _band_horner(meta: _StepMeta, w: np.ndarray) -> np.ndarray:
+    if meta.parity_sub is not None:
+        acc = _horner(meta.parity_sub, w * w)
+        return acc * w if meta.parity_rem else acc
+    return _horner(meta.coeffs, w)
+
+
+def _ldexp_c(z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    k = np.clip(k, -4000, 4000).astype(np.int64)  # beyond: flushed or overflowed alike
+    out = np.empty_like(z)
+    out.real, out.imag = np.ldexp(z.real, k), np.ldexp(z.imag, k)
+    return out
+
+
+def _normalize(h: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
+    """(m, e') with m * 2**e' = h * 2**e and |m| in [1, 2); zero gives (0, 0)."""
+    top = np.maximum(np.abs(h.real), np.abs(h.imag))
+    k = np.frexp(top)[1] - 1.0
+    m = _ldexp_c(h, -k)                   # larger part in [1, 2), modulus finite
+    half = np.abs(m) >= 2.0
+    m[half] *= 0.5
+    k[half] += 1.0
+    return m, np.where(top == 0, 0.0, e + k)
+
+
+def _far_horner(coeffs: np.ndarray, valuation: int, x: np.ndarray, big: np.ndarray) -> np.ndarray:
+    h = np.empty_like(x)
+    for lanes, cs in ((big, coeffs[::-1]), (~big, coeffs[valuation:])):
+        if lanes.any():
+            h[lanes] = _horner(cs, x[lanes])
+    return h
+
+
+def _far_step(meta: _StepMeta, m: np.ndarray, e: np.ndarray):
+    """evaluate_scaled over arrays: p(m * 2**e) off the band, as (mantissa, exponent)."""
+    big = e >= 0
+    k = np.where(big, float(meta.degree), float(meta.valuation))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.where(big, _ldexp_c(1 / m, -e), _ldexp_c(m, e))  # |x| <= 1
+        h = _far_horner(meta.coeffs, meta.valuation, x, big)
+    shift = np.zeros(m.size)
+    bad = ~np.isfinite(h)
+    if bad.any():  # coefficients near 1.8e308 overflowed: rerun them scaled by 2**-s
+        s = np.frexp(np.abs(meta.coeffs.view(np.float64)).max())[1]
+        h[bad] = _far_horner(_ldexp_c(meta.coeffs, -s), meta.valuation, x[bad], big[bad])
+        shift[bad] = s
+    lm = k * np.log2(np.abs(m))
+    ik = np.floor(lm)
+    h, ex = _normalize(h, np.where(k > 0, e * k, 0.0) + ik + meta.scale2 + shift)
+    return _normalize(h * np.exp2(lm - ik) * np.exp(1j * k * np.angle(m)), ex)
+
+
+def _advance(meta: _StepMeta, w: np.ndarray, e: np.ndarray):
+    """One step of evaluate_scaled's rule over lanes; returns (w, e, |w|).
+
+    Band lanes run the double Horner and keep it when its modulus is finite
+    and at least BAND_LOW (or the lane is 0, where it is exact); the rest run
+    _far_step.  The modulus returned for an off-band lane is its mantissa's.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow sends a lane off-band
+        u = _band_horner(meta, w)
+    a = np.abs(u)
+    if not meta.scale2 and a.size and a.min() >= BAND_LOW and a.max() < np.inf and not e.any():
+        return u, e, a  # every lane stays in the band (a nan fails the min test)
+    off = ~((a >= BAND_LOW) & (a < np.inf)) | (e != 0)
+    sub = np.arange(u.size) if meta.scale2 else np.flatnonzero(off)
+    redo = off[sub] & ((e[sub] != 0) | (w[sub] != 0))
+    m, ex = _normalize(np.where(redo, 0j, u[sub]), meta.scale2)  # redo lanes may be inf
+    if redo.any():
+        r = sub[redo]
+        m[redo], ex[redo] = _far_step(meta, *_normalize(w[r], e[r]))
+    band = (ex >= BAND_MIN_EXP) & (ex <= 1023)
+    m[band] = _ldexp_c(m[band], ex[band])
+    ex[band] = 0.0
+    e = np.zeros(u.size)
+    u[sub], e[sub], a[sub] = m, ex, np.abs(m)
+    return u, e, a
+
+
+def _beyond(a: np.ndarray, e: np.ndarray, r: float, log2_r: float) -> np.ndarray:
+    """|value| > r per lane: a plain compare in the band, by exponent off it."""
+    out = a > r
+    if e.any():
+        far = np.flatnonzero(e)
+        out[far] = e[far] + np.log2(a[far]) > log2_r
+    return out
+
+
 def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) -> np.ndarray:
     """First escape step per point (0 = still bounded after n_steps).
 
-    Double-precision engine for rasters and grids; true magnitudes below
-    double range flush to zero (orbit_bounded is the exact scalar reference).
+    The vector twin of orbit_bounded: every point steps by the same rule
+    (_advance), exact to rounding above and below double range.
     """
     if escape_radius <= 0:
         raise ValueError("escape radius must be positive")
     src = np.asarray(points, dtype=np.complex128)
     pts = src.ravel()
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     steps = np.zeros(pts.shape, dtype=np.int32)
     idx = np.arange(pts.size)
-    w = pts.copy()
-    log_r = math.log(escape_radius)
+    w, e = pts.copy(), np.zeros(pts.size)
+    log2_r = math.log2(escape_radius)
     for k in range(1, n_steps + 1):
         if idx.size == 0:
             break
-        meta = _StepMeta(seq.get(k))
-        u = _horner(meta, w)
-        bad = ~(np.isfinite(u.real) & np.isfinite(u.imag))
-        if meta.scale2 == 0:
-            esc = (np.abs(u) > escape_radius) | bad
-            w = u
-        else:
-            with np.errstate(divide="ignore"):
-                lu = np.where(u == 0, -np.inf, np.log(np.abs(u))) + meta.scale2 * LN2
-            esc = (lu > log_r) | bad
-            w = _apply_scale2(u, meta.scale2)
+        w, e, a = _advance(_StepMeta(seq.get(k)), w, e)
+        esc = _beyond(a, e, escape_radius, log2_r)
         if esc.any():
             steps[idx[esc]] = k
             keep = ~esc
-            idx = idx[keep]
-            w = w[keep]
+            idx, w, e = idx[keep], w[keep], e[keep]
     return steps.reshape(src.shape)
 
 
@@ -601,68 +619,61 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 target: ModelSet = UNIT_DISK):
     """(values, escape_steps, final_w): normalized potential over a point set.
 
-    Escaped points keep evolving: in doubles while safe, then in normalized
-    log space once past the per-step overflow cutoff (corrections dropped
-    there sit far below double resolution).  final_w holds the last complex
-    orbit value where one exists, else nan.
+    Every point steps by the rule of escape_steps.  An escaped point switches
+    to the O(1) update log|w_k| = log|lead_k| + d_k log|w_(k-1)|, carried
+    divided by D_k, once the terms that update drops are below rounding for
+    every remaining step.  final_w holds the last complex orbit value where
+    one exists, else nan.
     """
     if escape_radius <= 0:
         raise ValueError("escape radius must be positive")
     src = np.asarray(points, dtype=np.complex128)
     pts = src.ravel()
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     n = pts.size
-    w = pts.copy()
+    metas = [_StepMeta(seq.get(k)) for k in range(1, n_steps + 1)]
+    log2_r = math.log2(escape_radius)
+    # log2|w| before step k from which every later step keeps the log update exact
+    entry = np.maximum.accumulate([max(m.log_safe, log2_r) for m in metas[::-1]])[::-1]
+    idx = np.arange(n)
+    w, e, a = pts.copy(), np.zeros(n), np.abs(pts)
+    # a lane entering log mode before step k stores log|w|/D - S_(k-1), where
+    # S_k sums log|lead_j|/D_j over j <= k, so adding S_N at the end applies
+    # every later update at once
+    glog = np.zeros(n)
     in_log = np.zeros(n, dtype=bool)
-    glog = np.zeros(n, dtype=float)
     steps = np.zeros(n, dtype=np.int32)
-    d_prod = 1
-    for k in range(1, n_steps + 1):
-        meta = _StepMeta(seq.get(k))
-        d_prev = d_prod
+    d_prod, s_sum = 1, 0.0
+    for k, meta in enumerate(metas, start=1):
+        go = _beyond(a, e, 2.0 ** entry[k - 1] if entry[k - 1] < 1024 else math.inf,
+                     entry[k - 1])
+        if go.any():
+            t = idx[go]
+            glog[t] = (np.log(a[go]) + e[go] * LN2) * (1 / d_prod) - s_sum
+            in_log[t] = True
+            steps[t[steps[t] == 0]] = k  # |w| >= R and it grows at this step
+            keep = ~go
+            idx, w, e = idx[keep], w[keep], e[keep]
         d_prod *= meta.degree
-        inv_d = _inv_float(d_prod)
-        # promote live points the incoming step could overflow
-        live_idx = np.flatnonzero(~in_log)
-        if live_idx.size:
-            aw = np.abs(w[live_idx])
-            hot = aw > min(meta.cutoff, 1e100)
-            if hot.any():
-                tgt = live_idx[hot]
-                glog[tgt] = np.log(aw[hot]) * _inv_float(d_prev)
-                in_log[tgt] = True
-        if in_log.any():
-            glog[in_log] += meta.lead_log * inv_d
-        live_idx = np.flatnonzero(~in_log)
-        if live_idx.size:
-            u = _horner(meta, w[live_idx])
-            if meta.scale2 == 0:
-                w[live_idx] = u
-            else:
-                with np.errstate(divide="ignore"):
-                    lu = np.where(u == 0, -np.inf, np.log(np.abs(u))) + meta.scale2 * LN2
-                jump = lu > math.log(1e100)
-                if jump.any():
-                    tgt = live_idx[jump]
-                    glog[tgt] = lu[jump] * inv_d  # includes this step already
-                    in_log[tgt] = True
-                w[live_idx] = _apply_scale2(u, meta.scale2)
-        fresh = steps == 0
-        if fresh.any():
-            crossed = fresh & in_log
-            lv = fresh & ~in_log
-            if lv.any():
-                a = np.abs(w[lv])
-                crossed[lv] = (a > escape_radius) | ~np.isfinite(a)
-            steps[crossed] = k
+        s_sum += meta.lead_log * (1 / d_prod)
+        w, e, a = _advance(meta, w, e)
+        hit = idx[_beyond(a, e, escape_radius, log2_r)]
+        steps[hit[steps[hit] == 0]] = k
+    inv_n = 1 / d_prod
+    glog[in_log] += s_sum
+    big = e > 0
+    t = idx[big]
+    glog[t] = (np.log(a[big]) + e[big] * LN2) * inv_n
+    in_log[t] = True
+    idx, w, e = idx[~big], w[~big], e[~big]
+    tiny = e < 0
+    w[tiny] = _ldexp_c(w[tiny], e[tiny])  # below the band: the double it flushes to
     values = np.empty(n, dtype=float)
-    inv_n = _inv_float(d_prod)
-    if in_log.any():
-        values[in_log] = np.maximum(0.0, glog[in_log] + target.robin() * inv_n)
-    live = ~in_log
-    if live.any():
-        wl = w[live]
-        if not np.all(np.isfinite(wl.real) & np.isfinite(wl.imag)):
-            raise RuntimeError("vector green engine produced non-finite orbit values")
-        values[live] = np.maximum(0.0, np.asarray(target.green(wl), dtype=float)) * inv_n
-    w_out = np.where(in_log, complex(np.nan, np.nan), w)
+    values[in_log] = np.maximum(0.0, glog[in_log] + target.robin() * inv_n)
+    if not np.all(np.isfinite(w.real) & np.isfinite(w.imag)):
+        raise RuntimeError("vector green engine produced non-finite orbit values")
+    values[idx] = np.maximum(0.0, np.asarray(target.green(w), dtype=float)) * inv_n
+    w_out = np.full(n, complex(np.nan, np.nan))
+    w_out[idx] = w
     return values.reshape(src.shape), steps.reshape(src.shape), w_out.reshape(src.shape)

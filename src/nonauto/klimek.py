@@ -67,11 +67,6 @@ def gamma_models(E: ModelSet, F: ModelSet, m: int = 1024) -> KlimekEstimate:
     return KlimekEstimate(max(coarse, fine), n_fine, abs(fine - coarse))
 
 
-def _nonauto_values(seq, pts, n, escape_radius, target):
-    values, _, _ = green_field(seq, pts, n, escape_radius, target)
-    return values
-
-
 def _annulus_net(radius: float, m: int) -> np.ndarray:
     rings = max(4, int(math.isqrt(m // 2)))
     per_ring = max(16, m // rings)
@@ -101,12 +96,12 @@ def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
     else:
         base = np.asarray(net, dtype=np.complex128).ravel()
         fine = base
-    lo = float(np.max(np.abs(_nonauto_values(seq, base, n, escape_radius, target)
-                             - _nonauto_values(seq, base, m, escape_radius, target))))
+    lo = float(np.max(np.abs(green_field(seq, base, n, escape_radius, target)[0]
+                             - green_field(seq, base, m, escape_radius, target)[0])))
     if fine is base:
         return KlimekEstimate(lo, base.size, 0.0)
-    hi = float(np.max(np.abs(_nonauto_values(seq, fine, n, escape_radius, target)
-                             - _nonauto_values(seq, fine, m, escape_radius, target))))
+    hi = float(np.max(np.abs(green_field(seq, fine, n, escape_radius, target)[0]
+                             - green_field(seq, fine, m, escape_radius, target)[0])))
     return KlimekEstimate(max(lo, hi), fine.size, abs(hi - lo))
 
 
@@ -171,7 +166,7 @@ def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int]
                             escape_radius=escape_radius, samples=samples)
         if with_capacity:
             est = capacity_estimate(
-                lambda pts: _nonauto_values(seq, pts, n, escape_radius, target), probes)
+                lambda pts: green_field(seq, pts, n, escape_radius, target)[0], probes)
             rows.append(TableRow(n, led.log_d, gam.lower, est.value, est.spread))
         else:
             rows.append(TableRow(n, led.log_d, gam.lower, None, None))

@@ -3,9 +3,9 @@
 A polynomial is a tuple of complex coefficients in ascending powers plus an
 optional power-of-two scale, so generators can express leading factors far
 outside double range (think n**2**n) while every stored coefficient stays a
-finite double.  Orbit values that leave double range are handled by
-ScaledComplex, a complex mantissa in [1,2) with an unbounded integer base-2
-exponent.
+finite double.  Orbit values of any size are carried as ScaledComplex, a
+complex mantissa in [1,2) with an unbounded integer base-2 exponent, and
+stepped by evaluate_scaled, the step rule every orbit engine shares.
 """
 from __future__ import annotations
 
@@ -17,6 +17,11 @@ LN2 = math.log(2.0)
 EPS = 2.220446049250313e-16
 
 _CHEBYSHEV_CAP = 1000  # leading coefficient 2**(n-1) must stay a finite double
+# The safe double band: 2**BAND_MIN_EXP <= |w| < 2**1024.  Underflow in the
+# intermediates of a double Horner costs at most 2**-1074 per operation,
+# far below the rounding of a value at least this large.
+BAND_MIN_EXP = -900
+BAND_LOW = 2.0**BAND_MIN_EXP
 
 
 class MagnitudeOverflow(ArithmeticError):
@@ -72,14 +77,19 @@ def monomial(power: int, coefficient: complex = 1.0, scale2: int = 0) -> Polynom
     return Polynomial((0j,) * power + (complex(coefficient),), scale2)
 
 
+def _horner(coeffs, z: complex) -> complex:
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
 def evaluate(p: Polynomial, z: complex) -> complex:
     """Horner evaluation in plain doubles; raises MagnitudeOverflow on leaving range."""
     z = complex(z)
     if not _is_finite(z):
         raise ValueError("evaluation point must be finite")
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * z + c
+    acc = _horner(p.coeffs, z)
     if p.scale2:
         try:
             acc = complex(math.ldexp(acc.real, p.scale2), math.ldexp(acc.imag, p.scale2))
@@ -134,47 +144,17 @@ class ScaledComplex:
             return False
         return self.log_abs() > math.log(r)
 
-    def __mul__(self, other):
-        if isinstance(other, ScaledComplex):
-            if self.mantissa == 0 or other.mantissa == 0:
-                return _ZERO
-            return _norm(self.mantissa * other.mantissa, self.exponent + other.exponent)
-        return self * ScaledComplex.from_complex(other)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, ScaledComplex):
-            other = ScaledComplex.from_complex(other)
-        a, b = self, other
-        if a.mantissa == 0:
-            return b
-        if b.mantissa == 0:
-            return a
-        shift = a.exponent - b.exponent
-        if shift < 0:
-            a, b, shift = b, a, -shift
-        if shift > 128:  # smaller term below one ulp of the larger
-            return a
-        m = a.mantissa + complex(math.ldexp(b.mantissa.real, -shift), math.ldexp(b.mantissa.imag, -shift))
-        return _norm(m, a.exponent)
-
-    def __neg__(self):
-        return ScaledComplex(-self.mantissa, self.exponent)
-
-    def __sub__(self, other):
-        if not isinstance(other, ScaledComplex):
-            other = ScaledComplex.from_complex(other)
-        return self + (-other)
-
 
 def _norm(m: complex, e: int) -> ScaledComplex:
-    a = abs(m)
-    if a == 0.0:
-        return ScaledComplex(0j, 0)
-    k = math.frexp(a)[1] - 1  # floor(log2 |m|)
-    if k:
-        m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
+    """m * 2**e normalized.  Scaling by the larger part's binade first keeps
+    the modulus finite for every finite m (abs() overflows past 1.8e308)."""
+    top = max(abs(m.real), abs(m.imag))
+    if top == 0.0:
+        return _ZERO
+    k = math.frexp(top)[1] - 1
+    m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))  # larger part in [1, 2)
+    if abs(m) >= 2.0:
+        m, k = complex(0.5 * m.real, 0.5 * m.imag), k + 1
     return ScaledComplex(m, e + k)
 
 
@@ -182,59 +162,70 @@ _ZERO = ScaledComplex(0j, 0)
 
 
 def evaluate_scaled(p: Polynomial, w: ScaledComplex) -> ScaledComplex:
-    """Horner evaluation that never overflows; exact up to per-step rounding.
+    """p(w) for w of any size, to within the rounding of a double Horner.
 
-    Bit-identical to the Horner loop `acc = acc * w + c` over ScaledComplex
-    operands, but the accumulator is a local (mantissa, exponent) pair,
-    normalized in the same order as ScaledComplex.__mul__ / __add__ (a term
-    more than 128 binades below the other is dropped), so one object is
-    built per call instead of several per coefficient.
+    The one step rule of every orbit engine.  In the band (|w| at least
+    2**BAND_MIN_EXP and below 2**1024) the double Horner runs on w and is
+    kept when its modulus is finite and in the band too.  Otherwise, with
+    w = m * 2**e, the same Horner runs on a variable of modulus at most 1:
+    - above the band (e >= 0): p(w) = w**d * sum a_j w**(j-d), by Horner over
+      the ascending coefficients at 1/w;
+    - below it: p(w) = w**v q(w), with v the valuation of p.
+    Where coefficients near 1.8e308 overflow that Horner, it reruns on them
+    scaled by 2**-s, s the binade of the largest, and s joins the exponent.
+    No term is dropped unless it sits below the rounding of the kept ones,
+    and the exponent is an unbounded integer.
     """
-    frexp, ldexp = math.frexp, math.ldexp
-    wm, we = w.mantissa, w.exponent
-    w_zero = wm == 0
-    lead = _norm(complex(p.coeffs[-1]), 0)
-    m, e = lead.mantissa, lead.exponent
-    for c in p.coeffs[-2::-1]:
-        # acc * w
-        if w_zero or m == 0:
-            m, e = 0j, 0
-        else:
-            m *= wm
-            e += we
-            a = abs(m)
-            if a == 0.0:
-                m, e = 0j, 0
-            else:
-                k = frexp(a)[1] - 1
-                if k:
-                    m = complex(ldexp(m.real, -k), ldexp(m.imag, -k))
-                    e += k
-        # + c, normalizing c only when it is not dropped
-        if c == 0:
-            continue
-        ce = frexp(abs(c))[1] - 1
-        shift = e - ce
-        if m != 0 and shift > 128:  # c below one ulp of acc
-            continue
-        cm = complex(ldexp(c.real, -ce), ldexp(c.imag, -ce)) if ce else complex(c)
-        if m == 0 or shift < -128:  # acc is zero, or below one ulp of c
-            m, e = cm, ce
-            continue
-        if shift < 0:
-            m, cm, e, shift = cm, m, ce, -shift
-        m += complex(ldexp(cm.real, -shift), ldexp(cm.imag, -shift))
-        a = abs(m)
-        if a == 0.0:
-            m, e = 0j, 0
-        else:
-            k = frexp(a)[1] - 1
-            if k:
-                m = complex(ldexp(m.real, -k), ldexp(m.imag, -k))
-                e += k
-    if p.scale2 and m != 0:
-        e += p.scale2
-    return ScaledComplex(m, e)
+    return _evaluate(p, w, False)[0]
+
+
+def evaluate_conditioned(p: Polynomial, w: ScaledComplex) -> tuple[ScaledComplex, float]:
+    """(evaluate_scaled(p, w), mu), mu = sum |a_j w**j| / |p(w)| from the same
+    Horner pass (inf at a computed zero away from 0).  The value's relative
+    error is at most about 2 deg(p) eps mu (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1)."""
+    return _evaluate(p, w, True)
+
+
+def _horner_abs(coeffs, x: complex, cond: bool) -> tuple[complex, float]:
+    """(Horner value, sum |c_j| |x|**j if cond else 0.0) in one pass, inf past 1.8e308."""
+    if not cond:
+        return _horner(coeffs, x), 0.0
+    acc = coeffs[-1]
+    try:
+        s, ax = abs(acc), abs(x)
+        for c in coeffs[-2::-1]:
+            acc = acc * x + c
+            s = s * ax + abs(c)
+    except OverflowError:
+        return acc, math.inf
+    return acc, s
+
+
+def _evaluate(p: Polynomial, w: ScaledComplex, cond: bool) -> tuple[ScaledComplex, float]:
+    m, e = w.mantissa, w.exponent
+    if m == 0:
+        return _norm(p.coeffs[0], p.scale2), 1.0  # p(0) = a_0 exactly
+    if BAND_MIN_EXP <= e <= 1023:
+        h, s = _horner_abs(p.coeffs, _ldexp_c(m, e), cond)
+        a = math.hypot(h.real, h.imag)
+        if BAND_LOW <= a < math.inf and s < math.inf:
+            return _norm(h, p.scale2), s / a
+    big = e >= 0  # x = 1/w over the reversed coefficients, else w over those of q
+    k = p.degree if big else next((j for j, c in enumerate(p.coeffs) if c), 0)
+    coeffs, x = (p.coeffs[::-1], _ldexp_c(1 / m, -e)) if big else (p.coeffs[k:], _ldexp_c(m, e))
+    h, s = _horner_abs(coeffs, x, cond)
+    shift = 0
+    if not (_is_finite(h) and s < math.inf):
+        shift = max(math.frexp(max(abs(c.real), abs(c.imag)))[1] for c in coeffs)
+        h, s = _horner_abs([_ldexp_c(c, -shift) for c in coeffs], x, cond)
+    # m**k as 2**(k log2|m|) at phase k arg(m), on the normalized value: nothing overflows
+    lm = k * math.log2(abs(m))
+    ik = math.floor(lm)
+    a = math.hypot(h.real, h.imag)
+    h = _norm(h, e * k + ik + p.scale2 + shift)
+    out = _norm(h.mantissa * cmath.rect(2.0 ** (lm - ik), k * cmath.phase(m)), h.exponent)
+    return out, (s / a if a else math.inf)
 
 
 def compose(p: Polynomial, q: Polynomial) -> Polynomial:

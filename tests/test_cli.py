@@ -61,6 +61,14 @@ class TestPointCommands:
         assert abs(doc["value"] - math.log(3)) < 1e-9
         assert not doc["truncation_included"]
 
+    def test_green_json_without_a_bound_is_strict_json(self, capsys):
+        # z = 1 lands on the zero of z**2 - 1, where no relative bound exists
+        code, out, _ = run(capsys, "green", "--seq", "z2-minus-1-then-n-exp-z2", "--z", "1",
+                           "--n", "8", "--json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
+        assert doc["value"] == 0.0 and doc["error_bound"] is None
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "gamma", "--a", "disk:0,1", "--b", "segment", "--json")
         _, out2, _ = run(capsys, "gamma", "--a", "disk:0,1", "--b", "segment", "--json")

@@ -1,0 +1,139 @@
+"""The four orbit engines against a 120-digit mpmath orbit, and against each other.
+
+orbit_bounded and green_nonauto step one point by poly.evaluate_scaled;
+escape_steps and green_field step arrays by the same rule.  Every point below
+is checked three ways: green_nonauto within its error_bound of the exact
+potential, escape_steps equal to orbit_bounded's escape step, and
+green_field within green_nonauto's error_bound of the exact potential.
+"""
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from nonauto import builtin, custom_sequence, polynomial
+from nonauto.green import escape_steps, green_field, green_nonauto, orbit_bounded
+from nonauto.poly import EPS, ScaledComplex, evaluate_scaled, monomial
+from nonauto.sequences import escape_radius_search
+
+mpmath = pytest.importorskip("mpmath")
+
+DIGITS = 120
+
+
+def exact_orbit(seq, z, n, radius):
+    """(escape step or None, log+|w_n| / D_n) by mpc Horner at 120 digits."""
+    with mpmath.workdps(DIGITS):
+        w = mpmath.mpc(z)
+        escaped, d_prod = None, 1
+        for k in range(1, n + 1):
+            p = seq.get(k)
+            acc = mpmath.mpc(p.coeffs[-1])
+            for c in p.coeffs[-2::-1]:
+                acc = acc * w + mpmath.mpc(c)
+            w = acc * mpmath.mpf(2) ** p.scale2
+            d_prod *= p.degree
+            if escaped is None and abs(w) > radius:
+                escaped = k
+        return escaped, float(max(mpmath.mpf(0), mpmath.log(abs(w))) / d_prod) if w else 0.0
+
+
+def complex_cycle():
+    return custom_sequence([polynomial(0.3 - 0.2j, 0, 1),
+                            polynomial(-0.1j, 0.5, 0, 1),
+                            polynomial(0.2, 0, 0.1j, 0, 1)])
+
+
+def starts(rng, radius, count, tiny=()):
+    disk = radius * np.sqrt(rng.uniform(0, 1, count)) * np.exp(2j * np.pi * rng.uniform(0, 1, count))
+    return np.concatenate([disk, np.asarray(tiny, dtype=complex)])
+
+
+CASES = {
+    "minimal_chebyshev": (lambda: builtin("minimal_chebyshev"), 20, 2.5, ()),
+    "classical_chebyshev": (lambda: builtin("classical_chebyshev"), 10, 2.5, (1e-30j, -1e-200)),
+    "n_exp_z2": (lambda: builtin("n_exp_z2"), 60, 1.0, (1e-5, 1e-40, 1e-300 * 1j, 0.1)),
+    "z2_minus_1_then_n_exp_z2": (lambda: builtin("z2_minus_1_then_n_exp_z2"), 40, 1.5,
+                                 (1 + 1e-12, -1 + 1e-9j, 1e-150)),
+    "complex_cycle": (complex_cycle, 30, 2.0, (1e-20 + 1e-20j,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_engines_agree_with_mpmath(name, rng):
+    make, n, spread, tiny = CASES[name]
+    seq = make()
+    radius = escape_radius_search(seq, n)
+    pts = starts(rng, spread, 24, tiny)
+    vec_steps = escape_steps(seq, pts, n, radius)
+    field, field_steps, _ = green_field(seq, pts, n, radius)
+    for i, z in enumerate(pts):
+        z = complex(z)
+        want_escape, want = exact_orbit(seq, z, n, radius)
+        gv = green_nonauto(seq, z, n, radius)
+        bounded, escaped = orbit_bounded(seq, z, n, radius)
+        assert abs(gv.value - want) <= gv.error_bound, (z, gv, want)
+        assert gv.escaped_at == escaped == want_escape, z
+        assert bounded == (escaped is None)
+        assert int(vec_steps[i]) == int(field_steps[i]) == (escaped or 0), z
+        assert abs(field[i] - want) <= gv.error_bound, (z, field[i], want)
+
+
+class TestDefects:
+    def test_green_field_keeps_lower_order_terms(self):
+        # (a) z**2 + 1e200 at 1e60: the lower term dominates; dropping it gave 138.16
+        seq = custom_sequence([polynomial(1e200, 0, 1)])
+        values, steps, _ = green_field(seq, np.array([1e60 + 0j]), 1, 1e101)
+        want = math.log(1e120 + 1e200) / 2
+        assert abs(values[0] - want) <= 1e-13 * want
+        assert abs(values[0] - 230.2585) < 1e-4
+        assert steps[0] == 1
+
+    def test_vector_engines_keep_tiny_orbits(self):
+        # (c) tiny starts under n_exp_z2 escape at 9 and 35; flushed to zero
+        # they stayed bounded
+        seq = builtin("n_exp_z2")
+        radius = escape_radius_search(seq, 60)
+        pts = np.array([1e-5, 1e-40])
+        assert escape_steps(seq, pts, 60, radius).tolist() == [9, 35]
+        values, steps, _ = green_field(seq, pts, 60, radius)
+        assert steps.tolist() == [9, 35]
+        for z, v in zip(pts, values):
+            gv = green_nonauto(seq, z, 60, radius)
+            assert orbit_bounded(seq, z, 60, radius) == (False, gv.escaped_at)
+            assert abs(v - (math.log(z) + math.lgamma(61))) <= gv.error_bound
+
+    def test_vector_engines_match_scalar_after_cancellation(self):
+        # (c) p_1 = z**2 - 1 maps 1 + 1e-12 to about 2e-12, deep below 1 after n_exp_z2
+        seq = builtin("z2_minus_1_then_n_exp_z2")
+        radius = escape_radius_search(seq, 60)
+        z = 1 + 1e-12
+        gv = green_nonauto(seq, z, 60, radius)
+        values, steps, _ = green_field(seq, np.array([z]), 60, radius)
+        assert orbit_bounded(seq, z, 60, radius) == (False, gv.escaped_at)
+        assert escape_steps(seq, np.array([z]), 60, radius)[0] == steps[0] == gv.escaped_at
+        assert abs(values[0] - gv.value) <= gv.error_bound
+
+
+class TestDegreeAboveDoubleExponentRange:
+    """power:2000: m**2000 overflows doubles for every mantissa m in (1, 2)."""
+
+    def test_evaluate_scaled(self):
+        p = monomial(2000, 0.75 - 0.5j)
+        for z in (1.5 * cmath.exp(0.3j), -1.9 + 0.1j, 0.6j):
+            out = evaluate_scaled(p, ScaledComplex.from_complex(z, 3))
+            with mpmath.workdps(60):
+                want = mpmath.mpc(0.75 - 0.5j) * (mpmath.mpc(z) * 8) ** 2000
+                got = mpmath.mpc(out.mantissa) * mpmath.mpf(2) ** out.exponent
+                assert abs(got - want) <= 16 * 2001 * EPS * abs(want)
+
+    def test_engines(self):
+        seq = builtin("power", degrees=2000)
+        pts = np.array([1.5 * cmath.exp(0.3j), 0.999, 1.0001j])
+        assert escape_steps(seq, pts, 3, 2.0).tolist() == [1, 0, 2]
+        values, _, _ = green_field(seq, pts, 3, 2.0)
+        for z, v in zip(pts, values):
+            gv = green_nonauto(seq, complex(z), 3, 2.0)
+            assert abs(gv.value - max(0.0, math.log(abs(z)))) <= gv.error_bound
+            assert abs(v - gv.value) <= gv.error_bound

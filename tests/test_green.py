@@ -187,6 +187,14 @@ class TestOrbits:
         with pytest.raises(ValueError):
             orbit_bounded(seq, 1.0, 5, -1.0)
 
+    def test_non_finite_points_rejected(self, min_cheb):
+        pts = np.array([0.5, complex(np.nan, 0.0)])
+        for engine in (escape_steps, green_field):
+            with pytest.raises(ValueError):
+                engine(min_cheb, pts, 5, 2.0)
+        with pytest.raises(ValueError):
+            orbit_bounded(min_cheb, complex(np.inf, 0.0), 5, 2.0)
+
     def test_vector_escape_matches_scalar(self, min_cheb, min_cheb_radius, rng):
         pts = (rng.uniform(-1.6, 1.6, 40) + 1j * rng.uniform(-1.1, 1.1, 40))
         vec = escape_steps(min_cheb, pts, 60, min_cheb_radius)
@@ -241,12 +249,15 @@ class TestGreenNonauto:
             b = green_nonauto(min_cheb, z, 24, min_cheb_radius, tail_bound=tail)
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
-    def test_fallback_truncates(self, min_cheb, min_cheb_radius):
-        gv = green_nonauto(min_cheb, 3.0, 200, min_cheb_radius, exponent_cap=1 << 12)
-        assert gv.fallback_at is not None
-        assert gv.ledger.n == gv.fallback_at < 200
-        full = green_nonauto(min_cheb, 3.0, 40, min_cheb_radius)
-        assert abs(gv.value - full.value) < 1e-6
+    def test_deep_orbit_runs_every_step(self):
+        # P_60 = (60!)**(2**60) z**(2**60) for n_exp_z2, so the step-60 potential
+        # at 0.1 is log 0.1 + log 60!; a capped exponent stopped at step 34 (86.28)
+        seq = builtin("n_exp_z2")
+        gv = green_nonauto(seq, 0.1, 60, escape_radius_search(seq, 60))
+        want = math.log(0.1) + math.lgamma(61)
+        assert gv.ledger.n == 60
+        assert abs(gv.value - want) <= gv.error_bound
+        assert abs(gv.value - 186.3256) < 1e-4
 
     def test_escaped_at_recorded(self, min_cheb, min_cheb_radius):
         gv = green_nonauto(min_cheb, 3.0, 12, min_cheb_radius)
@@ -286,6 +297,7 @@ class TestGreenNonauto:
         with mpmath.workdps(50):
             want = float(mpmath.log(mpmath.mpf(2) ** 2100 * mpmath.mpf(z) ** 4) / 4)
         assert abs(gv.value - want) <= gv.error_bound
+        assert abs(green_field(seq, np.array([z]), 2, 4.0)[0][0] - want) <= gv.error_bound
 
     def test_scaled_step_of_a_subnormal_horner_value_runs_scaled(self):
         # (1.1e-160)**2 is subnormal before 2**600 lifts it to 5e-140; taken
@@ -299,6 +311,8 @@ class TestGreenNonauto:
             want = float(mpmath.log(w) / 4)
         assert gv.escaped_at == 2
         assert abs(gv.value - want) <= gv.error_bound
+        values, steps, _ = green_field(seq, np.array([z]), 2, 4.0)
+        assert steps[0] == 2 and abs(values[0] - want) <= gv.error_bound
 
     def test_modulus_beyond_double_range_runs_scaled(self):
         # z**2 = 1.386e308 * (1 + 1j): both parts finite, |z**2| = 1.96e308 is not
@@ -307,6 +321,25 @@ class TestGreenNonauto:
         gv = green_nonauto(seq, z, 3, 2.0)
         assert abs(gv.value - math.log(abs(z))) <= gv.error_bound
         assert orbit_bounded(seq, z, 3, 2.0) == (False, 1)
+
+    @pytest.mark.parametrize("first, z", [(polynomial(1.5e308 * (1 + 1j), 1), 1.0),
+                                          (polynomial(0, 0, 1.5e308 * (1 + 1j)), 2.0),
+                                          (polynomial(1e308, 1e308), 1.0),
+                                          (polynomial(1e308, 1e308), 0.9)])
+    def test_coefficient_with_modulus_past_double_range(self, first, z):
+        # 1.5e308 (1 + 1j) has finite parts and modulus 2.1e308, which abs()
+        # cannot hold; 1e308 + 1e308 z overflows a double Horner at |z| <= 1
+        mpmath = pytest.importorskip("mpmath")
+        seq = custom_sequence([first, monomial(2)], repeat="none")
+        with mpmath.workdps(40):
+            w = sum(mpmath.mpc(a) * mpmath.mpc(z) ** j for j, a in enumerate(first.coeffs))
+            want = float(mpmath.log(abs(w)) / first.degree)
+        gv = green_nonauto(seq, z, 2, 2.0)
+        assert gv.escaped_at == 1 and orbit_bounded(seq, z, 2, 2.0) == (False, 1)
+        assert abs(gv.value - want) <= gv.error_bound < 1e-11
+        values, steps, _ = green_field(seq, np.array([z]), 2, 2.0)
+        assert steps[0] == 1 and abs(values[0] - want) <= gv.error_bound
+        assert escape_steps(seq, np.array([z]), 2, 2.0)[0] == 1
 
     def test_general_target_matches_pullback_formula(self, min_cheb, min_cheb_radius):
         gv_seg = green_nonauto(min_cheb, 2.5, 6, min_cheb_radius, target=SEG)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonauto.poly import (MagnitudeOverflow, Polynomial, ScaledComplex,
+from nonauto.poly import (EPS, MagnitudeOverflow, Polynomial, ScaledComplex,
                           cauchy_root_bound, chebyshev_minimal, chebyshev_t,
                           coeffs_close, compose, evaluate, evaluate_scaled,
                           identity, monomial, polynomial)
@@ -86,6 +86,25 @@ class TestEvaluateScaled:
             if plain != 0:
                 assert abs(plain - scaled) <= 1e-12 * abs(plain)
 
+    def test_coefficient_with_modulus_past_double_range(self):
+        c = 1.5e308 * (1 + 1j)
+        out = evaluate_scaled(polynomial(c, 1), ScaledComplex.from_complex(1.0))
+        assert 1.0 <= abs(out.mantissa) < 2.0
+        k = out.exponent
+        assert complex(math.ldexp(out.mantissa.real, k), math.ldexp(out.mantissa.imag, k)) == c + 1
+
+    @pytest.mark.parametrize("z", [1.0, 0.9])
+    def test_coefficients_near_double_max(self, z):
+        # 1e308 + 1e308 z (2e308 at z = 1) overflows a double Horner; the rerun
+        # on coefficients scaled by 2**-1024 does not
+        mpmath = pytest.importorskip("mpmath")
+        out = evaluate_scaled(polynomial(1e308, 1e308), ScaledComplex.from_complex(z))
+        assert out.mantissa.imag == 0.0
+        with mpmath.workdps(40):
+            got = mpmath.mpf(out.mantissa.real) * mpmath.mpf(2) ** out.exponent
+            exact = mpmath.mpf(1e308) + mpmath.mpf(1e308) * mpmath.mpf(z)
+            assert abs(got - exact) <= 2 * EPS * exact
+
     def test_scale2_exactness(self):
         p = monomial(2, 1.5, scale2=4000)
         out = evaluate_scaled(p, ScaledComplex.from_complex(2.0))
@@ -94,41 +113,63 @@ class TestEvaluateScaled:
     @given(st.lists(st.one_of(st.just(0j), finite_coeff, finite_coeff.map(lambda c: c.real),
                               finite_coeff.map(lambda c: c.imag * 1j),
                               st.tuples(finite_coeff, st.integers(-140, 140))
-                              .map(lambda t: t[0] * 2.0 ** t[1])),
+                              .map(lambda t: t[0] * 2.0 ** t[1]),
+                              finite_coeff.map(lambda c: c * 2.0 ** 1020)),
                     min_size=1, max_size=14),
            st.integers(-2000, 2000), st.one_of(st.just(0j), finite_coeff),
            st.one_of(st.integers(-5000, 5000), st.integers(-140, 140)))
     @settings(max_examples=400)
-    # acc = 2**128 meets c = 1j: the last shift that still adds the smaller term
+    # acc = 2**128 meets c = 1j: the shifts where the old scaled sum began to drop terms
     @example([1j, 1.0], 0, 1.0, 128)
     @example([1j, 1.0], 0, 1.0, 129)
     @example([1.0, 1j], 0, 1.0, -128)
-    def test_bit_identical_to_operator_horner(self, coeffs, scale2, w0, w_exp):
-        """The unrolled loop reproduces `acc * w + c` over ScaledComplex exactly."""
+    # coefficients near 1.8e308 overflow an unscaled Horner even at |x| <= 1
+    @example([1e308, 1e308], 0, 1.0, 0)
+    @example([1e308, 1e308], 0, 0.9, 0)
+    @example([1.5e308 * (1 + 1j), -1.5e308j, 1.5e308], 0, 0.6 + 0.7j, 0)
+    @example([1.5e308, 1.5e308, 1.5e308], 0, 1.0, 3000)
+    def test_within_horner_error_bound(self, coeffs, scale2, w0, w_exp):
+        """|evaluate_scaled - p(w)| <= 16 (d+1) eps sum|a_j w^j|, plus underflow.
+
+        The second term is the standard model's absolute error 2**-1074 per
+        operation (Higham, Accuracy and Stability, 2.2), met by the Horner
+        and by rounding w or 1/w to a double, scaled back out of double range.
+        """
+        mpmath = pytest.importorskip("mpmath")
         if len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs[-1] = 1.0
         p = Polynomial(tuple(complex(c) for c in coeffs), scale2)
         w = ScaledComplex.from_complex(w0, w_exp)
-        acc = ScaledComplex.from_complex(p.coeffs[-1])
-        for c in reversed(p.coeffs[:-1]):
-            acc = acc * w + c
-        if p.scale2 and acc.mantissa != 0:
-            acc = ScaledComplex(acc.mantissa, acc.exponent + p.scale2)
         out = evaluate_scaled(p, w)
-        assert out.exponent == acc.exponent
-        assert repr(out.mantissa) == repr(acc.mantissa)  # also tells signed zeros apart
+        d = p.degree
+        with mpmath.workdps(60):
+            two = mpmath.mpf(2)
+            x = mpmath.mpc(w.mantissa) * two ** w.exponent
+            exact = sum(mpmath.mpc(c) * x ** j for j, c in enumerate(p.coeffs))
+            scale = sum(abs(mpmath.mpc(c)) * abs(x) ** j for j, c in enumerate(p.coeffs))
+            top = max([1] + [abs(mpmath.mpc(c)) for c in p.coeffs])
+            bound = (16 * (d + 1) * EPS * scale
+                     + 4 * (d + 1) * top * two ** -1074 * max(1, abs(x)) ** d)
+            got = mpmath.mpc(out.mantissa) * two ** (out.exponent - scale2)
+            assert abs(got - exact) <= bound
 
 
 class TestScaledComplex:
-    @given(st.complex_numbers(min_magnitude=1e-5, max_magnitude=1e5,
-                              allow_nan=False, allow_infinity=False),
-           st.complex_numbers(min_magnitude=1e-5, max_magnitude=1e5,
-                              allow_nan=False, allow_infinity=False))
-    def test_mul_add_normalized(self, a, b):
-        sa, sb = ScaledComplex.from_complex(a), ScaledComplex.from_complex(b)
-        for out in (sa * sb, sa + sb):
-            if out.mantissa != 0:
-                assert 1.0 <= abs(out.mantissa) < 2.0
+    @given(st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(allow_nan=False, allow_infinity=False)),
+           st.integers(-5000, 5000))
+    @example(1.5e308 * (1 + 1j), 0)
+    def test_from_complex_normalized(self, z, e):
+        # both parts finite but |z| past 1.8e308 once overflowed abs()
+        out = ScaledComplex.from_complex(z, e)
+        if z == 0:
+            assert out == ScaledComplex(0j, 0)
+            return
+        assert 1.0 <= abs(out.mantissa) < 2.0
+        k = out.exponent - e
+        back = complex(math.ldexp(out.mantissa.real, k), math.ldexp(out.mantissa.imag, k))
+        top = max(abs(z.real), abs(z.imag))  # the smaller part may round to a subnormal
+        assert abs(back.real - z.real) <= EPS * top and abs(back.imag - z.imag) <= EPS * top
 
     def test_round_trip(self):
         z = 3.25 - 0.5j
@@ -137,10 +178,6 @@ class TestScaledComplex:
     def test_exceeds_extreme_exponents(self):
         assert ScaledComplex(1 + 0j, 10**50).exceeds(1e300)
         assert not ScaledComplex(1 + 0j, -(10**50)).exceeds(1e-300)
-
-    def test_distant_addition_keeps_larger(self):
-        big = ScaledComplex.from_complex(1.0, 500)
-        assert (big + ScaledComplex.from_complex(1.0)) == big
 
 
 class TestCompose:
