@@ -6,10 +6,13 @@ non-autonomous potential of a sequence is the normalized escape rate
 (1/(d_1...d_N)) log+ |p_N o ... o p_1|.  Every orbit engine steps by one
 rule: double Horner inside the safe double band, and outside it the same
 Horner on a rescaled variable with the value carried as mantissa and
-exponent (poly.evaluate_scaled, and _advance for arrays).  The scalar
-potential comes with a certified error budget: floating round-off,
-asymptotic corrections, and (when a tail constant is supplied) the geometric
-truncation term covering every unrun step.
+exponent (poly.evaluate_scaled, and _advance for arrays).  The vector
+engines (escape_steps, green_field) carry their points through every step
+in fixed chunks that fit a core's L2 cache; each point's arithmetic is its
+own, so results do not depend on the chunking or on render's thread bands.
+The scalar potential comes with a certified error budget: floating
+round-off, asymptotic corrections, and (when a tail constant is supplied)
+the geometric truncation term covering every unrun step.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex,
-                   evaluate_conditioned, evaluate_scaled)
+                   evaluate_conditioned, evaluate_scaled, modulus_ratios)
 from .sequences import DegreeLedger, PolySequence, circle_points, values_on
 
 _SCALED_TO_COMPLEX_EXP = 900       # |exponent| below this: evaluate greens directly
@@ -243,7 +246,7 @@ class Preimage(ModelSet):
             raise ValueError("preimage map must be non-constant")
 
     def _lead_log(self) -> float:
-        return math.log(abs(self.poly.coeffs[-1])) + self.poly.scale2 * LN2
+        return ScaledComplex.from_complex(self.poly.coeffs[-1], self.poly.scale2).log_abs()
 
     def green(self, z):
         arr, scalar = _as_c(z)
@@ -277,15 +280,14 @@ class Preimage(ModelSet):
     def enclosing_radius(self) -> float:
         # Cauchy-style bound covering every branch of f(z) = w, |w| <= rho.
         rho = self.inner.enclosing_radius()
-        lead = abs(self.poly.coeffs[-1])
-        top = max(abs(c) for c in self.poly.coeffs[:-1]) if self.poly.degree else 0.0
         log_ru = math.log(rho) - self.poly.scale2 * LN2
-        return 1.0 + (top + math.exp(min(700.0, log_ru))) / lead
+        *top, ru = modulus_ratios([*self.poly.coeffs[:-1], math.exp(min(700.0, log_ru))],
+                                  self.poly.coeffs[-1])
+        return 1.0 + max(top) + ru
 
     def robin_offset(self, log_abs_z):
         d = self.poly.degree
-        lead = abs(self.poly.coeffs[-1])
-        ratios = sum(abs(c) for c in self.poly.coeffs[:-1]) / lead
+        ratios = sum(modulus_ratios(self.poly.coeffs[:-1], self.poly.coeffs[-1]))
         sigma = ratios * math.exp(-log_abs_z) if log_abs_z > -700 else math.inf
         if sigma > 0.5:
             raise ValueError("asymptotic potential invalid this close to the preimage set")
@@ -460,6 +462,11 @@ def _normalized_green(target: ModelSet, w: ScaledComplex, d_prod: int):
 #
 # A lane holds the value w * 2**e: a double w and e == 0 in the band, else a
 # mantissa |w| in [1, 2) and an integer exponent e (a float, exact below 2**53).
+# Points run through every step one chunk at a time, so that a step's arrays
+# (Horner accumulator, w, e) stay in a core's L2 cache instead of streaming
+# the whole point set through memory once per coefficient.
+
+_CHUNK = 32_768  # points per chunk: 512 KB per complex128 array
 
 class _StepMeta:
     __slots__ = ("coeffs", "degree", "scale2", "lead_log", "valuation", "log_safe",
@@ -488,6 +495,18 @@ class _StepMeta:
         else:
             self.parity_sub = None
             self.parity_rem = 0
+
+
+class _Metas:
+    """_StepMeta of step k as metas[k], built on first use and then kept."""
+
+    def __init__(self, seq: PolySequence):
+        self.seq, self.built = seq, []
+
+    def __getitem__(self, k: int) -> _StepMeta:
+        while len(self.built) < k:
+            self.built.append(_StepMeta(self.seq.get(len(self.built) + 1)))
+        return self.built[k - 1]
 
 
 def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -587,11 +606,15 @@ def _beyond(a: np.ndarray, e: np.ndarray, r: float, log2_r: float) -> np.ndarray
     return out
 
 
-def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) -> np.ndarray:
-    """First escape step per point (0 = still bounded after n_steps).
+def _run_chunks(seq: PolySequence, points, escape_radius: float, outputs, prepare):
+    """The chunk loop shared by escape_steps and green_field.
 
-    The vector twin of orbit_bounded: every point steps by the same rule
-    (_advance), exact to rounding above and below double range.
+    Checks the radius and the points, then calls prepare(metas) once for a
+    kernel, and kernel(chunk, *slices) for each run of _CHUNK points in
+    order; slices are that chunk's views of the outputs, allocated once at
+    full size from the (dtype, fill) pairs.  metas[k] is the _StepMeta of
+    step k, built on first use and shared by every chunk.  Returns the
+    outputs in the shape of points.
     """
     if escape_radius <= 0:
         raise ValueError("escape radius must be positive")
@@ -599,81 +622,107 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
     pts = src.ravel()
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    steps = np.zeros(pts.shape, dtype=np.int32)
-    idx = np.arange(pts.size)
-    w, e = pts.copy(), np.zeros(pts.size)
-    log2_r = math.log2(escape_radius)
-    for k in range(1, n_steps + 1):
-        if idx.size == 0:
-            break
-        w, e, a = _advance(_StepMeta(seq.get(k)), w, e)
-        esc = _beyond(a, e, escape_radius, log2_r)
-        if esc.any():
-            steps[idx[esc]] = k
-            keep = ~esc
-            idx, w, e = idx[keep], w[keep], e[keep]
-    return steps.reshape(src.shape)
+    kernel = prepare(_Metas(seq))
+    outs = [np.full(pts.size, fill, dtype) for dtype, fill in outputs]
+    for lo in range(0, pts.size, _CHUNK):
+        kernel(pts[lo:lo + _CHUNK], *(o[lo:lo + _CHUNK] for o in outs))
+    return tuple(o.reshape(src.shape) for o in outs)
+
+
+def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) -> np.ndarray:
+    """First escape step per point (0 = still bounded after n_steps).
+
+    The vector twin of orbit_bounded: every point steps by the same rule
+    (_advance), exact to rounding above and below double range.  Points run
+    through every step in fixed chunks; a point's result depends neither on
+    the chunking nor on which other points (or thread band) it comes with.
+    """
+    def prepare(metas):
+        log2_r = math.log2(escape_radius)
+
+        def kernel(pts, steps):
+            idx = np.arange(pts.size)
+            w, e = pts.copy(), np.zeros(pts.size)
+            for k in range(1, n_steps + 1):
+                if idx.size == 0:
+                    break
+                w, e, a = _advance(metas[k], w, e)
+                esc = _beyond(a, e, escape_radius, log2_r)
+                if esc.any():
+                    steps[idx[esc]] = k
+                    keep = ~esc
+                    idx, w, e = idx[keep], w[keep], e[keep]
+        return kernel
+
+    return _run_chunks(seq, points, escape_radius, [(np.int32, 0)], prepare)[0]
 
 
 def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 target: ModelSet = UNIT_DISK):
     """(values, escape_steps, final_w): normalized potential over a point set.
 
-    Every point steps by the rule of escape_steps.  An escaped point switches
-    to the O(1) update log|w_k| = log|lead_k| + d_k log|w_(k-1)|, carried
-    divided by D_k, once the terms that update drops are below rounding for
-    every remaining step.  final_w holds the last complex orbit value where
-    one exists, else nan.
+    Every point steps by the rule of escape_steps, in the same fixed chunks,
+    and its results do not depend on the chunking or on thread bands.  An
+    escaped point switches to the O(1) update
+    log|w_k| = log|lead_k| + d_k log|w_(k-1)|, carried divided by D_k, once
+    the terms that update drops are below rounding for every remaining
+    step.  final_w holds the last complex orbit value where one exists,
+    else nan.
     """
-    if escape_radius <= 0:
-        raise ValueError("escape radius must be positive")
-    src = np.asarray(points, dtype=np.complex128)
-    pts = src.ravel()
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
-    n = pts.size
-    metas = [_StepMeta(seq.get(k)) for k in range(1, n_steps + 1)]
-    log2_r = math.log2(escape_radius)
-    # log2|w| before step k from which every later step keeps the log update exact
-    entry = np.maximum.accumulate([max(m.log_safe, log2_r) for m in metas[::-1]])[::-1]
-    idx = np.arange(n)
-    w, e, a = pts.copy(), np.zeros(n), np.abs(pts)
-    # a lane entering log mode before step k stores log|w|/D - S_(k-1), where
-    # S_k sums log|lead_j|/D_j over j <= k, so adding S_N at the end applies
-    # every later update at once
-    glog = np.zeros(n)
-    in_log = np.zeros(n, dtype=bool)
-    steps = np.zeros(n, dtype=np.int32)
-    d_prod, s_sum = 1, 0.0
-    for k, meta in enumerate(metas, start=1):
-        go = _beyond(a, e, 2.0 ** entry[k - 1] if entry[k - 1] < 1024 else math.inf,
-                     entry[k - 1])
-        if go.any():
-            t = idx[go]
-            glog[t] = (np.log(a[go]) + e[go] * LN2) * (1 / d_prod) - s_sum
+    def prepare(metas):
+        steps_meta = [metas[k] for k in range(1, n_steps + 1)]
+        log2_r = math.log2(escape_radius)
+        # log2|w| before step k from which every later step keeps the log update exact
+        entry = np.maximum.accumulate([max(m.log_safe, log2_r) for m in steps_meta[::-1]])[::-1]
+        gate = [2.0 ** x if x < 1024 else math.inf for x in entry]
+        # a lane entering log mode before step k stores log|w|/D_(k-1) - S_(k-1),
+        # where S_k sums log|lead_j|/D_j over j <= k, so adding S_N at the end
+        # applies every later update at once
+        inv_d, s_prev = [], []
+        d_prod, s_sum = 1, 0.0
+        for meta in steps_meta:
+            inv_d.append(1 / d_prod)
+            s_prev.append(s_sum)
+            d_prod *= meta.degree
+            s_sum += meta.lead_log * (1 / d_prod)
+        inv_n = 1 / d_prod
+        robin_n = target.robin() * inv_n
+
+        def kernel(pts, values, steps, w_out):
+            n = pts.size
+            idx = np.arange(n)
+            w, e, a = pts.copy(), np.zeros(n), np.abs(pts)
+            glog = np.zeros(n)
+            in_log = np.zeros(n, dtype=bool)
+            for k, meta in enumerate(steps_meta, start=1):
+                if idx.size == 0:
+                    break
+                go = _beyond(a, e, gate[k - 1], entry[k - 1])
+                if go.any():
+                    t = idx[go]
+                    glog[t] = (np.log(a[go]) + e[go] * LN2) * inv_d[k - 1] - s_prev[k - 1]
+                    in_log[t] = True
+                    steps[t[steps[t] == 0]] = k  # |w| >= R and it grows at this step
+                    keep = ~go
+                    idx, w, e = idx[keep], w[keep], e[keep]
+                w, e, a = _advance(meta, w, e)
+                hit = idx[_beyond(a, e, escape_radius, log2_r)]
+                steps[hit[steps[hit] == 0]] = k
+            glog[in_log] += s_sum
+            big = e > 0
+            t = idx[big]
+            glog[t] = (np.log(a[big]) + e[big] * LN2) * inv_n
             in_log[t] = True
-            steps[t[steps[t] == 0]] = k  # |w| >= R and it grows at this step
-            keep = ~go
-            idx, w, e = idx[keep], w[keep], e[keep]
-        d_prod *= meta.degree
-        s_sum += meta.lead_log * (1 / d_prod)
-        w, e, a = _advance(meta, w, e)
-        hit = idx[_beyond(a, e, escape_radius, log2_r)]
-        steps[hit[steps[hit] == 0]] = k
-    inv_n = 1 / d_prod
-    glog[in_log] += s_sum
-    big = e > 0
-    t = idx[big]
-    glog[t] = (np.log(a[big]) + e[big] * LN2) * inv_n
-    in_log[t] = True
-    idx, w, e = idx[~big], w[~big], e[~big]
-    tiny = e < 0
-    w[tiny] = _ldexp_c(w[tiny], e[tiny])  # below the band: the double it flushes to
-    values = np.empty(n, dtype=float)
-    values[in_log] = np.maximum(0.0, glog[in_log] + target.robin() * inv_n)
-    if not np.all(np.isfinite(w.real) & np.isfinite(w.imag)):
-        raise RuntimeError("vector green engine produced non-finite orbit values")
-    values[idx] = np.maximum(0.0, np.asarray(target.green(w), dtype=float)) * inv_n
-    w_out = np.full(n, complex(np.nan, np.nan))
-    w_out[idx] = w
-    return values.reshape(src.shape), steps.reshape(src.shape), w_out.reshape(src.shape)
+            idx, w, e = idx[~big], w[~big], e[~big]
+            tiny = e < 0
+            w[tiny] = _ldexp_c(w[tiny], e[tiny])  # below the band: the double it flushes to
+            values[in_log] = np.maximum(0.0, glog[in_log] + robin_n)
+            if not np.all(np.isfinite(w.real) & np.isfinite(w.imag)):
+                raise RuntimeError("vector green engine produced non-finite orbit values")
+            values[idx] = np.maximum(0.0, np.asarray(target.green(w), dtype=float)) * inv_n
+            w_out[idx] = w
+        return kernel
+
+    return _run_chunks(seq, points, escape_radius,
+                       [(float, 0.0), (np.int32, 0), (np.complex128, complex(np.nan, np.nan))],
+                       prepare)

@@ -316,8 +316,31 @@ def cauchy_root_bound(p: Polynomial) -> float:
     """1 + max |a_j| / |a_d|: every zero of p lies in the closed disk of this radius."""
     if p.degree < 1:
         raise ValueError("root bound needs degree >= 1")
-    lead = abs(p.coeffs[-1])
-    return 1.0 + max(abs(c) for c in p.coeffs[:-1]) / lead
+    return 1.0 + max(modulus_ratios(p.coeffs[:-1], p.coeffs[-1]))
+
+
+def modulus_ratios(values, lead: complex) -> list[float]:
+    """|v| / |lead| for each finite v (lead nonzero); inf past double range.
+
+    abs() raises OverflowError on a modulus past 1.8e308 although both parts
+    are finite.  Then every modulus is taken through _norm, whose scaling by
+    the larger part's binade keeps it finite, and each quotient is formed
+    from mantissas and exponents.
+    """
+    try:
+        top = abs(lead)
+        return [abs(v) / top for v in values]
+    except OverflowError:
+        pass
+    b = _norm(complex(lead), 0)
+    out = []
+    for v in values:
+        a = _norm(complex(v), 0)
+        try:
+            out.append(math.ldexp(abs(a.mantissa) / abs(b.mantissa), a.exponent - b.exponent))
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
 
 def coeffs_close(p: Polynomial, q: Polynomial, rel: float = 1e-9, floor: float = 1e-12) -> bool:

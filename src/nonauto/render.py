@@ -181,15 +181,24 @@ def write_png(raster: Raster, path) -> None:
 
 
 def write_csv(raster: Raster, path) -> None:
-    """Plain x,y,value rows at full precision (round-trips to 1e-12 and better)."""
+    """Plain x,y,value rows at full precision (round-trips to 1e-12 and better).
+
+    x and y are repr of the pixel-center doubles; the value is repr of the
+    potential, or the escape step for membership.  Each raster row is joined
+    from one list whose x slots are filled once per raster.
+    """
     xs, ys = pixel_axes(raster.spec)
-    v = raster.values
-    is_int = raster.kind == "membership"
+    if raster.kind == "membership":
+        values, fmt = raster.values.astype(np.int64), str
+    else:
+        values, fmt = np.asarray(raster.values, dtype=float), repr
+    width = raster.spec.width
+    line = [""] * (4 * width)  # x, ",y,", value, newline per pixel
+    line[0::4] = map(repr, xs.tolist())
+    line[3::4] = ["\n"] * width
     with open(path, "w", newline="") as fh:
         fh.write("x,y,value\n")
-        for i in range(raster.spec.height):
-            y = repr(float(ys[i]))
-            row = v[i]
-            for j in range(raster.spec.width):
-                val = int(row[j]) if is_int else repr(float(row[j]))
-                fh.write(f"{float(xs[j])!r},{y},{val}\n")
+        for y, row in zip(ys.tolist(), values):
+            line[1::4] = [f",{y!r},"] * width
+            line[2::4] = map(fmt, row.tolist())
+            fh.write("".join(line))

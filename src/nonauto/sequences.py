@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import LN2, Polynomial, cauchy_root_bound, chebyshev_minimal, chebyshev_t, monomial, polynomial
+from .poly import (LN2, Polynomial, cauchy_root_bound, chebyshev_minimal, chebyshev_t,
+                   modulus_ratios, monomial, polynomial)
 
 _UINT64_MAX = 2**64 - 1
 
@@ -310,12 +311,14 @@ def values_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
     """Unscaled Horner values: true p = 2**scale2 * these.
 
     Runs in place on one accumulator; elementwise, so the value at a point
-    does not depend on which other points are sampled with it.
+    does not depend on which other points are sampled with it.  Values past
+    double range come out non-finite, without a warning: callers test them.
     """
     acc = np.full(pts.shape, p.coeffs[-1], dtype=np.complex128)
-    for c in p.coeffs[-2::-1]:
-        acc *= pts
-        acc += c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in p.coeffs[-2::-1]:
+            acc *= pts
+            acc += c
     return acc
 
 
@@ -448,8 +451,7 @@ def check_P2(seq: PolySequence, A: float, n_max: int) -> CheckReport:
     worst_ratio, worst_n = 0.0, 1
     for n in range(1, n_max + 1):
         p = seq.get(n)
-        lead = abs(p.coeffs[-1])
-        ratio = max((abs(c) for c in p.coeffs[:-1]), default=0.0) / lead
+        ratio = max(modulus_ratios(p.coeffs[:-1], p.coeffs[-1]), default=0.0)
         if ratio > worst_ratio:
             worst_ratio, worst_n = ratio, n
     if worst_ratio <= A:

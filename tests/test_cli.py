@@ -173,6 +173,17 @@ class TestRenderCommand:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    def test_coefficient_with_modulus_past_double_range(self, capsys, tmp_path):
+        # 1.5e308 (1 + 1j): finite parts, modulus 2.1e308, which abs() cannot hold
+        doc = tmp_path / "big.json"
+        doc.write_text('{"polynomials": [[[0,0],[0,0],[1.5e308,1.5e308]]]}')
+        code, out, err = run(capsys, "green", "--seq", f"custom:{doc}", "--z", "2", "--n", "3")
+        assert code == 0 and "Traceback" not in err
+        value = float(out.split()[0])
+        # log|w_3| / 8 with log|w_k| = log|c| + 2 log|w_(k-1)| and w_0 = 2
+        log_c = math.log(1.5e308) + 0.5 * math.log(2)
+        assert abs(value - (7 * log_c + 8 * math.log(2)) / 8) <= 1e-6  # printed to 6 places
+
     def test_threads_identical_output(self, capsys, tmp_path):
         paths = []
         for threads, name in ((1, "a.pgm"), (4, "b.pgm")):

@@ -1,13 +1,14 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nonauto.green import (CapacityEstimate, Disk, Ellipse, GreenValue, Preimage,
-                           Segment, UNIT_DISK, capacity_estimate, escape_steps,
+from nonauto.green import (_CHUNK, CapacityEstimate, Disk, Ellipse, GreenValue,
+                           Preimage, Segment, UNIT_DISK, capacity_estimate, escape_steps,
                            green_field, green_model, green_nonauto, green_preimage,
                            orbit_bounded, sublevel_membership)
 from nonauto.poly import Polynomial, compose, evaluate, monomial, polynomial
@@ -67,6 +68,16 @@ class TestPreimage:
                                 [4.0, 8.0, 16.0])
         assert abs(est.value - 1.0) < 1e-6
         assert abs(pre.capacity() - 1.0) < 1e-15
+
+    def test_lead_with_modulus_past_double_range(self):
+        # 1.5e308 (1 + 1j) has finite parts and modulus 2.1e308, which abs() cannot hold
+        pre = Preimage(UNIT_DISK, polynomial(0, 0, 1.5e308 * (1 + 1j)))
+        want = (math.log(1.5e308) + 0.5 * math.log(2)) / 2
+        assert abs(pre.robin() - want) <= 1e-15 * want
+        assert pre.enclosing_radius() == 1.0
+        gamma, err = pre.robin_offset(5.0)
+        assert gamma == pre.robin() and err == 0.0
+        assert abs(pre.green(3.0) - (want + math.log(3.0))) <= 1e-13 * want
 
     def test_pullback_composition_consistency(self, rng):
         for _ in range(25):
@@ -379,3 +390,86 @@ class TestGreenField:
         assert np.all(steps > 0)
         gseg_like = np.log(np.abs(pts))  # same growth order
         assert np.all(values > 0.5 * gseg_like)
+
+
+class TestChunking:
+    """The vector engines run points in chunks of _CHUNK; nothing may show it."""
+
+    N_STEPS = 40
+
+    @pytest.fixture(scope="class")
+    def ne(self):
+        seq = builtin("n_exp_z2")
+        return seq, escape_radius_search(seq, self.N_STEPS)
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(7)
+        n = 2 * _CHUNK + 7
+        scale = 10.0 ** rng.uniform(-45, 1, n)
+        pts = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        # lanes leaving the band (1e-5 escapes at step 9, 1e-40 at 35), one
+        # escaping at step 1 and one never escaping, on both sides of each
+        # chunk boundary and in the short last chunk
+        special = [1e-5, 1e-40, 50.0, 0.0]
+        for b in (_CHUNK, 2 * _CHUNK, n - 3):
+            pts[b - 4:b] = special
+            pts[b:b + 3] = special[::-1][:3]
+        return pts.reshape(1, n)
+
+    @staticmethod
+    def probe_indices(n):
+        near = [i for b in (_CHUNK, 2 * _CHUNK) for i in range(b - 6, b + 6)]
+        return sorted(set(near) | set(range(n - 10, n)) | set(range(0, n, 2311)))
+
+    def test_escape_steps_independent_of_chunking(self, ne, points):
+        seq, r = ne
+        steps = escape_steps(seq, points, self.N_STEPS, r)
+        assert steps.shape == points.shape and steps.dtype == np.int32
+        flat, whole = points.ravel(), steps.ravel()
+        assert {9, 35, 1, 0} <= set(whole[[_CHUNK - 4, _CHUNK - 3, _CHUNK - 2, _CHUNK - 1]])
+        for i in self.probe_indices(flat.size):
+            assert escape_steps(seq, flat[i:i + 1], self.N_STEPS, r)[0] == whole[i], i
+        # cut at other places, every point meets another chunking
+        pieces = [escape_steps(seq, flat[a:b], self.N_STEPS, r)
+                  for a, b in ((0, 12345), (12345, 50001), (50001, flat.size))]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+    def test_green_field_independent_of_chunking(self, ne, points):
+        seq, r = ne
+        out = green_field(seq, points, self.N_STEPS, r)
+        assert all(a.shape == points.shape for a in out)
+        flat = points.ravel()
+        values, steps, final_w = (a.ravel() for a in out)
+        assert np.isnan(final_w).any() and not np.isnan(final_w).all()
+        for i in self.probe_indices(flat.size):
+            one = green_field(seq, flat[i:i + 1], self.N_STEPS, r)
+            for got, whole in zip(one, (values, steps, final_w)):
+                assert got.tobytes() == whole[i:i + 1].tobytes(), i
+        pieces = [green_field(seq, flat[a:b], self.N_STEPS, r)
+                  for a, b in ((0, 12345), (12345, 50001), (50001, flat.size))]
+        for j, whole in enumerate((values, steps, final_w)):
+            assert np.concatenate([p[j] for p in pieces]).tobytes() == whole.tobytes()
+
+    def test_empty_input_keeps_its_shape(self, ne):
+        seq, r = ne
+        pts = np.empty((0, 3), dtype=np.complex128)
+        steps = escape_steps(seq, pts, 5, r)
+        assert steps.shape == (0, 3) and steps.dtype == np.int32
+        for a in green_field(seq, pts, 5, r):
+            assert a.shape == (0, 3)
+
+    @pytest.mark.parametrize("engine, limit_mb", [(escape_steps, 8.0), (green_field, 24.0)])
+    def test_traced_peak_memory(self, engine, limit_mb, min_cheb, min_cheb_radius):
+        # a full-size figure grid: 540k points, 8.6 MB per complex array;
+        # green_field's three outputs alone take about 15 MB
+        xs = np.linspace(-1.6, 1.6, 900)
+        ys = np.linspace(1.0, -1.0, 600)
+        grid = xs[None, :] + 1j * ys[:, None]
+        tracemalloc.start()
+        try:
+            engine(min_cheb, grid, 20, min_cheb_radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20, f"traced peak {peak / 2**20:.1f} MB"

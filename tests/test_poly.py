@@ -259,6 +259,14 @@ class TestCauchyBound:
         with pytest.raises(ValueError):
             cauchy_root_bound(polynomial(3))
 
+    def test_coefficient_with_modulus_past_double_range(self):
+        # 1.5e308 (1 + 1j): finite parts, modulus 2.1e308, which abs() cannot hold
+        big = 1.5e308 * (1 + 1j)
+        assert cauchy_root_bound(polynomial(0, 0, big)) == 1.0
+        assert cauchy_root_bound(polynomial(big, 0, big)) == 2.0
+        assert cauchy_root_bound(polynomial(big, 0, 0.5 * big)) == 3.0
+        assert cauchy_root_bound(polynomial(big, 1e-300)) == math.inf
+
     @pytest.mark.parametrize("n", range(1, 21))
     def test_chebyshev_zeros_inside(self, n):
         t = chebyshev_minimal(n)

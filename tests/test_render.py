@@ -182,6 +182,28 @@ class TestWriters:
             back[i, j] = float(v)
         assert np.max(np.abs(back - raster.values)) <= 1e-12
 
+    @staticmethod
+    def _csv_per_pixel(raster: Raster) -> bytes:
+        """The reference writer: one formatted line per pixel."""
+        xs, ys = pixel_axes(raster.spec)
+        out = io.StringIO(newline="")
+        out.write("x,y,value\n")
+        for i in range(raster.spec.height):
+            y = repr(float(ys[i]))
+            for j in range(raster.spec.width):
+                v = raster.values[i, j]
+                val = int(v) if raster.kind == "membership" else repr(float(v))
+                out.write(f"{float(xs[j])!r},{y},{val}\n")
+        return out.getvalue().encode()
+
+    def test_csv_bytes_match_per_pixel_writer(self, tmp_path, min_cheb, min_cheb_radius):
+        spec = spec_for(min_cheb_radius, 12, 37, 23, window=(-1.7, 1.3, -0.45, 1.05))
+        for raster in (raster_green(min_cheb, spec), raster_membership(min_cheb, spec)):
+            assert len(np.unique(raster.values)) > 2
+            path = tmp_path / f"{raster.kind}.csv"
+            write_csv(raster, path)
+            assert path.read_bytes() == self._csv_per_pixel(raster)
+
     def test_repeat_render_binary_identical(self, tmp_path, min_cheb, min_cheb_radius):
         spec = spec_for(min_cheb_radius, 25, 64, 48)
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"

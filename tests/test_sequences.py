@@ -346,6 +346,12 @@ class TestP2:
     def test_single_term_passes(self):
         assert check_P2(builtin("n_pow_n"), 1.0, 40).passed
 
+    def test_coefficients_with_modulus_past_double_range(self):
+        big = 1.5e308 * (1 + 1j)
+        seq = custom_sequence([polynomial(0, 0, big), polynomial(big, 0, 0.5 * big)])
+        rep = check_P2(seq, 1.5, 2)
+        assert not rep.passed and rep.witness.n == 2 and rep.witness.value == 2.0
+
 
 class TestFiniteCondition:
     def test_head_then_powers_bounded(self):
