@@ -3,29 +3,28 @@
 Model sets carry exact closed-form potentials (disk, the segment [-1,1],
 filled Joukowski ellipses, polynomial preimages of any of these).  The
 non-autonomous potential of a sequence is the normalized escape rate
-(1/(d_1...d_N)) log+ |p_N o ... o p_1|.  Every orbit engine steps by one
-rule: double Horner inside the safe double band, and outside it the same
-Horner on a rescaled variable with the value carried as mantissa and
-exponent (poly.evaluate_scaled, and _advance for arrays).  The vector
-engines (escape_steps, green_field) carry their points through every step
-in fixed chunks that fit a core's L2 cache; each point's arithmetic is its
-own, so results do not depend on the chunking or on render's thread bands.
-The scalar potential comes with a certified error budget: floating
-round-off, asymptotic corrections, and (when a tail constant is supplied)
-the geometric truncation term covering every unrun step.
+(1/(d_1...d_N)) log+ |p_N o ... o p_1|.  Every evaluation, scalar or array,
+steps by one rule: double Horner inside the safe double band, and outside it
+the same Horner on a rescaled variable with the value carried as mantissa and
+exponent (poly.evaluate_scaled; for arrays _advance, run once by
+Preimage.green and per step by green_field, both finished by _finish).  The
+vector engines carry their points through every step in fixed chunks that fit
+a core's L2 cache; results depend neither on the chunking nor on render's
+thread bands.  The scalar potential comes with a certified error budget:
+floating round-off, asymptotic corrections, and (when a tail constant is
+supplied) the geometric truncation term covering every unrun step.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex,
                    evaluate_conditioned, evaluate_scaled, modulus_ratios)
-from .sequences import DegreeLedger, PolySequence, circle_points, values_on
-
-_SCALED_TO_COMPLEX_EXP = 900       # |exponent| below this: evaluate greens directly
+from .sequences import DegreeLedger, PolySequence, _horner, circle_points, values_on
 
 
 def _as_c(z):
@@ -33,25 +32,15 @@ def _as_c(z):
     return arr, arr.ndim == 0
 
 
+def _flat_finite(arr: np.ndarray) -> np.ndarray:
+    flat = arr.ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError("points must be finite")
+    return flat
+
+
 def _ret(values, scalar):
     return float(values) if scalar else values
-
-
-def _apply_scale2(u: np.ndarray, s: int) -> np.ndarray:
-    """u * 2**s elementwise without intermediate overflow of the factor.
-
-    For |s| beyond any representable product the result flushes to zero;
-    callers classify such points through logarithms first.
-    """
-    if s == 0:
-        return u
-    if abs(s) <= 1020:
-        return u * 2.0**s
-    if abs(s) <= 2000:
-        half = 1000 if s > 0 else -1000
-        with np.errstate(over="ignore", under="ignore"):
-            return (u * 2.0**half) * 2.0 ** (s - half)
-    return np.where(u == 0, u, 0j)
 
 
 class ModelSet:
@@ -236,7 +225,12 @@ class Ellipse(ModelSet):
 
 @dataclass(frozen=True)
 class Preimage(ModelSet):
-    """f^{-1}(inner): potential (1/deg f) * g_inner(f(z))."""
+    """f^{-1}(inner): potential (1/deg f) * g_inner(f(z)).
+
+    green takes f(z) by one step of the engine's rule (values_on, _settle) and
+    finishes it like green_field's lanes (_finish): (1/deg f) g_inner(f(z)) for
+    f(z) of any size, to one Horner's rounding where inner.green is exact.
+    """
 
     inner: ModelSet
     poly: Polynomial
@@ -248,31 +242,18 @@ class Preimage(ModelSet):
     def _lead_log(self) -> float:
         return ScaledComplex.from_complex(self.poly.coeffs[-1], self.poly.scale2).log_abs()
 
+    @cached_property
+    def _meta(self) -> _StepMeta:  # built on the first green call
+        return _StepMeta(self.poly)
+
     def green(self, z):
         arr, scalar = _as_c(z)
-        flat = arr.ravel()
-        d, s = self.poly.degree, self.poly.scale2
-        u = values_on(self.poly, flat)
-        out = np.empty(flat.shape, dtype=float)
-        zero = u == 0
-        w = _apply_scale2(u, s)
-        finite = np.isfinite(w.real) & np.isfinite(w.imag) & (w != 0) & ~zero
-        if finite.any():
-            out[finite] = self.inner.green(w[finite])
-        far = ~finite & ~zero
-        if far.any():
-            # out of double range (or flushed): asymptotic value through logs
-            with np.errstate(divide="ignore"):
-                big_l = np.log(np.abs(u[far])) + s * LN2
-            overflowed = ~np.isfinite(big_l)
-            if overflowed.any():
-                big_l[overflowed] = (d * np.log(np.abs(flat[far][overflowed]))
-                                     + self._lead_log())
-            out[far] = big_l + self.inner.robin()
-        if zero.any():
-            out[zero] = self.inner.green(np.zeros(int(zero.sum()), np.complex128))
-        out = np.maximum(0.0, out) / d
-        return _ret(out.reshape(arr.shape), scalar)
+        flat = _flat_finite(arr)
+        w, e, a = _settle(self._meta, values_on(self.poly, flat), flat, np.zeros(flat.size))
+        # inner.green in the band at any size: the asymptotic form would mend (i) of
+        # ROADMAP item 2 for Segment inners, and move a recorded benchmark value
+        values = _finish(self.inner, w, e, a, 1 / self.poly.degree, math.inf)[0]
+        return _ret(values.reshape(arr.shape), scalar)
 
     def robin(self) -> float:
         return (self.inner.robin() + self._lead_log()) / self.poly.degree
@@ -302,20 +283,27 @@ class Preimage(ModelSet):
 
     def interior_net(self, m):
         targets = self.inner.interior_net(max(8, m // max(1, self.poly.degree)))
-        if targets.size == 0:
-            return targets
-        return self._pullback(targets)
+        return self._pullback(targets) if targets.size else targets
 
     def _pullback(self, targets: np.ndarray) -> np.ndarray:
-        """Solve f(z) = t for each target t (all deg f branches) via companion roots."""
-        desc = np.asarray(self.poly.coeffs[::-1], dtype=np.complex128)
-        s = self.poly.scale2
+        """Solve f(z) = t for each target t (all deg f branches) via companion roots.
+
+        f = 2**s sum a_j z**j is solved in z = 2**k u, sum a_j 2**((j-d)k) u**j
+        = t 2**(-s-dk), with k = -s/d rounded (raised until no a_j 2**((j-d)k)
+        passes 2**500 |a_d|), so any s works; underflowing terms are negligible.
+        """
+        c = np.asarray(self.poly.coeffs, dtype=np.complex128)
+        d, s = self.poly.degree, self.poly.scale2
+        j, mag = _log2_moduli(c)
+        lo = np.ceil((mag[:-1] - mag[-1] - 500) / (d - j[:-1])).max(initial=-math.inf)
+        k = int(max(-round(s / d), lo))
+        desc = _ldexp_c(c, (np.arange(d + 1) - d) * k)[::-1]
         roots = []
-        for t in targets:
-            c = desc.copy()
-            c[-1] -= complex(_apply_scale2(np.asarray(t, np.complex128), -s))
-            roots.append(np.roots(c))
-        return np.concatenate(roots)
+        for t in _ldexp_c(np.asarray(targets, np.complex128), -s - d * k):
+            b = desc.copy()
+            b[-1] -= t
+            roots.append(np.roots(b))
+        return _ldexp_c(np.concatenate(roots), k)
 
 
 UNIT_DISK = Disk()
@@ -324,11 +312,6 @@ UNIT_DISK = Disk()
 def green_model(K: ModelSet, z):
     """Exact closed-form potential of a model set; zero on the compactum."""
     return K.green(z)
-
-
-def green_preimage(K: ModelSet, f: Polynomial, z):
-    """Potential of f^{-1}(K) via the degree-normalized pullback."""
-    return Preimage(K, f).green(z)
 
 
 def sublevel_membership(K: ModelSet, z, eps: float) -> bool:
@@ -447,7 +430,7 @@ def _normalized_green(target: ModelSet, w: ScaledComplex, d_prod: int):
     inv_d = 1 / d_prod
     if w.mantissa == 0:
         return float(target.green(0j)) * inv_d, 4.0 * EPS
-    if abs(w.exponent) <= _SCALED_TO_COMPLEX_EXP:
+    if BAND_MIN_EXP <= w.exponent < 1023:
         g = float(target.green(w.to_complex()))
         return g * inv_d, 8.0 * EPS * (abs(g) + 1.0) * inv_d
     if w.exponent < 0:
@@ -477,10 +460,8 @@ class _StepMeta:
         self.coeffs = c
         self.degree = d = p.degree
         self.scale2 = p.scale2
-        idx = np.nonzero(c)[0]
+        idx, mag = _log2_moduli(c)
         self.valuation = int(idx[0]) if idx.size else 0
-        m, ex = _normalize(c[idx], 0.0)
-        mag = np.log2(np.abs(m)) + ex  # log2|a_j|, finite even where |a_j| passes 1.8e308
         lead2 = float(mag[-1]) + p.scale2
         self.lead_log = lead2 * LN2
         # from |w| = 2**log_safe on, each dropped term a_j w**j is below
@@ -509,22 +490,6 @@ class _Metas:
         return self.built[k - 1]
 
 
-def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    acc = np.full(w.shape, coeffs[-1], dtype=np.complex128)
-    for c in coeffs[-2::-1]:
-        acc *= w
-        if c != 0:
-            acc += c
-    return acc
-
-
-def _band_horner(meta: _StepMeta, w: np.ndarray) -> np.ndarray:
-    if meta.parity_sub is not None:
-        acc = _horner(meta.parity_sub, w * w)
-        return acc * w if meta.parity_rem else acc
-    return _horner(meta.coeffs, w)
-
-
 def _ldexp_c(z: np.ndarray, k: np.ndarray) -> np.ndarray:
     k = np.clip(k, -4000, 4000).astype(np.int64)  # beyond: flushed or overflowed alike
     out = np.empty_like(z)
@@ -541,6 +506,13 @@ def _normalize(h: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
     m[half] *= 0.5
     k[half] += 1.0
     return m, np.where(top == 0, 0.0, e + k)
+
+
+def _log2_moduli(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, log2|c_j|) over the nonzero c_j; finite even where |c_j| passes 1.8e308."""
+    j = np.flatnonzero(c)
+    m, ex = _normalize(c[j], 0.0)
+    return j, np.log2(np.abs(m)) + ex
 
 
 def _far_horner(coeffs: np.ndarray, valuation: int, x: np.ndarray, big: np.ndarray) -> np.ndarray:
@@ -571,14 +543,19 @@ def _far_step(meta: _StepMeta, m: np.ndarray, e: np.ndarray):
 
 
 def _advance(meta: _StepMeta, w: np.ndarray, e: np.ndarray):
-    """One step of evaluate_scaled's rule over lanes; returns (w, e, |w|).
-
-    Band lanes run the double Horner and keep it when its modulus is finite
-    and at least BAND_LOW (or the lane is 0, where it is exact); the rest run
-    _far_step.  The modulus returned for an off-band lane is its mantissa's.
-    """
+    """One step of evaluate_scaled's rule over lanes; returns (w, e, |w|)."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow sends a lane off-band
-        u = _band_horner(meta, w)
+        if meta.parity_sub is None:
+            return _settle(meta, _horner(meta.coeffs, w), w, e)
+        u = _horner(meta.parity_sub, w * w)
+        return _settle(meta, u * w if meta.parity_rem else u, w, e)
+
+
+def _settle(meta: _StepMeta, u: np.ndarray, w: np.ndarray, e: np.ndarray):
+    """The off-band half of _advance, given u, the step's double Horner value
+    (used where e == 0); returns (w, e, |w|), |w| a mantissa's off the band,
+    and may reuse u.  Band lanes keep u when |u| is finite and at least
+    BAND_LOW (or the lane is 0, where it is exact); the rest run _far_step."""
     a = np.abs(u)
     if not meta.scale2 and a.size and a.min() >= BAND_LOW and a.max() < np.inf and not e.any():
         return u, e, a  # every lane stays in the band (a nan fails the min test)
@@ -606,22 +583,51 @@ def _beyond(a: np.ndarray, e: np.ndarray, r: float, log2_r: float) -> np.ndarray
     return out
 
 
+def _finish(target: ModelSet, w: np.ndarray, e: np.ndarray, a: np.ndarray, inv_d: float,
+            log2_floor: float):
+    """(values, w) for lanes holding w * 2**e with moduli a: g_target/D (1/D =
+    inv_d), and each lane's double (nan above the band, flushed below it) over
+    w.  Above the band, and from |w| = 2**log2_floor >= 2**_asymptotic_log2(target)
+    on, a lane takes (log|w| + robin)/D, else target.green."""
+    far = (e > 0) | _beyond(a, e, 2.0**log2_floor if log2_floor < 1024 else math.inf,
+                            log2_floor)
+    values, tiny = np.empty(w.size), e < 0
+    values[far] = np.maximum(0.0, (np.log(a[far]) + e[far] * LN2) * inv_d
+                             + target.robin() * inv_d)
+    w[e > 0] = complex(np.nan, np.nan)
+    w[tiny] = _ldexp_c(w[tiny], e[tiny])
+    values[~far] = np.maximum(0.0, np.asarray(target.green(w[~far]), dtype=float)) * inv_d
+    return values, w
+
+
+def _asymptotic_log2(target: ModelSet) -> float:
+    """log2|w| (to within 1) from which target.robin_offset certifies
+    g_target(w) = log|w| + robin to within EPS; inf if nowhere below 2**(2**20)."""
+    def exact(x):
+        try:
+            return target.robin_offset(x * LN2)[1] <= EPS
+        except ValueError:
+            return False
+    lo, hi = -1100.0, 2.0**20
+    while hi - lo > 1:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if exact(mid) else (mid, hi)
+    return hi if exact(hi) else math.inf
+
+
 def _run_chunks(seq: PolySequence, points, escape_radius: float, outputs, prepare):
     """The chunk loop shared by escape_steps and green_field.
 
-    Checks the radius and the points, then calls prepare(metas) once for a
-    kernel, and kernel(chunk, *slices) for each run of _CHUNK points in
-    order; slices are that chunk's views of the outputs, allocated once at
-    full size from the (dtype, fill) pairs.  metas[k] is the _StepMeta of
-    step k, built on first use and shared by every chunk.  Returns the
-    outputs in the shape of points.
+    Checks the radius and the points, calls prepare(metas) once for a kernel
+    and kernel(chunk, *slices) for each run of _CHUNK points in order; slices
+    are the chunk's views of the outputs, allocated at full size from the
+    (dtype, fill) pairs.  metas[k] is step k's _StepMeta, built on first use.
+    Returns the outputs in the shape of points.
     """
     if escape_radius <= 0:
         raise ValueError("escape radius must be positive")
     src = np.asarray(points, dtype=np.complex128)
-    pts = src.ravel()
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    pts = _flat_finite(src)
     kernel = prepare(_Metas(seq))
     outs = [np.full(pts.size, fill, dtype) for dtype, fill in outputs]
     for lo in range(0, pts.size, _CHUNK):
@@ -671,9 +677,10 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
     """
     def prepare(metas):
         steps_meta = [metas[k] for k in range(1, n_steps + 1)]
+        # log2|w| before step k from which the log update and log|w_N| + robin are exact
         log2_r = math.log2(escape_radius)
-        # log2|w| before step k from which every later step keeps the log update exact
-        entry = np.maximum.accumulate([max(m.log_safe, log2_r) for m in steps_meta[::-1]])[::-1]
+        floor = max(log2_r, _asymptotic_log2(target))
+        entry = np.maximum.accumulate([max(m.log_safe, floor) for m in steps_meta[::-1]])[::-1]
         gate = [2.0 ** x if x < 1024 else math.inf for x in entry]
         # a lane entering log mode before step k stores log|w|/D_(k-1) - S_(k-1),
         # where S_k sums log|lead_j|/D_j over j <= k, so adding S_N at the end
@@ -709,18 +716,8 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 hit = idx[_beyond(a, e, escape_radius, log2_r)]
                 steps[hit[steps[hit] == 0]] = k
             glog[in_log] += s_sum
-            big = e > 0
-            t = idx[big]
-            glog[t] = (np.log(a[big]) + e[big] * LN2) * inv_n
-            in_log[t] = True
-            idx, w, e = idx[~big], w[~big], e[~big]
-            tiny = e < 0
-            w[tiny] = _ldexp_c(w[tiny], e[tiny])  # below the band: the double it flushes to
             values[in_log] = np.maximum(0.0, glog[in_log] + robin_n)
-            if not np.all(np.isfinite(w.real) & np.isfinite(w.imag)):
-                raise RuntimeError("vector green engine produced non-finite orbit values")
-            values[idx] = np.maximum(0.0, np.asarray(target.green(w), dtype=float)) * inv_n
-            w_out[idx] = w
+            values[idx], w_out[idx] = _finish(target, w, e, a, inv_n, floor)
         return kernel
 
     return _run_chunks(seq, points, escape_radius,

@@ -307,19 +307,21 @@ def circle_points(radius: float, m: int) -> np.ndarray:
     return radius * np.exp(1j * theta)
 
 
-def values_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
-    """Unscaled Horner values: true p = 2**scale2 * these.
-
-    Runs in place on one accumulator; elementwise, so the value at a point
-    does not depend on which other points are sampled with it.  Values past
-    double range come out non-finite, without a warning: callers test them.
-    """
-    acc = np.full(pts.shape, p.coeffs[-1], dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in p.coeffs[-2::-1]:
-            acc *= pts
+def _horner(coeffs, pts: np.ndarray) -> np.ndarray:
+    """sum coeffs[j] pts**j, in place on one accumulator, skipping zero coefficients:
+    the one array Horner (values_on, the vector engines); elementwise per point."""
+    acc = np.full(pts.shape, coeffs[-1], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
+        acc *= pts
+        if c != 0:
             acc += c
     return acc
+
+
+def values_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
+    """Unscaled Horner values (true p = 2**scale2 * these); non-finite past double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _horner(p.coeffs, pts)
 
 
 def _log_abs(vals: np.ndarray, scale2: int) -> np.ndarray:
