@@ -279,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--tail-bound", type=float, default=None,
-                   help="tail constant enabling the truncation term")
+                   help="tail constant enabling the truncation term; a value from "
+                        "tail_constant is a sampled lower bound, so the term then "
+                        "rests on a sampled estimate")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_green)
 

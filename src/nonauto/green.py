@@ -9,10 +9,15 @@ the same Horner on a rescaled variable with the value carried as mantissa and
 exponent (poly.evaluate_scaled; for arrays _advance, run once by
 Preimage.green and per step by green_field, both finished by _finish).  The
 vector engines carry their points through every step in fixed chunks that fit
-a core's L2 cache; results depend neither on the chunking nor on render's
-thread bands.  The scalar potential comes with a certified error budget:
-floating round-off, asymptotic corrections, and (when a tail constant is
-supplied) the geometric truncation term covering every unrun step.
+a core's L2 cache.  With real coefficients no result depends on the chunking
+or on render's thread bands.  With complex ones numpy rounds a product in a
+one-point chunk differently from a wider chunk: a value may move by a few
+units of rounding, EPS (1 + value), always inside green_nonauto's error bound,
+and an escape step only where that rounding crosses the escape radius.  The
+scalar potential comes with an error budget: certified floating round-off and
+asymptotic corrections, and (when a tail constant is supplied) the geometric
+truncation term covering every unrun step, which rests on a sampled estimate
+because klimek.tail_constant is a sampled lower bound.
 """
 from __future__ import annotations
 
@@ -223,6 +228,55 @@ class Ellipse(ModelSet):
         return np.concatenate(nets)
 
 
+_ANCHORS = 4             # companion-solved targets per net, up to twice as many
+_NEWTON_STEPS = 10
+_STEP_TOL = 1e-12        # last Newton step, relative to the branch
+_SEP_TOL = 1e-6          # least distance between branches, relative to the largest
+_U_NORMAL = 2.0**-1022   # below this a root in u has lost bits to underflow
+
+
+def _unit_scaled(coeffs: np.ndarray, rhs: np.ndarray):
+    """coeffs and rhs times the power of two that puts the largest |coeffs[j]|
+    in [1, 2): the same roots, and neither np.roots's division by the lead
+    nor the slope coefficients j coeffs[j] can overflow."""
+    e = math.floor(_log2_moduli(coeffs)[1].max())
+    return _ldexp_c(coeffs, -e), _ldexp_c(rhs, -e)
+
+
+def _newton(coeffs: np.ndarray, tau: np.ndarray, u: np.ndarray):
+    """Newton for sum coeffs[j] x**j = tau[i] from the starts u[i] (a row per
+    target, a column per branch); returns (x, ok), ok for rows now certified.
+
+    A row is accepted once every branch's last step is at most _STEP_TOL of
+    its own modulus and its branches lie pairwise more than _SEP_TOL of the
+    largest apart.  A degree-d polynomial has a root within d |step| of the
+    point a Newton step is taken from, so the disks of radius (d+1) |step|
+    about the new points each hold a root; they are disjoint (d < 5e5), so
+    the row holds every root, each once.  Rows that do not converge within
+    _NEWTON_STEPS steps, or converge onto each other, are not accepted.
+    """
+    slope = coeffs[1:] * np.arange(1, coeffs.size)
+    live = np.arange(u.shape[0])
+    out, ok = u.copy(), np.zeros(u.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            step = (_horner(coeffs, u) - tau[:, None]) / _horner(slope, u)
+            u = u - step
+            done = (np.abs(step) <= _STEP_TOL * np.abs(u)).all(axis=1)
+            if done.any():
+                out[live[done]], ok[live[done]] = u[done], True
+                u, tau, live = u[~done], tau[~done], live[~done]
+                if not live.size:
+                    break
+        got = np.flatnonzero(ok)
+        v = out[got]
+        sep = np.full(got.size, np.inf)
+        for gap in range(1, v.shape[1]):
+            sep = np.minimum(sep, np.abs(v[:, gap:] - v[:, :-gap]).min(axis=1))
+        ok[got[~(sep > _SEP_TOL * np.abs(v).max(axis=1, initial=0.0))]] = False
+    return out, ok
+
+
 @dataclass(frozen=True)
 class Preimage(ModelSet):
     """f^{-1}(inner): potential (1/deg f) * g_inner(f(z)).
@@ -286,24 +340,49 @@ class Preimage(ModelSet):
         return self._pullback(targets) if targets.size else targets
 
     def _pullback(self, targets: np.ndarray) -> np.ndarray:
-        """Solve f(z) = t for each target t (all deg f branches) via companion roots.
+        """Solve f(z) = t for each target t: its deg f branches, target by target.
 
         f = 2**s sum a_j z**j is solved in z = 2**k u, sum a_j 2**((j-d)k) u**j
         = t 2**(-s-dk), with k = -s/d rounded (raised until no a_j 2**((j-d)k)
         passes 2**500 |a_d|), so any s works; underflowing terms are negligible.
+        Targets a stride apart in net order (the largest power of two at most
+        n/_ANCHORS) take companion roots (np.roots).  Then, halving the
+        stride, each target starts from the roots of the solved target one
+        stride back, and _newton refines all of a stride's targets at once;
+        a target it does not accept takes companion roots.  Roots that
+        underflow in u are polished by _newton in z itself.
         """
         c = np.asarray(self.poly.coeffs, dtype=np.complex128)
         d, s = self.poly.degree, self.poly.scale2
         j, mag = _log2_moduli(c)
         lo = np.ceil((mag[:-1] - mag[-1] - 500) / (d - j[:-1])).max(initial=-math.inf)
         k = int(max(-round(s / d), lo))
-        desc = _ldexp_c(c, (np.arange(d + 1) - d) * k)[::-1]
-        roots = []
-        for t in _ldexp_c(np.asarray(targets, np.complex128), -s - d * k):
-            b = desc.copy()
-            b[-1] -= t
-            roots.append(np.roots(b))
-        return _ldexp_c(np.concatenate(roots), k)
+        targets = np.asarray(targets, np.complex128)
+        scaled, taus = _unit_scaled(_ldexp_c(c, (np.arange(d + 1) - d) * k),
+                                    _ldexp_c(targets, -s - d * k))
+        n = taus.size
+        roots = np.empty((n, d), dtype=np.complex128)
+
+        def companion(rows):
+            for i in rows:
+                b = scaled[::-1].copy()
+                b[-1] -= taus[i]
+                roots[i] = np.roots(b)
+
+        stride = 1 << max(0, (n // _ANCHORS).bit_length() - 1)
+        companion(range(0, n, stride))
+        while stride > 1:
+            stride //= 2
+            rows = np.arange(stride, n, 2 * stride)
+            u, ok = _newton(scaled, taus[rows], roots[rows - stride])
+            roots[rows[ok]] = u[ok]
+            companion(rows[~ok])
+        z = _ldexp_c(roots.ravel(), k)
+        tiny = np.flatnonzero(np.abs(roots.ravel()) < _U_NORMAL)
+        if tiny.size:
+            w, ok = _newton(*_unit_scaled(c, _ldexp_c(targets[tiny // d], -s)), z[tiny, None])
+            z[tiny[ok]] = w[ok, 0]
+        return z
 
 
 UNIT_DISK = Disk()
@@ -399,7 +478,10 @@ def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
     accumulates the round-off of each step k, 16 eps d_k / D_k times its
     Horner condition number (inf when a step lands on a computed zero away
     from 0), asymptotic-evaluation corrections, and 2*tail_bound/D_N when a
-    tail constant (see klimek.tail_constant) is supplied.
+    tail constant is supplied.  That truncation term is only as sound as
+    tail_bound: klimek.tail_constant returns a sampled lower bound on the
+    tail constant, so with it the term rests on a sampled estimate, not on a
+    certified upper bound.
     """
     if escape_radius <= 0:
         raise ValueError("escape radius must be positive")
@@ -641,7 +723,9 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
     The vector twin of orbit_bounded: every point steps by the same rule
     (_advance), exact to rounding above and below double range.  Points run
     through every step in fixed chunks; a point's result depends neither on
-    the chunking nor on which other points (or thread band) it comes with.
+    the chunking nor on which other points (or thread band) it comes with,
+    except where the chunk-dependent rounding described under green_field
+    moves an orbit value across the escape radius.
     """
     def prepare(metas):
         log2_r = math.log2(escape_radius)
@@ -667,8 +751,13 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 target: ModelSet = UNIT_DISK):
     """(values, escape_steps, final_w): normalized potential over a point set.
 
-    Every point steps by the rule of escape_steps, in the same fixed chunks,
-    and its results do not depend on the chunking or on thread bands.  An
+    Every point steps by the rule of escape_steps, in the same fixed chunks.
+    With real coefficients its results do not depend on the chunking or on
+    thread bands.  With complex ones a point alone in its chunk (a one-point
+    call, or the last of _CHUNK + 1) has its complex products rounded
+    differently from a point in a wider chunk: final_w then differs in the
+    last bits and a value by at most a few EPS (1 + value), inside
+    green_nonauto's error bound.  An
     escaped point switches to the O(1) update
     log|w_k| = log|lead_k| + d_k log|w_(k-1)|, carried divided by D_k, once
     the terms that update drops are below rounding for every remaining

@@ -107,7 +107,11 @@ def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
 
 def tail_constant(seq: PolySequence, target: ModelSet, n_max: int, m: int = 256) -> float:
     """max over 1 <= n <= n_max of the sampled distance between target and its
-    pullback under p_{n+1}; feeds the truncation term of green_nonauto."""
+    pullback under p_{n+1}; feeds the truncation term of green_nonauto.
+
+    A sampled lower bound on the tail constant, not an upper bound: a
+    truncation term built on it rests on a sampled estimate.
+    """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     worst = 0.0

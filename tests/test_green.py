@@ -526,6 +526,32 @@ class TestChunking:
         for a in green_field(seq, pts, 5, r):
             assert a.shape == (0, 3)
 
+    def test_complex_coefficients_last_chunk_of_one_point(self):
+        # numpy rounds a complex product in a one-point chunk (here the last of
+        # _CHUNK + 1) differently from a wider one: escape steps stay equal, and
+        # values move by a few units of rounding, inside green_nonauto's bound
+        seq = custom_sequence([polynomial(-0.12 + 0.35j, 0, 1),
+                               polynomial(0.05 - 0.2j, 0.15 + 0.1j, 0, 1),
+                               polynomial(0.1 + 0.1j, 0, -0.2 + 0.05j, 0, 1)])
+        n = 30
+        r = escape_radius_search(seq, n)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1.2, 1.2, _CHUNK + 1) + 1j * rng.uniform(-1.2, 1.2, _CHUNK + 1)
+        first = escape_steps(seq, pts, n, r)
+        late = np.argsort(np.where(first == 0, -1, first))[-60:]  # the longest escaping orbits
+        pts[-1] = pts[late[-1]]
+        steps = escape_steps(seq, pts, n, r)
+        values, _, _ = green_field(seq, pts, n, r)
+        probe = np.r_[late, np.flatnonzero(first == 0)[:10], np.arange(0, _CHUNK, 4099)]
+        for i, j in [(i, i) for i in probe] + [(_CHUNK, late[-1])]:
+            one_steps = escape_steps(seq, pts[i:i + 1], n, r)[0]
+            one_value = green_field(seq, pts[i:i + 1], n, r)[0][0]
+            assert one_steps == steps[i] == steps[j], i
+            gap = abs(one_value - values[j])
+            assert gap <= 4 * EPS * (1 + values[j]), (i, gap)
+            assert gap <= green_nonauto(seq, complex(pts[i]), n, r).error_bound, i
+        assert abs(values[_CHUNK] - values[late[-1]]) <= 4 * EPS * (1 + values[_CHUNK])
+
     @pytest.mark.parametrize("engine, limit_mb", [(escape_steps, 8.0), (green_field, 24.0)])
     def test_traced_peak_memory(self, engine, limit_mb, min_cheb, min_cheb_radius):
         # a full-size figure grid: 540k points, 8.6 MB per complex array;
