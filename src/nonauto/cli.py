@@ -81,7 +81,7 @@ def _threads(args) -> int:
 
 def _resolve_radius(seq: PolySequence, requested: float | None, n_max: int) -> float:
     if requested is not None:
-        if requested <= 0:
+        if not requested > 0:
             raise ValueError("escape radius must be positive")
         return requested
     try:

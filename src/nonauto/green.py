@@ -3,18 +3,21 @@
 Model sets carry exact closed-form potentials (disk, the segment [-1,1],
 filled Joukowski ellipses, polynomial preimages of any of these).  The
 non-autonomous potential of a sequence is the normalized escape rate
-(1/(d_1...d_N)) log+ |p_N o ... o p_1|.  Every evaluation, scalar or array,
-steps by one rule: double Horner inside the safe double band, and outside it
-the same Horner on a rescaled variable with the value carried as mantissa and
-exponent (poly.evaluate_scaled; for arrays _advance, run once by
-Preimage.green and per step by green_field, both finished by _finish).  The
-vector engines carry their points through every step in fixed chunks that fit
-a core's L2 cache.  With real coefficients no result depends on the chunking
-or on render's thread bands.  With complex ones numpy rounds a product in a
-one-point chunk differently from a wider chunk: a value may move by a few
-units of rounding, EPS (1 + value), always inside green_nonauto's error bound,
-and an escape step only where that rounding crosses the escape radius.  The
-scalar potential comes with an error budget: certified floating round-off and
+(1/(d_1...d_N)) log+ |p_N o ... o p_1|.  The four orbit drivers share the
+lanes' rules: one value carrier (the double in the safe double band, else a
+mantissa and an exponent), one step (double Horner in the band, else the same
+Horner on a rescaled variable), one escape test (_beyond's) and one finishing
+step (_finish).  orbit_bounded and green_nonauto step one point in Python
+(poly._evaluate), the tests' reference; escape_steps and green_field step
+arrays (_advance), and Preimage.green runs one step and _finish.  The vector
+engines carry their points through every step in fixed chunks that fit a
+core's L2 cache.  With real
+coefficients no result depends on the chunking or on render's thread bands.
+With complex ones numpy rounds a product in a one-point chunk differently
+from a wider chunk: a value may move by a few units of rounding,
+EPS (1 + value), always inside green_nonauto's error bound, and an escape
+step only where that rounding crosses the escape radius.  The scalar
+potential comes with an error budget: certified floating round-off and
 asymptotic corrections, and (when a tail constant is supplied) the geometric
 truncation term covering every unrun step, which rests on a sampled estimate
 because klimek.tail_constant is a sampled lower bound.
@@ -27,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex,
-                   evaluate_conditioned, evaluate_scaled, modulus_ratios)
+from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex, _evaluate,
+                   _is_finite, modulus_ratios)
 from .sequences import DegreeLedger, PolySequence, _horner, circle_points, values_on
 
 
@@ -74,6 +77,21 @@ class ModelSet:
     def interior_net(self, m: int) -> np.ndarray:
         return np.empty(0, dtype=np.complex128)
 
+    @cached_property
+    def _asymptotic_log2(self) -> float:
+        """log2|w| (to within 1) from which robin_offset certifies g(w) =
+        log|w| + robin to within EPS, inf if nowhere below 2**(2**20); kept."""
+        def exact(x):
+            try:
+                return self.robin_offset(x * LN2)[1] <= EPS
+            except ValueError:
+                return False
+        lo, hi = -1100.0, 2.0**20
+        while hi - lo > 1:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if exact(mid) else (mid, hi)
+        return hi if exact(hi) else math.inf
+
 
 def _joukowski(z):
     """w = z + sqrt(z^2 - 1) with the root chosen so |w| >= 1.
@@ -116,8 +134,10 @@ class Disk(ModelSet):
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("disk radius must be positive")
+        if not _is_finite(complex(self.center)):
+            raise ValueError("disk center must be finite")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("disk radius must be positive and finite")
 
     def green(self, z):
         arr, scalar = _as_c(z)
@@ -185,8 +205,8 @@ class Ellipse(ModelSet):
     r: float
 
     def __post_init__(self):
-        if not self.r > 1:
-            raise ValueError("ellipse parameter must exceed 1")
+        if not 1 < self.r < math.inf:
+            raise ValueError("ellipse parameter must be finite and exceed 1")
 
     @property
     def semi_major(self) -> float:
@@ -305,7 +325,7 @@ class Preimage(ModelSet):
         flat = _flat_finite(arr)
         w, e, a = _settle(self._meta, values_on(self.poly, flat), flat, np.zeros(flat.size))
         # inner.green in the band at any size: the asymptotic form would mend (i) of
-        # ROADMAP item 2 for Segment inners, and move a recorded benchmark value
+        # ROADMAP item 1 for Segment inners, and move a recorded benchmark value
         values = _finish(self.inner, w, e, a, 1 / self.poly.degree, math.inf)[0]
         return _ret(values.reshape(arr.shape), scalar)
 
@@ -449,20 +469,37 @@ class GreenValue:
             raise ValueError("value and error_bound must be non-negative")
 
 
-def orbit_bounded(seq: PolySequence, z, n_steps: int, escape_radius: float):
-    """(bounded, escaped_at): exact escape certificate; bounded = not yet escaped.
-
-    The orbit steps by evaluate_scaled, exact to rounding at every depth and
-    size; escape_steps is its vector twin.
-    """
-    if escape_radius <= 0:
+def _orbit_start(z, n_steps: int, escape_radius: float):
+    """(w, e, log2 R) to start a scalar orbit at z, after the drivers' checks."""
+    if not escape_radius > 0:
         raise ValueError("escape radius must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    w = ScaledComplex.from_complex(z)
+    if not _is_finite(complex(z)):
+        raise ValueError("points must be finite")
+    return complex(z), 0, math.log2(escape_radius)
+
+
+def _escaped(w: complex, e: int, r: float, log2_r: float) -> bool:
+    """_beyond for one carried value.  abs() differs from numpy's complex
+    modulus by an ulp for about a third of all w, so near r numpy's decides;
+    clamping e to +-4096 keeps it a finite float and changes no outcome."""
+    if not e:
+        a = abs(w)
+        return (np.abs(w) if abs(a - r) <= 4 * EPS * r else a) > r
+    return min(max(e, -4096), 4096) + math.log2(abs(w)) > log2_r
+
+
+def orbit_bounded(seq: PolySequence, z, n_steps: int, escape_radius: float):
+    """(bounded, escaped_at): exact escape certificate; bounded = not yet escaped.
+
+    The scalar twin of escape_steps, on the lanes' rules (poly._evaluate,
+    _beyond's test); they agree wherever their roundings do (module docstring).
+    """
+    w, e, log2_r = _orbit_start(z, n_steps, escape_radius)
     for k in range(1, n_steps + 1):
-        w = evaluate_scaled(seq.get(k), w)
-        if w.exceeds(escape_radius):
+        w, e, _ = _evaluate(seq.get(k), w, e)
+        if _escaped(w, e, escape_radius, log2_r):
             return False, k
     return True, None
 
@@ -471,56 +508,41 @@ def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
                   target: ModelSet = UNIT_DISK, tail_bound: float | None = None) -> GreenValue:
     """(1/D_N) g_target(P_N(z)) with P_N = p_N o ... o p_1.
 
-    The orbit steps by evaluate_scaled, as in orbit_bounded, and is run to
-    step N at every depth: its exponent is an unbounded integer.
-    escape_radius should come from escape_radius_search / check_guided;
-    escaped_at is the first step whose value exceeds it.  error_bound
-    accumulates the round-off of each step k, 16 eps d_k / D_k times its
-    Horner condition number (inf when a step lands on a computed zero away
-    from 0), asymptotic-evaluation corrections, and 2*tail_bound/D_N when a
-    tail constant is supplied.  That truncation term is only as sound as
-    tail_bound: klimek.tail_constant returns a sampled lower bound on the
-    tail constant, so with it the term rests on a sampled estimate, not on a
-    certified upper bound.
+    The scalar twin of green_field: the orbit steps as in orbit_bounded to
+    step N at any depth, escaped_at is its first step past escape_radius
+    (from escape_radius_search / check_guided), and _finish takes the value
+    with green_field's floor.  error_bound sums 16 eps d_k / D_k times each
+    step's Horner condition number (inf at a computed zero away from 0);
+    robin_offset's error where the asymptotic form is used, 8 eps (g + 1) / D_N
+    where target.green runs in the band, 1e-200 below it; 4 eps (value + 1);
+    and 2*tail_bound/D_N when a tail constant is given.  klimek.tail_constant
+    is a sampled lower bound, so with it that term rests on a sampled estimate.
     """
-    if escape_radius <= 0:
-        raise ValueError("escape radius must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    w = ScaledComplex.from_complex(z)
-    d_prod = 1
-    err = 0.0
-    escaped_at: int | None = None
+    w, e, log2_r = _orbit_start(z, n_steps, escape_radius)
+    if tail_bound is not None and not 0 <= tail_bound < math.inf:
+        raise ValueError("tail bound must be finite and non-negative")
+    d_prod, err, escaped_at = 1, 0.0, None
     for k in range(1, n_steps + 1):
         p = seq.get(k)
-        w, cond = evaluate_conditioned(p, w)
-        d = p.degree
-        d_prod *= d
-        err += 16.0 * EPS * d * cond * (1 / d_prod) if cond < math.inf else math.inf
-        if escaped_at is None and w.exceeds(escape_radius):
+        w, e, mu = _evaluate(p, w, e)
+        d_prod *= p.degree
+        err += 16.0 * EPS * p.degree * mu * (1 / d_prod) if mu < math.inf else math.inf
+        if escaped_at is None and _escaped(w, e, escape_radius, log2_r):
             escaped_at = k
-    value, eval_err = _normalized_green(target, w, d_prod)
-    err += eval_err + 4.0 * EPS * (abs(value) + 1.0)
-    if tail_bound is not None:
-        err += 2.0 * tail_bound * (1 / d_prod)
-    return GreenValue(max(0.0, value), err, escaped_at, seq.ledger(n_steps),
-                      tail_bound is not None)
-
-
-def _normalized_green(target: ModelSet, w: ScaledComplex, d_prod: int):
-    """g_target(w)/d_prod and an error bound, valid for any exponent size."""
-    inv_d = 1 / d_prod
-    if w.mantissa == 0:
-        return float(target.green(0j)) * inv_d, 4.0 * EPS
-    if BAND_MIN_EXP <= w.exponent < 1023:
-        g = float(target.green(w.to_complex()))
-        return g * inv_d, 8.0 * EPS * (abs(g) + 1.0) * inv_d
-    if w.exponent < 0:
-        # essentially at the origin; the potential is continuous there
-        return float(target.green(0j)) * inv_d, 1e-200
-    gamma, g_err = target.robin_offset(w.log_abs())
-    value = w.exponent / d_prod * LN2 + (math.log(abs(w.mantissa)) + gamma) * inv_d
-    return value, (g_err + 8.0 * EPS * abs(gamma)) * inv_d + 4.0 * EPS * abs(value)
+    # _finish holds e as a float: past 2**1000 it and 1/D_N shrink by one power
+    # of two, which keeps their product; far below the band the value flushes
+    k = max(0, e.bit_length() - 1000) if e > 0 else 0
+    lane = np.array([w])
+    values, _, far = _finish(target, lane, np.array([max(e, -4096) / (1 << k)]), np.abs(lane),
+                             (1 << k) / d_prod, max(log2_r, target._asymptotic_log2))
+    value, inv_d = float(values[0]), 1 / d_prod
+    if far[0]:
+        robin, robin_err = target.robin_offset(ScaledComplex(w, e).log_abs())
+        err += (robin_err + 8.0 * EPS * abs(robin)) * inv_d + 4.0 * EPS * value
+    else:
+        err += 1e-200 if e < 0 else 8.0 * EPS * (value + inv_d)
+    err += 4.0 * EPS * (value + 1.0) + (0.0 if tail_bound is None else 2.0 * tail_bound * inv_d)
+    return GreenValue(value, err, escaped_at, seq.ledger(n_steps), tail_bound is not None)
 
 
 # --- vectorized orbit engine -------------------------------------------------
@@ -606,7 +628,7 @@ def _far_horner(coeffs: np.ndarray, valuation: int, x: np.ndarray, big: np.ndarr
 
 
 def _far_step(meta: _StepMeta, m: np.ndarray, e: np.ndarray):
-    """evaluate_scaled over arrays: p(m * 2**e) off the band, as (mantissa, exponent)."""
+    """poly._far over arrays: p(m * 2**e) off the band, as (mantissa, exponent)."""
     big = e >= 0
     k = np.where(big, float(meta.degree), float(meta.valuation))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -625,7 +647,7 @@ def _far_step(meta: _StepMeta, m: np.ndarray, e: np.ndarray):
 
 
 def _advance(meta: _StepMeta, w: np.ndarray, e: np.ndarray):
-    """One step of evaluate_scaled's rule over lanes; returns (w, e, |w|)."""
+    """One step of poly._evaluate's rule over lanes; returns (w, e, |w|)."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow sends a lane off-band
         if meta.parity_sub is None:
             return _settle(meta, _horner(meta.coeffs, w), w, e)
@@ -667,34 +689,23 @@ def _beyond(a: np.ndarray, e: np.ndarray, r: float, log2_r: float) -> np.ndarray
 
 def _finish(target: ModelSet, w: np.ndarray, e: np.ndarray, a: np.ndarray, inv_d: float,
             log2_floor: float):
-    """(values, w) for lanes holding w * 2**e with moduli a: g_target/D (1/D =
-    inv_d), and each lane's double (nan above the band, flushed below it) over
-    w.  Above the band, and from |w| = 2**log2_floor >= 2**_asymptotic_log2(target)
-    on, a lane takes (log|w| + robin)/D, else target.green."""
+    """(values, w, far) for lanes holding w * 2**e with moduli a: g_target/D
+    (1/D = inv_d), each lane's double (nan above the band, flushed below it)
+    over w, and where each lane took the asymptotic form.  Above the band, and
+    from |w| = 2**log2_floor >= 2**target._asymptotic_log2 on, a lane takes
+    (log|w| + robin)/D, else target.green."""
     far = (e > 0) | _beyond(a, e, 2.0**log2_floor if log2_floor < 1024 else math.inf,
                             log2_floor)
-    values, tiny = np.empty(w.size), e < 0
-    values[far] = np.maximum(0.0, (np.log(a[far]) + e[far] * LN2) * inv_d
-                             + target.robin() * inv_d)
+    values, near, tiny = np.empty(w.size), ~far, e < 0
+    if far.any():  # the guards keep the fixed cost of a one-point call low
+        values[far] = np.maximum(0.0, (np.log(a[far]) + e[far] * LN2) * inv_d
+                                 + target.robin() * inv_d)
     w[e > 0] = complex(np.nan, np.nan)
-    w[tiny] = _ldexp_c(w[tiny], e[tiny])
-    values[~far] = np.maximum(0.0, np.asarray(target.green(w[~far]), dtype=float)) * inv_d
-    return values, w
-
-
-def _asymptotic_log2(target: ModelSet) -> float:
-    """log2|w| (to within 1) from which target.robin_offset certifies
-    g_target(w) = log|w| + robin to within EPS; inf if nowhere below 2**(2**20)."""
-    def exact(x):
-        try:
-            return target.robin_offset(x * LN2)[1] <= EPS
-        except ValueError:
-            return False
-    lo, hi = -1100.0, 2.0**20
-    while hi - lo > 1:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if exact(mid) else (mid, hi)
-    return hi if exact(hi) else math.inf
+    if tiny.any():
+        w[tiny] = _ldexp_c(w[tiny], e[tiny])
+    if near.any():
+        values[near] = np.maximum(0.0, np.asarray(target.green(w[near]), dtype=float)) * inv_d
+    return values, w, far
 
 
 def _run_chunks(seq: PolySequence, points, escape_radius: float, outputs, prepare):
@@ -706,7 +717,7 @@ def _run_chunks(seq: PolySequence, points, escape_radius: float, outputs, prepar
     (dtype, fill) pairs.  metas[k] is step k's _StepMeta, built on first use.
     Returns the outputs in the shape of points.
     """
-    if escape_radius <= 0:
+    if not escape_radius > 0:
         raise ValueError("escape radius must be positive")
     src = np.asarray(points, dtype=np.complex128)
     pts = _flat_finite(src)
@@ -768,7 +779,7 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
         steps_meta = [metas[k] for k in range(1, n_steps + 1)]
         # log2|w| before step k from which the log update and log|w_N| + robin are exact
         log2_r = math.log2(escape_radius)
-        floor = max(log2_r, _asymptotic_log2(target))
+        floor = max(log2_r, target._asymptotic_log2)
         entry = np.maximum.accumulate([max(m.log_safe, floor) for m in steps_meta[::-1]])[::-1]
         gate = [2.0 ** x if x < 1024 else math.inf for x in entry]
         # a lane entering log mode before step k stores log|w|/D_(k-1) - S_(k-1),
@@ -806,7 +817,7 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 steps[hit[steps[hit] == 0]] = k
             glog[in_log] += s_sum
             values[in_log] = np.maximum(0.0, glog[in_log] + robin_n)
-            values[idx], w_out[idx] = _finish(target, w, e, a, inv_n, floor)
+            values[idx], w_out[idx], _ = _finish(target, w, e, a, inv_n, floor)
         return kernel
 
     return _run_chunks(seq, points, escape_radius,

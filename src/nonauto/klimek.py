@@ -77,8 +77,7 @@ def _annulus_net(radius: float, m: int) -> np.ndarray:
 
 
 def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
-                  net: np.ndarray | None = None, escape_radius: float | None = None,
-                  samples: int = 2048) -> KlimekEstimate:
+                  escape_radius: float | None = None, samples: int = 2048) -> KlimekEstimate:
     """Sampled distance between the step-n and step-m preimage sets of `target`.
 
     Both potentials are the normalized escape rates of the same orbit, so the
@@ -90,16 +89,10 @@ def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
         return KlimekEstimate(0.0, 0, 0.0)
     if escape_radius is None:
         escape_radius = escape_radius_search(seq, m)
-    if net is None:
-        base = _annulus_net(1.25 * escape_radius, samples)
-        fine = _annulus_net(1.25 * escape_radius, 4 * samples)
-    else:
-        base = np.asarray(net, dtype=np.complex128).ravel()
-        fine = base
+    base = _annulus_net(1.25 * escape_radius, samples)
+    fine = _annulus_net(1.25 * escape_radius, 4 * samples)
     lo = float(np.max(np.abs(green_field(seq, base, n, escape_radius, target)[0]
                              - green_field(seq, base, m, escape_radius, target)[0])))
-    if fine is base:
-        return KlimekEstimate(lo, base.size, 0.0)
     hi = float(np.max(np.abs(green_field(seq, fine, n, escape_radius, target)[0]
                              - green_field(seq, fine, m, escape_radius, target)[0])))
     return KlimekEstimate(max(lo, hi), fine.size, abs(hi - lo))

@@ -3,9 +3,11 @@
 A polynomial is a tuple of complex coefficients in ascending powers plus an
 optional power-of-two scale, so generators can express leading factors far
 outside double range (think n**2**n) while every stored coefficient stays a
-finite double.  Orbit values of any size are carried as ScaledComplex, a
-complex mantissa in [1,2) with an unbounded integer base-2 exponent, and
-stepped by evaluate_scaled, the step rule every orbit engine shares.
+finite double.  An orbit value of any size is carried as the vector
+engines' lanes carry it: the double itself inside the safe band, else a
+complex mantissa in [1,2) with an unbounded integer base-2 exponent.
+_evaluate steps that carrier by the rule every orbit engine shares, and
+evaluate_scaled is its wrapper on ScaledComplex values.
 """
 from __future__ import annotations
 
@@ -112,17 +114,14 @@ class ScaledComplex:
         z = complex(z)
         if not _is_finite(z):
             raise ValueError("non-finite value")
-        return _norm(z, exponent)
+        return ScaledComplex(*_split(z, exponent))
 
     def to_complex(self) -> complex:
         if self.mantissa == 0:
             return 0j
         if not -1074 < self.exponent < 1023:
             raise MagnitudeOverflow(f"2**{self.exponent} outside double range")
-        return complex(
-            math.ldexp(self.mantissa.real, self.exponent),
-            math.ldexp(self.mantissa.imag, self.exponent),
-        )
+        return _ldexp_c(self.mantissa, self.exponent)
 
     def log_abs(self) -> float:
         """ln|value|; -inf for zero, +/-inf when the exponent dwarfs float range."""
@@ -134,63 +133,38 @@ class ScaledComplex:
             e = math.inf if self.exponent > 0 else -math.inf
         return e * LN2 + math.log(abs(self.mantissa))
 
-    def exceeds(self, r: float) -> bool:
-        """|value| > r, robust for any exponent size (r > 0)."""
-        if self.mantissa == 0:
-            return r < 0
-        if self.exponent > 4096:
-            return True
-        if self.exponent < -4096:
-            return False
-        return self.log_abs() > math.log(r)
 
-
-def _norm(m: complex, e: int) -> ScaledComplex:
-    """m * 2**e normalized.  Scaling by the larger part's binade first keeps
-    the modulus finite for every finite m (abs() overflows past 1.8e308)."""
+def _split(m: complex, e: int) -> tuple[complex, int]:
+    """(mantissa, exponent) of m * 2**e, |mantissa| in [1, 2), (0j, 0) for 0;
+    scaling by the larger part's binade first keeps every finite m's modulus finite."""
     top = max(abs(m.real), abs(m.imag))
     if top == 0.0:
-        return _ZERO
+        return 0j, 0
     k = math.frexp(top)[1] - 1
     m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))  # larger part in [1, 2)
     if abs(m) >= 2.0:
         m, k = complex(0.5 * m.real, 0.5 * m.imag), k + 1
-    return ScaledComplex(m, e + k)
+    return m, e + k
 
 
-_ZERO = ScaledComplex(0j, 0)
+def _carry(h: complex, e: int) -> tuple[complex, int]:
+    """h * 2**e as an orbit engine carries it: the double itself with exponent
+    0 in the band, else _split's mantissa and exponent."""
+    m, k = _split(h, e)
+    if BAND_MIN_EXP <= k <= 1023:
+        return _ldexp_c(m, k), 0
+    return m, k
 
 
 def evaluate_scaled(p: Polynomial, w: ScaledComplex) -> ScaledComplex:
-    """p(w) for w of any size, to within the rounding of a double Horner.
-
-    The one step rule of every orbit engine.  In the band (|w| at least
-    2**BAND_MIN_EXP and below 2**1024) the double Horner runs on w and is
-    kept when its modulus is finite and in the band too.  Otherwise, with
-    w = m * 2**e, the same Horner runs on a variable of modulus at most 1:
-    - above the band (e >= 0): p(w) = w**d * sum a_j w**(j-d), by Horner over
-      the ascending coefficients at 1/w;
-    - below it: p(w) = w**v q(w), with v the valuation of p.
-    Where coefficients near 1.8e308 overflow that Horner, it reruns on them
-    scaled by 2**-s, s the binade of the largest, and s joins the exponent.
-    No term is dropped unless it sits below the rounding of the kept ones,
-    and the exponent is an unbounded integer.
-    """
-    return _evaluate(p, w, False)[0]
+    """p(w) for w of any size, to within the rounding of a double Horner: one
+    step of _evaluate, the orbit engines' rule, on ScaledComplex values."""
+    h, e, _ = _evaluate(p, *_carry(w.mantissa, w.exponent))
+    return ScaledComplex(*_split(h, e))
 
 
-def evaluate_conditioned(p: Polynomial, w: ScaledComplex) -> tuple[ScaledComplex, float]:
-    """(evaluate_scaled(p, w), mu), mu = sum |a_j w**j| / |p(w)| from the same
-    Horner pass (inf at a computed zero away from 0).  The value's relative
-    error is at most about 2 deg(p) eps mu (Higham, Accuracy and Stability of
-    Numerical Algorithms, 5.1)."""
-    return _evaluate(p, w, True)
-
-
-def _horner_abs(coeffs, x: complex, cond: bool) -> tuple[complex, float]:
-    """(Horner value, sum |c_j| |x|**j if cond else 0.0) in one pass, inf past 1.8e308."""
-    if not cond:
-        return _horner(coeffs, x), 0.0
+def _horner_abs(coeffs, x: complex) -> tuple[complex, float]:
+    """(Horner value, sum |c_j| |x|**j) in one pass; the sum is inf past 1.8e308."""
     acc = coeffs[-1]
     try:
         s, ax = abs(acc), abs(x)
@@ -198,34 +172,55 @@ def _horner_abs(coeffs, x: complex, cond: bool) -> tuple[complex, float]:
             acc = acc * x + c
             s = s * ax + abs(c)
     except OverflowError:
-        return acc, math.inf
+        return _horner(coeffs, x), math.inf
     return acc, s
 
 
-def _evaluate(p: Polynomial, w: ScaledComplex, cond: bool) -> tuple[ScaledComplex, float]:
-    m, e = w.mantissa, w.exponent
-    if m == 0:
-        return _norm(p.coeffs[0], p.scale2), 1.0  # p(0) = a_0 exactly
-    if BAND_MIN_EXP <= e <= 1023:
-        h, s = _horner_abs(p.coeffs, _ldexp_c(m, e), cond)
+def _evaluate(p: Polynomial, w: complex, e: int) -> tuple[complex, int, float]:
+    """One step of the orbit engines' rule: (w, e) in, (w', e', mu) out.
+
+    w * 2**e is carried as a vector engine's lane carries it: in the band
+    (2**BAND_MIN_EXP <= |w| < 2**1024) the double itself with e = 0, else a
+    mantissa |w| in [1, 2) and an unbounded integer exponent.  With e = 0 the
+    double Horner is kept when its modulus is in the band too (or w = 0,
+    where it is a_0 exactly); the rest runs _far.  mu = sum |a_j w**j| /
+    |p(w)| from the same pass (inf at a computed zero away from 0) bounds the
+    relative error by about 2 deg(p) eps mu (Higham, Accuracy and Stability
+    of Numerical Algorithms, 5.1).
+    """
+    if not e:
+        h, s = _horner_abs(p.coeffs, w)
         a = math.hypot(h.real, h.imag)
-        if BAND_LOW <= a < math.inf and s < math.inf:
-            return _norm(h, p.scale2), s / a
-    big = e >= 0  # x = 1/w over the reversed coefficients, else w over those of q
+        band = BAND_LOW <= a < math.inf
+        if band or w == 0:  # a sum past 1.8e308 is taken again, scaled, by _far
+            mu = 1.0 if w == 0 else s / a if s < math.inf else _far(p, *_split(w, 0))[2]
+            return (h, 0, mu) if band and not p.scale2 else (*_carry(h, p.scale2), mu)
+        w, e = _split(w, 0)
+    return _far(p, w, e)
+
+
+def _far(p: Polynomial, m: complex, e: int) -> tuple[complex, int, float]:
+    """_evaluate at w = m * 2**e, |m| in [1, 2), by a Horner on |x| <= 1: for
+    e >= 0, p(w) = w**d * sum a_j w**(j-d) over the ascending coefficients at
+    x = 1/w; for e < 0, p(w) = w**v q(w), v the valuation of p, at x = w.  Where
+    coefficients near 1.8e308 overflow that Horner, it reruns on them scaled
+    by 2**-s, s the binade of the largest, and s joins the exponent.  No term
+    is dropped unless it sits below the rounding of the kept ones."""
+    big = e >= 0
     k = p.degree if big else next((j for j, c in enumerate(p.coeffs) if c), 0)
     coeffs, x = (p.coeffs[::-1], _ldexp_c(1 / m, -e)) if big else (p.coeffs[k:], _ldexp_c(m, e))
-    h, s = _horner_abs(coeffs, x, cond)
+    h, s = _horner_abs(coeffs, x)
     shift = 0
     if not (_is_finite(h) and s < math.inf):
         shift = max(math.frexp(max(abs(c.real), abs(c.imag)))[1] for c in coeffs)
-        h, s = _horner_abs([_ldexp_c(c, -shift) for c in coeffs], x, cond)
+        h, s = _horner_abs([_ldexp_c(c, -shift) for c in coeffs], x)
     # m**k as 2**(k log2|m|) at phase k arg(m), on the normalized value: nothing overflows
     lm = k * math.log2(abs(m))
     ik = math.floor(lm)
     a = math.hypot(h.real, h.imag)
-    h = _norm(h, e * k + ik + p.scale2 + shift)
-    out = _norm(h.mantissa * cmath.rect(2.0 ** (lm - ik), k * cmath.phase(m)), h.exponent)
-    return out, (s / a if a else math.inf)
+    h, he = _split(h, e * k + ik + p.scale2 + shift)
+    return (*_carry(h * cmath.rect(2.0 ** (lm - ik), k * cmath.phase(m)), he),
+            s / a if a else math.inf)
 
 
 def compose(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -323,7 +318,7 @@ def modulus_ratios(values, lead: complex) -> list[float]:
     """|v| / |lead| for each finite v (lead nonzero); inf past double range.
 
     abs() raises OverflowError on a modulus past 1.8e308 although both parts
-    are finite.  Then every modulus is taken through _norm, whose scaling by
+    are finite.  Then every modulus is taken through _split, whose scaling by
     the larger part's binade keeps it finite, and each quotient is formed
     from mantissas and exponents.
     """
@@ -332,12 +327,12 @@ def modulus_ratios(values, lead: complex) -> list[float]:
         return [abs(v) / top for v in values]
     except OverflowError:
         pass
-    b = _norm(complex(lead), 0)
+    bm, be = _split(complex(lead), 0)
     out = []
     for v in values:
-        a = _norm(complex(v), 0)
+        am, ae = _split(complex(v), 0)
         try:
-            out.append(math.ldexp(abs(a.mantissa) / abs(b.mantissa), a.exponent - b.exponent))
+            out.append(math.ldexp(abs(am) / abs(bm), ae - be))
         except OverflowError:
             out.append(math.inf)
     return out

@@ -199,3 +199,24 @@ class TestRenderCommand:
         code, _, err = run(capsys, "render", "--seq", "power:2", "--n", "5",
                            "--size", "8x8", "--out", str(tmp_path / "no" / "dir.png"))
         assert code == 1
+
+
+class TestNonFiniteInput:
+    """Non-finite model parameters, escape radii and tail bounds exit 2 with a message."""
+
+    @pytest.mark.parametrize("argv, word", [
+        (("table", "--seq", "power", "--E", "disk:nan,1", "--n-list", "1"), "disk center"),
+        (("table", "--seq", "power", "--E", "ellipse:inf", "--n-list", "1"), "ellipse"),
+        (("green", "--model", "disk:nan,1", "--z", "2"), "disk center"),
+        (("green", "--model", "disk:inf,1", "--z", "2"), "disk center"),
+        (("green", "--model", "disk:0,inf", "--z", "2"), "disk radius"),
+        (("gamma", "--a", "disk:nan,1", "--b", "segment"), "disk center"),
+        (("green", "--seq", "power", "--z", "2", "--n", "3", "--radius", "nan"), "escape radius"),
+        (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "nan"), "tail bound"),
+        (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "-1"), "tail bound"),
+        (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "inf"), "tail bound"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_exits_2_with_a_message(self, capsys, argv, word):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and word in err and "Traceback" not in err

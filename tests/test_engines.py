@@ -1,10 +1,13 @@
 """The four orbit engines against a 120-digit mpmath orbit, and against each other.
 
-orbit_bounded and green_nonauto step one point by poly.evaluate_scaled;
-escape_steps and green_field step arrays by the same rule.  Every point below
-is checked three ways: green_nonauto within its error_bound of the exact
-potential, escape_steps equal to orbit_bounded's escape step, and
-green_field within green_nonauto's error_bound of the exact potential.
+All four share the lanes' rules: one value carrier (the double in the band,
+else mantissa and exponent), one step, one escape test and one finishing
+step.  orbit_bounded and green_nonauto run them for one point in Python
+(poly._evaluate), the reference here; escape_steps and green_field run them
+over arrays (green._advance).  Every point below is checked against the
+exact orbit and across the drivers: green_nonauto within its error_bound of
+the exact potential, all four escape steps equal, and green_field within
+green_nonauto's error_bound of both the exact potential and green_nonauto.
 """
 import cmath
 import math
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 
 from nonauto import builtin, custom_sequence, polynomial
-from nonauto.green import escape_steps, green_field, green_nonauto, orbit_bounded
+from nonauto.green import (Disk, Ellipse, Segment, escape_steps, green_field, green_nonauto,
+                           orbit_bounded)
 from nonauto.poly import EPS, ScaledComplex, evaluate_scaled, monomial
 from nonauto.sequences import escape_radius_search
 
@@ -78,6 +82,68 @@ def test_engines_agree_with_mpmath(name, rng):
         assert bounded == (escaped is None)
         assert int(vec_steps[i]) == int(field_steps[i]) == (escaped or 0), z
         assert abs(field[i] - want) <= gv.error_bound, (z, field[i], want)
+        assert abs(field[i] - gv.value) <= gv.error_bound, (z, field[i], gv)
+
+
+def all_escape_steps(seq, z, n, radius):
+    """The escape step (0 for none) by each of the four drivers, for one point."""
+    pts = np.array([complex(z)])
+    return [orbit_bounded(seq, z, n, radius)[1] or 0,
+            green_nonauto(seq, z, n, radius).escaped_at or 0,
+            int(escape_steps(seq, pts, n, radius)[0]),
+            int(green_field(seq, pts, n, radius)[1][0])]
+
+
+class TestDriversAgree:
+    """Disagreements between the scalar and the vector drivers, now one rule each."""
+
+    @pytest.mark.parametrize("target, shift", [(Segment(), 0.0), (Ellipse(2.0), math.log(2.0))],
+                             ids=repr)
+    def test_finish_past_one_over_eps(self, target, shift):
+        # w_6 = z**384 is about -1.8e51 + 5.6e49j, where z + sqrt(z**2 - 1)
+        # cancels: green_nonauto's own finish gave 0.21308 (Segment) and 0.21127
+        # (Ellipse) with a bound of 8.5e-15; green_field's gave 0.30899, 0.30719
+        seq = builtin("power", [2, 2, 2, 2, 2, 12])
+        z = 1.3595815348749714 + 0.006426700895676909j
+        gv = green_nonauto(seq, z, 6, 2.0, target)
+        field = green_field(seq, np.array([z]), 6, 2.0, target)[0][0]
+        with mpmath.workdps(60):
+            w = mpmath.mpc(z) ** 384
+            s = mpmath.sqrt(w * w - 1)
+            want = float((mpmath.log(max(abs(w + s), abs(w - s))) - shift) / 384)
+        assert abs(gv.value - want) <= gv.error_bound, (gv, want)
+        assert abs(field - want) <= gv.error_bound, (field, want)
+        assert abs(field - gv.value) <= gv.error_bound
+
+    def test_value_four_ulps_above_the_radius(self):
+        # |w_1| = 26.811585115124316 exceeds R by 4 ulps; comparing logs said it did not
+        seq = custom_sequence([polynomial(26.811585115124316, 0, 1)])
+        assert all_escape_steps(seq, 0.0, 1, 26.811585115124302) == [1, 1, 1, 1]
+
+    def test_values_a_few_ulps_around_the_radius(self, rng):
+        # w_1 = p(0) = c exactly in every driver; R sits k ulps below or above
+        # |c|, the modulus the lanes compare (numpy's, which differs from abs()
+        # by an ulp for about a third of all c)
+        for _ in range(300):
+            c = complex(cmath.rect(rng.uniform(1.01, 50.0), rng.uniform(0, 2 * math.pi)))
+            seq = custom_sequence([polynomial(c, 0, 1)])
+            k = int(rng.integers(-4, 4))
+            radius = float(np.abs(c))
+            for _ in range(abs(k)):
+                radius = float(np.nextafter(radius, 0.0 if k > 0 else math.inf))
+            want = 1 if k > 0 else 0
+            assert all_escape_steps(seq, 0.0, 1, radius) == [want] * 4, (c, radius)
+
+    def test_disk_far_out_stays_inside_the_bound(self):
+        # Disk(1e300, 1) is asymptotic to within EPS only past |w| = 2**1050;
+        # above the band the finish takes log|w| + robin, 2.2e-9 off at w = 2.25e308,
+        # and the bound carries robin_offset's error
+        target = Disk(1e300 + 0j, 1.0)
+        for z in (1.5e154, 2e154j, 1.4e154 * (1 + 1j)):
+            gv = green_nonauto(builtin("power"), z, 1, 2.0, target)
+            with mpmath.workdps(60):
+                want = float(mpmath.log(abs(mpmath.mpc(z) ** 2 - mpmath.mpf(1e300))) / 2)
+            assert abs(gv.value - want) <= gv.error_bound < 1e-8, (z, gv, want)
 
 
 class TestDefects:

@@ -51,6 +51,15 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             Preimage(UNIT_DISK, polynomial(5))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Disk(complex(math.nan, 0.0), 1.0), lambda: Disk(complex(0.0, math.inf), 1.0),
+        lambda: Disk(0j, math.inf), lambda: Disk(0j, math.nan), lambda: Ellipse(math.inf),
+        lambda: Ellipse(math.nan)])
+    def test_non_finite_parameters_rejected(self, make):
+        # Disk(nan) reached an OverflowError in robin_offset; Ellipse(inf) gave a capacity
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestPreimage:
     def test_square_map_fixes_unit_disk(self, rng):
@@ -386,6 +395,31 @@ class TestGreenNonauto:
             green_nonauto(min_cheb, 1.0, 0, 2.0)
         with pytest.raises(ValueError):
             green_nonauto(min_cheb, 1.0, 5, 0.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+    def test_every_driver_rejects_a_bad_escape_radius(self, min_cheb, radius):
+        # nan passed an "escape_radius <= 0" test: escape_steps then kept 5 as
+        # bounded while green_field had it escape at step 1
+        for run in (lambda: orbit_bounded(min_cheb, 5.0, 3, radius),
+                    lambda: green_nonauto(min_cheb, 5.0, 3, radius),
+                    lambda: escape_steps(min_cheb, np.array([5.0]), 3, radius),
+                    lambda: green_field(min_cheb, np.array([5.0]), 3, radius)):
+            with pytest.raises(ValueError, match="escape radius"):
+                run()
+
+    @pytest.mark.parametrize("tail", [math.nan, math.inf, -1.0])
+    def test_rejects_a_bad_tail_bound(self, min_cheb, tail):
+        with pytest.raises(ValueError, match="tail bound"):
+            green_nonauto(min_cheb, 1.0, 5, 2.0, tail_bound=tail)
+
+    @pytest.mark.parametrize("z, want", [(3.0, math.log(3.0)), (0.5, 0.0), (1e-300j, 0.0)])
+    def test_exponents_past_float_range(self, z, want):
+        # z**(2**1100): the exponent of w_1100 (about 2**1100) and D = 2**1100
+        # both overflow a float; their quotient does not
+        for target in (UNIT_DISK, Disk(3 + 0j, 1.0)):
+            gv = green_nonauto(builtin("power"), z, 1100, 2.0, target)
+            assert abs(gv.value - want) <= gv.error_bound < 1e-13
+            assert gv.escaped_at == (1 if want else None)
 
 
 class TestGreenField:

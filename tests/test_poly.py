@@ -175,10 +175,6 @@ class TestScaledComplex:
         z = 3.25 - 0.5j
         assert ScaledComplex.from_complex(z).to_complex() == z
 
-    def test_exceeds_extreme_exponents(self):
-        assert ScaledComplex(1 + 0j, 10**50).exceeds(1e300)
-        assert not ScaledComplex(1 + 0j, -(10**50)).exceeds(1e-300)
-
 
 class TestCompose:
     def test_chebyshev_semigroup(self):
