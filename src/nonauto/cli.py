@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import klimek, render
@@ -70,15 +69,6 @@ def parse_z(text: str) -> complex:
     raise ValueError("point syntax: re or re,im")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("NONAUTO_THREADS")
-    if env:
-        return int(env)
-    return 0
-
-
 def _resolve_radius(seq: PolySequence, requested: float | None, n_max: int) -> float:
     if requested is not None:
         if not requested > 0:
@@ -117,7 +107,7 @@ def cmd_render(args) -> int:
     w, _, h = args.size.partition("x")
     radius = _resolve_radius(seq, args.radius, args.n)
     spec = render.RasterSpec(x0, x1, y0, y1, int(w), int(h), args.n, radius)
-    threads = _threads(args)
+    threads = args.threads
     if args.mode == "membership":
         raster = render.raster_membership(seq, spec, threads=threads)
     else:
@@ -236,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "potentials, capacities, Klimek-metric diagnostics.",
         epilog="Sequences: " + ", ".join(SEQUENCE_NAMES)
                + ", custom:FILE.json. Models: disk:a,R | segment | ellipse:R.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for rasters (0 = auto; env NONAUTO_THREADS)")
+    parser.add_argument("--threads", type=int, default=0,
+                        help="worker threads for rasters (0 = auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("render", help="rasterize membership or potential fields")

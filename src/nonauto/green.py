@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex, _evaluate,
-                   _is_finite, modulus_ratios)
+                   _is_finite, _ldexp_arr, _log2_moduli, _normalize, _StepMeta, modulus_ratios)
 from .sequences import DegreeLedger, PolySequence, _horner, circle_points, values_on
 
 
@@ -158,9 +158,10 @@ class Disk(ModelSet):
         a = abs(self.center)
         if a == 0.0:
             return self.robin(), 0.0
-        if log_abs_z < math.log(2.0 * a):
+        log_2a = LN2 + math.log(a)  # 2a itself overflows past a = 9e307
+        if log_abs_z < log_2a:
             raise ValueError("asymptotic potential invalid this close to the disk")
-        return self.robin(), 2.0 * a * math.exp(-log_abs_z)
+        return self.robin(), math.exp(log_2a - log_abs_z)
 
     def boundary_net(self, m):
         return self.center + circle_points(self.radius, m)
@@ -260,7 +261,7 @@ def _unit_scaled(coeffs: np.ndarray, rhs: np.ndarray):
     in [1, 2): the same roots, and neither np.roots's division by the lead
     nor the slope coefficients j coeffs[j] can overflow."""
     e = math.floor(_log2_moduli(coeffs)[1].max())
-    return _ldexp_c(coeffs, -e), _ldexp_c(rhs, -e)
+    return _ldexp_arr(coeffs, -e), _ldexp_arr(rhs, -e)
 
 
 def _newton(coeffs: np.ndarray, tau: np.ndarray, u: np.ndarray):
@@ -313,24 +314,17 @@ class Preimage(ModelSet):
         if self.poly.degree < 1:
             raise ValueError("preimage map must be non-constant")
 
-    def _lead_log(self) -> float:
-        return ScaledComplex.from_complex(self.poly.coeffs[-1], self.poly.scale2).log_abs()
-
-    @cached_property
-    def _meta(self) -> _StepMeta:  # built on the first green call
-        return _StepMeta(self.poly)
-
     def green(self, z):
         arr, scalar = _as_c(z)
         flat = _flat_finite(arr)
-        w, e, a = _settle(self._meta, values_on(self.poly, flat), flat, np.zeros(flat.size))
+        w, e, a = _settle(self.poly.meta, values_on(self.poly, flat), flat, np.zeros(flat.size))
         # inner.green in the band at any size: the asymptotic form would mend (i) of
         # ROADMAP item 1 for Segment inners, and move a recorded benchmark value
         values = _finish(self.inner, w, e, a, 1 / self.poly.degree, math.inf)[0]
         return _ret(values.reshape(arr.shape), scalar)
 
     def robin(self) -> float:
-        return (self.inner.robin() + self._lead_log()) / self.poly.degree
+        return (self.inner.robin() + self.poly.meta.lead_log) / self.poly.degree
 
     def enclosing_radius(self) -> float:
         # Cauchy-style bound covering every branch of f(z) = w, |w| <= rho.
@@ -348,7 +342,7 @@ class Preimage(ModelSet):
             raise ValueError("asymptotic potential invalid this close to the preimage set")
         delta = -math.log1p(-sigma)
         inner_gamma, inner_err = self.inner.robin_offset(
-            d * log_abs_z + self._lead_log() - delta)
+            d * log_abs_z + self.poly.meta.lead_log - delta)
         return self.robin(), (inner_err + delta) / d
 
     def boundary_net(self, m):
@@ -372,14 +366,14 @@ class Preimage(ModelSet):
         a target it does not accept takes companion roots.  Roots that
         underflow in u are polished by _newton in z itself.
         """
-        c = np.asarray(self.poly.coeffs, dtype=np.complex128)
+        c = self.poly.meta.coeffs
         d, s = self.poly.degree, self.poly.scale2
         j, mag = _log2_moduli(c)
         lo = np.ceil((mag[:-1] - mag[-1] - 500) / (d - j[:-1])).max(initial=-math.inf)
         k = int(max(-round(s / d), lo))
         targets = np.asarray(targets, np.complex128)
-        scaled, taus = _unit_scaled(_ldexp_c(c, (np.arange(d + 1) - d) * k),
-                                    _ldexp_c(targets, -s - d * k))
+        scaled, taus = _unit_scaled(_ldexp_arr(c, (np.arange(d + 1) - d) * k),
+                                    _ldexp_arr(targets, -s - d * k))
         n = taus.size
         roots = np.empty((n, d), dtype=np.complex128)
 
@@ -397,10 +391,10 @@ class Preimage(ModelSet):
             u, ok = _newton(scaled, taus[rows], roots[rows - stride])
             roots[rows[ok]] = u[ok]
             companion(rows[~ok])
-        z = _ldexp_c(roots.ravel(), k)
+        z = _ldexp_arr(roots.ravel(), k)
         tiny = np.flatnonzero(np.abs(roots.ravel()) < _U_NORMAL)
         if tiny.size:
-            w, ok = _newton(*_unit_scaled(c, _ldexp_c(targets[tiny // d], -s)), z[tiny, None])
+            w, ok = _newton(*_unit_scaled(c, _ldexp_arr(targets[tiny // d], -s)), z[tiny, None])
             z[tiny[ok]] = w[ok, 0]
         return z
 
@@ -555,69 +549,6 @@ def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
 
 _CHUNK = 32_768  # points per chunk: 512 KB per complex128 array
 
-class _StepMeta:
-    __slots__ = ("coeffs", "degree", "scale2", "lead_log", "valuation", "log_safe",
-                 "parity_sub", "parity_rem")
-
-    def __init__(self, p: Polynomial):
-        c = np.asarray(p.coeffs, dtype=np.complex128)
-        self.coeffs = c
-        self.degree = d = p.degree
-        self.scale2 = p.scale2
-        idx, mag = _log2_moduli(c)
-        self.valuation = int(idx[0]) if idx.size else 0
-        lead2 = float(mag[-1]) + p.scale2
-        self.lead_log = lead2 * LN2
-        # from |w| = 2**log_safe on, each dropped term a_j w**j is below
-        # 2**-53/d of a_d w**d, and |p(w)| >= 2|w|
-        drop = ((mag[:-1] - mag[-1] + math.log2(d) + 53) / (d - idx[:-1])).max(initial=-math.inf)
-        grow = (1 - lead2) / (d - 1) if d > 1 else (-math.inf if lead2 >= 1 else math.inf)
-        self.log_safe = max(float(drop), grow)
-        rem = d % 2
-        if d >= 4 and idx.size and bool(np.all(idx % 2 == rem)):
-            self.parity_sub = c[rem::2]
-            self.parity_rem = rem
-        else:
-            self.parity_sub = None
-            self.parity_rem = 0
-
-
-class _Metas:
-    """_StepMeta of step k as metas[k], built on first use and then kept."""
-
-    def __init__(self, seq: PolySequence):
-        self.seq, self.built = seq, []
-
-    def __getitem__(self, k: int) -> _StepMeta:
-        while len(self.built) < k:
-            self.built.append(_StepMeta(self.seq.get(len(self.built) + 1)))
-        return self.built[k - 1]
-
-
-def _ldexp_c(z: np.ndarray, k: np.ndarray) -> np.ndarray:
-    k = np.clip(k, -4000, 4000).astype(np.int64)  # beyond: flushed or overflowed alike
-    out = np.empty_like(z)
-    out.real, out.imag = np.ldexp(z.real, k), np.ldexp(z.imag, k)
-    return out
-
-
-def _normalize(h: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
-    """(m, e') with m * 2**e' = h * 2**e and |m| in [1, 2); zero gives (0, 0)."""
-    top = np.maximum(np.abs(h.real), np.abs(h.imag))
-    k = np.frexp(top)[1] - 1.0
-    m = _ldexp_c(h, -k)                   # larger part in [1, 2), modulus finite
-    half = np.abs(m) >= 2.0
-    m[half] *= 0.5
-    k[half] += 1.0
-    return m, np.where(top == 0, 0.0, e + k)
-
-
-def _log2_moduli(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(j, log2|c_j|) over the nonzero c_j; finite even where |c_j| passes 1.8e308."""
-    j = np.flatnonzero(c)
-    m, ex = _normalize(c[j], 0.0)
-    return j, np.log2(np.abs(m)) + ex
-
 
 def _far_horner(coeffs: np.ndarray, valuation: int, x: np.ndarray, big: np.ndarray) -> np.ndarray:
     h = np.empty_like(x)
@@ -632,13 +563,13 @@ def _far_step(meta: _StepMeta, m: np.ndarray, e: np.ndarray):
     big = e >= 0
     k = np.where(big, float(meta.degree), float(meta.valuation))
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.where(big, _ldexp_c(1 / m, -e), _ldexp_c(m, e))  # |x| <= 1
+        x = np.where(big, _ldexp_arr(1 / m, -e), _ldexp_arr(m, e))  # |x| <= 1
         h = _far_horner(meta.coeffs, meta.valuation, x, big)
     shift = np.zeros(m.size)
     bad = ~np.isfinite(h)
     if bad.any():  # coefficients near 1.8e308 overflowed: rerun them scaled by 2**-s
         s = np.frexp(np.abs(meta.coeffs.view(np.float64)).max())[1]
-        h[bad] = _far_horner(_ldexp_c(meta.coeffs, -s), meta.valuation, x[bad], big[bad])
+        h[bad] = _far_horner(_ldexp_arr(meta.coeffs, -s), meta.valuation, x[bad], big[bad])
         shift[bad] = s
     lm = k * np.log2(np.abs(m))
     ik = np.floor(lm)
@@ -671,7 +602,7 @@ def _settle(meta: _StepMeta, u: np.ndarray, w: np.ndarray, e: np.ndarray):
         r = sub[redo]
         m[redo], ex[redo] = _far_step(meta, *_normalize(w[r], e[r]))
     band = (ex >= BAND_MIN_EXP) & (ex <= 1023)
-    m[band] = _ldexp_c(m[band], ex[band])
+    m[band] = _ldexp_arr(m[band], ex[band])
     ex[band] = 0.0
     e = np.zeros(u.size)
     u[sub], e[sub], a[sub] = m, ex, np.abs(m)
@@ -702,26 +633,25 @@ def _finish(target: ModelSet, w: np.ndarray, e: np.ndarray, a: np.ndarray, inv_d
                                  + target.robin() * inv_d)
     w[e > 0] = complex(np.nan, np.nan)
     if tiny.any():
-        w[tiny] = _ldexp_c(w[tiny], e[tiny])
+        w[tiny] = _ldexp_arr(w[tiny], e[tiny])
     if near.any():
         values[near] = np.maximum(0.0, np.asarray(target.green(w[near]), dtype=float)) * inv_d
     return values, w, far
 
 
-def _run_chunks(seq: PolySequence, points, escape_radius: float, outputs, prepare):
+def _run_chunks(points, escape_radius: float, outputs, prepare):
     """The chunk loop shared by escape_steps and green_field.
 
-    Checks the radius and the points, calls prepare(metas) once for a kernel
-    and kernel(chunk, *slices) for each run of _CHUNK points in order; slices
+    Checks the radius and the points, calls prepare() once for a kernel and
+    kernel(chunk, *slices) for each run of _CHUNK points in order; slices
     are the chunk's views of the outputs, allocated at full size from the
-    (dtype, fill) pairs.  metas[k] is step k's _StepMeta, built on first use.
-    Returns the outputs in the shape of points.
+    (dtype, fill) pairs.  Returns the outputs in the shape of points.
     """
     if not escape_radius > 0:
         raise ValueError("escape radius must be positive")
     src = np.asarray(points, dtype=np.complex128)
     pts = _flat_finite(src)
-    kernel = prepare(_Metas(seq))
+    kernel = prepare()
     outs = [np.full(pts.size, fill, dtype) for dtype, fill in outputs]
     for lo in range(0, pts.size, _CHUNK):
         kernel(pts[lo:lo + _CHUNK], *(o[lo:lo + _CHUNK] for o in outs))
@@ -738,7 +668,7 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
     except where the chunk-dependent rounding described under green_field
     moves an orbit value across the escape radius.
     """
-    def prepare(metas):
+    def prepare():
         log2_r = math.log2(escape_radius)
 
         def kernel(pts, steps):
@@ -747,7 +677,7 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
             for k in range(1, n_steps + 1):
                 if idx.size == 0:
                     break
-                w, e, a = _advance(metas[k], w, e)
+                w, e, a = _advance(seq.get(k).meta, w, e)  # only the steps a point reaches
                 esc = _beyond(a, e, escape_radius, log2_r)
                 if esc.any():
                     steps[idx[esc]] = k
@@ -755,7 +685,7 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
                     idx, w, e = idx[keep], w[keep], e[keep]
         return kernel
 
-    return _run_chunks(seq, points, escape_radius, [(np.int32, 0)], prepare)[0]
+    return _run_chunks(points, escape_radius, [(np.int32, 0)], prepare)[0]
 
 
 def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
@@ -775,8 +705,8 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
     step.  final_w holds the last complex orbit value where one exists,
     else nan.
     """
-    def prepare(metas):
-        steps_meta = [metas[k] for k in range(1, n_steps + 1)]
+    def prepare():
+        steps_meta = [seq.get(k).meta for k in range(1, n_steps + 1)]
         # log2|w| before step k from which the log update and log|w_N| + robin are exact
         log2_r = math.log2(escape_radius)
         floor = max(log2_r, target._asymptotic_log2)
@@ -820,6 +750,6 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
             values[idx], w_out[idx], _ = _finish(target, w, e, a, inv_n, floor)
         return kernel
 
-    return _run_chunks(seq, points, escape_radius,
+    return _run_chunks(points, escape_radius,
                        [(float, 0.0), (np.int32, 0), (np.complex128, complex(np.nan, np.nan))],
                        prepare)

@@ -7,13 +7,18 @@ finite double.  An orbit value of any size is carried as the vector
 engines' lanes carry it: the double itself inside the safe band, else a
 complex mantissa in [1,2) with an unbounded integer base-2 exponent.
 _evaluate steps that carrier by the rule every orbit engine shares, and
-evaluate_scaled is its wrapper on ScaledComplex values.
+evaluate_scaled is its wrapper on ScaledComplex values.  The array engines
+read a polynomial's step facts from its _StepMeta, built once and kept on
+it; their carrier helpers (_ldexp_arr, _normalize) sit beside _ldexp_c and _split.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 LN2 = math.log(2.0)
 EPS = 2.220446049250313e-16
@@ -59,6 +64,11 @@ class Polynomial:
 
     def __call__(self, z: complex) -> complex:
         return evaluate(self, z)
+
+    @cached_property
+    def meta(self) -> _StepMeta:
+        """The step facts the array engines read, built on first use and kept."""
+        return _StepMeta(self)
 
 
 def polynomial(*coeffs, scale2: int = 0) -> Polynomial:
@@ -255,6 +265,66 @@ def _ldexp_c(c: complex, s: int) -> complex:
         return complex(math.ldexp(c.real, s), math.ldexp(c.imag, s))
     except OverflowError as exc:
         raise MagnitudeOverflow("power-of-two scale overflows doubles") from exc
+
+
+def _ldexp_arr(z: np.ndarray, k) -> np.ndarray:
+    """z * 2**k over arrays; k is clipped to +-4000, past which every finite z
+    flushes or overflows alike."""
+    k = np.clip(k, -4000, 4000).astype(np.int64)
+    out = np.empty_like(z)
+    out.real, out.imag = np.ldexp(z.real, k), np.ldexp(z.imag, k)
+    return out
+
+
+def _normalize(h: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
+    """_split over arrays: (m, e') with m * 2**e' = h * 2**e and |m| in [1, 2);
+    zero gives (0, 0)."""
+    top = np.maximum(np.abs(h.real), np.abs(h.imag))
+    k = np.frexp(top)[1] - 1.0
+    m = _ldexp_arr(h, -k)                 # larger part in [1, 2), modulus finite
+    half = np.abs(m) >= 2.0
+    m[half] *= 0.5
+    k[half] += 1.0
+    return m, np.where(top == 0, 0.0, e + k)
+
+
+def _log2_moduli(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, log2|c_j|) over the nonzero c_j; finite even where |c_j| passes 1.8e308."""
+    j = np.flatnonzero(c)
+    m, ex = _normalize(c[j], 0.0)
+    return j, np.log2(np.abs(m)) + ex
+
+
+class _StepMeta:
+    """What an array step reads of p: its coefficients as a read-only array,
+    degree, scale2, log|lead| (scale included), valuation, log_safe and the
+    parity split.  A pure function of p, kept on it as Polynomial.meta."""
+
+    __slots__ = ("coeffs", "degree", "scale2", "lead_log", "valuation", "log_safe",
+                 "parity_sub", "parity_rem")
+
+    def __init__(self, p: Polynomial):
+        c = np.asarray(p.coeffs, dtype=np.complex128)
+        c.flags.writeable = False  # shared by every call that steps by p
+        self.coeffs = c
+        self.degree = d = p.degree
+        self.scale2 = p.scale2
+        idx, mag = _log2_moduli(c)
+        self.valuation = int(idx[0]) if idx.size else 0
+        lead2 = float(mag[-1]) + p.scale2
+        self.lead_log = lead2 * LN2
+        # from |w| = 2**log_safe on, each dropped term a_j w**j is below
+        # 2**-53/d of a_d w**d, and |p(w)| >= 2|w|
+        drop = ((mag[:-1] - mag[-1] + math.log2(d) + 53) / (d - idx[:-1])).max(initial=-math.inf)
+        grow = (1 - lead2) / (d - 1) if d > 1 else (-math.inf if lead2 >= 1 else math.inf)
+        self.log_safe = max(float(drop), grow)
+        rem = d % 2
+        if d >= 4 and idx.size and bool(np.all(idx % 2 == rem)):
+            self.parity_sub = c[rem::2]
+            self.parity_rem = rem
+        else:
+            self.parity_sub = None
+            self.parity_rem = 0
 
 
 # monic minimal polynomials on [-1,1]: t_0 := 1, t_1 = z,

@@ -47,7 +47,7 @@ class RasterSpec:
 class Raster:
     spec: RasterSpec
     values: np.ndarray          # row-major, row 0 at y_max
-    kind: str                   # "membership" (int escape steps, 0 = in) or "green"
+    kind: str                   # "membership" (escape steps, 0 = in) or "green"
 
     def __post_init__(self):
         if self.values.shape != (self.spec.height, self.spec.width):
@@ -94,8 +94,9 @@ def _resolve_threads(threads: int) -> int:
 
 
 def raster_membership(seq: PolySequence, spec: RasterSpec, threads: int = 1) -> Raster:
-    """Escape step per pixel center (0 = orbit still bounded after n_steps)."""
-    worker = lambda g: escape_steps(seq, g, spec.n_steps, spec.escape_radius)
+    """Escape step per pixel center (0 = bounded), in the least uint holding n_steps."""
+    worker = lambda g: escape_steps(seq, g, spec.n_steps, spec.escape_radius).astype(
+        np.min_scalar_type(spec.n_steps))
     return Raster(spec, _by_rows(worker, _grid(spec), threads), "membership")
 
 
@@ -126,7 +127,8 @@ def raster_rect_target(seq: PolySequence, spec: RasterSpec, rect, threads: int =
         inside = ((steps == 0)
                   & (w.real >= x0) & (w.real <= x1)
                   & (w.imag >= y0) & (w.imag <= y1))
-        labels = np.where(steps == 0, np.int32(spec.n_steps), steps)
+        labels = np.where(steps == 0, spec.n_steps, steps).astype(
+            np.min_scalar_type(spec.n_steps))
         labels[inside] = 0
         return labels
 

@@ -59,14 +59,12 @@ class CheckReport:
 
 
 class PolySequence:
-    """Pure generator n -> p_n with kind tag and optional closed-form degrees."""
+    """Pure generator n -> p_n with kind tag; each p_n is built once and kept."""
 
-    def __init__(self, kind: str, generator: Callable[[int], Polynomial],
-                 degree_fn: Callable[[int], int] | None = None, params: str = ""):
+    def __init__(self, kind: str, generator: Callable[[int], Polynomial], params: str = ""):
         self.kind = kind
         self.params = params
         self._generator = generator
-        self._degree_fn = degree_fn
         self._cache: dict[int, Polynomial] = {}
 
     def __repr__(self):
@@ -86,8 +84,6 @@ class PolySequence:
         return p
 
     def degree(self, n: int) -> int:
-        if self._degree_fn is not None:
-            return self._degree_fn(n)
         return self.get(n).degree
 
     def ledger(self, n: int) -> DegreeLedger:
@@ -140,10 +136,6 @@ def _monomial_scaled(power: int, mantissa: float, e: int) -> Polynomial:
     """c * z**power with c = mantissa * 2**e, coefficient kept a finite double."""
     frac, k = math.frexp(mantissa)
     return monomial(power, frac * 2.0, e + k - 1)
-
-
-def _seq_minimal_chebyshev(n: int) -> Polynomial:
-    return chebyshev_minimal(n)
 
 
 def _seq_n_pow_n(n: int) -> Polynomial:
@@ -201,26 +193,23 @@ BUILTIN_KINDS = (
 def builtin(kind: str, degrees=None) -> PolySequence:
     """Construct one of the named sequences; `degrees` feeds the parametric kinds."""
     if kind == "minimal_chebyshev":
-        return PolySequence(kind, _seq_minimal_chebyshev, degree_fn=lambda n: n)
+        return PolySequence(kind, chebyshev_minimal)
     if kind == "classical_chebyshev":
         dfn = _degree_choice(degrees, lambda n: n)
-        return PolySequence(kind, lambda n: chebyshev_t(dfn(n)), degree_fn=dfn,
-                            params=_params_repr(degrees))
+        return PolySequence(kind, lambda n: chebyshev_t(dfn(n)), params=_params_repr(degrees))
     if kind == "power":
         dfn = _degree_choice(degrees, lambda n: 2)
-        return PolySequence(kind, lambda n: monomial(dfn(n)), degree_fn=dfn,
-                            params=_params_repr(degrees))
+        return PolySequence(kind, lambda n: monomial(dfn(n)), params=_params_repr(degrees))
     if kind == "n_pow_n":
-        return PolySequence(kind, _seq_n_pow_n, degree_fn=lambda n: n)
+        return PolySequence(kind, _seq_n_pow_n)
     if kind == "two_pow_neg_n_sq":
-        return PolySequence(kind, _seq_two_pow_neg_n_sq, degree_fn=lambda n: n)
+        return PolySequence(kind, _seq_two_pow_neg_n_sq)
     if kind == "n_exp_z2":
-        return PolySequence(kind, _seq_n_exp_z2, degree_fn=lambda n: 2)
+        return PolySequence(kind, _seq_n_exp_z2)
     if kind == "z2_minus_1_then_n_exp_z2":
-        return PolySequence(kind, _seq_q_variant, degree_fn=lambda n: 2)
+        return PolySequence(kind, _seq_q_variant)
     if kind == "z2_minus_2_then_powers":
-        return PolySequence(kind, _seq_z2_minus_2_then_powers,
-                            degree_fn=lambda n: 2 if n == 1 else n)
+        return PolySequence(kind, _seq_z2_minus_2_then_powers)
     raise SequenceError(f"unknown sequence kind {kind!r}")
 
 
@@ -349,42 +338,35 @@ def _winding(vals: np.ndarray) -> int:
 
 
 class _Circle:
-    """p_n sampled on the circle |z| = radius, for the pull-back certificate.
+    """p_n sampled once on the circle |z| = radius, for the pull-back certificate.
 
-    min_log and min_point give min log|p| over max(m, 8d) equally spaced
+    min_log and min_point give min log|p| over M = max(m, 8d) equally spaced
     samples.  zeros_contained() tells whether every zero lies in the closed
-    disk: the Cauchy bound when it suffices, else the argument principle on
-    max(m, 16d, 64) samples.  When the winding count is needed and that
-    count is exactly twice the minimum's, p is sampled once: every other
-    sample is bit for bit the smaller circle.  Otherwise it samples twice.
+    disk: the Cauchy bound when it suffices, else the argument principle.
+    Then p is sampled on 2M points instead (at least 16 per degree): the
+    winding count runs over all of them, and the minimum over every other
+    one, which is bit for bit the M-point circle.
     """
 
     def __init__(self, p: Polynomial, radius: float, m: int):
-        self.p, self.radius = p, radius
+        self.p = p
         m_min = max(m, 8 * p.degree)
-        self.m_winding = (None if cauchy_root_bound(p) <= radius
-                          else max(m, 16 * p.degree, 64))
         self.vals = None
-        if self.m_winding == 2 * m_min:
-            pts = circle_points(radius, self.m_winding)
-            self.vals = values_on(p, pts)
-            pts = pts[::2]
-            # contiguous, so abs and log run the loops they run on the small circle
-            logs = _log_abs(self.vals[::2].copy(), p.scale2)
-        else:
+        if cauchy_root_bound(p) <= radius:
             pts = circle_points(radius, m_min)
             logs = log_abs_on(p, pts)
+        else:
+            pts = circle_points(radius, 2 * m_min)
+            self.vals = values_on(p, pts)
+            pts = pts[::2]
+            # contiguous, so abs and log run the loops they run on the M-point circle
+            logs = _log_abs(self.vals[::2].copy(), p.scale2)
         i = int(np.argmin(logs))
         self.min_log = float(logs[i])
         self.min_point = complex(pts[i])
 
     def zeros_contained(self) -> bool:
-        if self.m_winding is None:
-            return True
-        vals = self.vals
-        if vals is None:
-            vals = values_on(self.p, circle_points(self.radius, self.m_winding))
-        return _winding(vals) == self.p.degree
+        return self.vals is None or _winding(self.vals) == self.p.degree
 
 
 # --- checkers --------------------------------------------------------------
@@ -463,12 +445,14 @@ def check_P2(seq: PolySequence, A: float, n_max: int) -> CheckReport:
                        note="maximal coefficient ratio found")
 
 
+_SUP_THRESHOLD = 50.0  # check_finite_condition's bound on the sampled sup
+
+
 def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: float = 2.0,
-                           n_max: int = 100, m: int = 4096,
-                           sup_threshold: float = 50.0) -> CheckReport:
+                           n_max: int = 100, m: int = 4096) -> CheckReport:
     """Sample sup_n (1/deg p_n) log+ |p_n| over a disk grid.
 
-    passed needs the sampled sup below `sup_threshold` and no growth across the
+    passed needs the sampled sup below _SUP_THRESHOLD and no growth across the
     last decade of n (a heuristic flag for an unbounded normalized family).
     """
     if radius <= 0:
@@ -487,11 +471,11 @@ def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: floa
     sup = float(per_n.max())
     cut = max(1, int(0.9 * n_max))
     grew = n_max > 1 and float(per_n[cut:].max(initial=-math.inf)) > float(per_n[:cut].max()) + 1e-9
-    ok = sup <= sup_threshold and not grew
+    ok = sup <= _SUP_THRESHOLD and not grew
     note = "sup grows across the last decade of n (heuristic)" if grew else ""
     if ok:
-        return CheckReport(True, (1, n_max), sup_threshold - sup, sup=sup, note=note)
+        return CheckReport(True, (1, n_max), _SUP_THRESHOLD - sup, sup=sup, note=note)
     n_worst = int(per_n.argmax()) + 1
-    return CheckReport(False, (1, n_max), sup_threshold - sup,
+    return CheckReport(False, (1, n_max), _SUP_THRESHOLD - sup,
                        Witness(n_worst, None, sup), sup=sup,
                        note=note or "sampled sup above threshold")

@@ -220,6 +220,11 @@ class TestOrbits:
         with pytest.raises(ValueError):
             orbit_bounded(min_cheb, complex(np.inf, 0.0), 5, 2.0)
 
+    def test_escape_steps_builds_only_the_steps_a_point_reaches(self):
+        # p_2 does not exist: every point escapes at step 1, so it is never asked for
+        seq = custom_sequence([monomial(2, 1.0, 10)], repeat="none")
+        assert escape_steps(seq, np.array([5.0]), 3, 2.0).tolist() == [1]
+
     def test_vector_escape_matches_scalar(self, min_cheb, min_cheb_radius, rng):
         pts = (rng.uniform(-1.6, 1.6, 40) + 1j * rng.uniform(-1.1, 1.1, 40))
         vec = escape_steps(min_cheb, pts, 60, min_cheb_radius)
@@ -338,6 +343,16 @@ class TestGreenNonauto:
         assert abs(gv.value - want) <= gv.error_bound
         values, steps, _ = green_field(seq, np.array([z]), 2, 4.0)
         assert steps[0] == 2 and abs(values[0] - want) <= gv.error_bound
+
+    def test_disk_centre_past_half_the_double_range(self):
+        # 2|centre| passes the double range, so robin_offset must work in logs
+        mpmath = pytest.importorskip("mpmath")
+        disk, z = Disk(1.7e308 + 0j, 1.0), 1.5e154
+        gv = green_nonauto(builtin("power"), z, 2, 2.0, disk)
+        with mpmath.workdps(60):
+            want = float(mpmath.log(abs(mpmath.mpf(z) ** 4 - mpmath.mpf(1.7e308))) / 4)
+        assert abs(gv.value - want) <= gv.error_bound < 1e-10
+        assert gv.value == green_field(builtin("power"), np.array([z]), 2, 2.0, disk)[0][0]
 
     def test_modulus_beyond_double_range_runs_scaled(self):
         # z**2 = 1.386e308 * (1 + 1j): both parts finite, |z**2| = 1.96e308 is not

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from nonauto.green import Segment, UNIT_DISK, green_model
+from nonauto.green import Segment, UNIT_DISK, escape_steps, green_model
 from nonauto.render import (Raster, RasterSpec, pixel_axes, raster_green,
                             raster_membership, raster_rect_target, write_csv,
                             write_pgm, write_png)
@@ -73,6 +73,15 @@ class TestMembership:
         raster = raster_membership(seq, spec)
         assert np.all(raster.values > 0)
 
+    @pytest.mark.parametrize("n_steps, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_steps_in_least_unsigned_type(self, power_seq, n_steps, dtype):
+        spec = RasterSpec(-1.2, 1.2, -1.2, 1.2, 30, 20, n_steps, 2.0)
+        raster = raster_membership(power_seq, spec)
+        xs, ys = pixel_axes(spec)
+        want = escape_steps(power_seq, xs[None, :] + 1j * ys[:, None], n_steps, 2.0)
+        assert raster.values.dtype == dtype
+        assert np.array_equal(raster.values, want) and (want == 0).any()
+
     def test_mirror_symmetry(self, min_cheb, min_cheb_radius):
         spec = spec_for(min_cheb_radius, 60)
         v = raster_membership(min_cheb, spec).values
@@ -124,6 +133,7 @@ class TestRectTarget:
         inside = np.abs(xs) <= 1.0
         assert np.all(raster.values[row][inside] == 0)
         assert (raster.values == 0).sum() < raster.values.size
+        assert raster.values.dtype == np.uint8 and raster.values.max() == 8
 
     def test_bad_rect(self, min_cheb, min_cheb_radius):
         with pytest.raises(ValueError):

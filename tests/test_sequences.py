@@ -156,6 +156,16 @@ class TestDegreeLedger:
         assert all(b > a for a, b in zip(logs[1:], logs[2:]))
         assert logs[0] == 0.0
 
+    @pytest.mark.parametrize("kind, degrees, n", [("power", [2, 1], 2),
+                                                  ("classical_chebyshev", 0, 1)])
+    def test_ledger_refuses_the_steps_get_refuses(self, kind, degrees, n):
+        # degrees are read from the polynomials, so an affine p_2 or a
+        # constant p_1 fails here as it fails in get
+        seq = builtin(kind, degrees=degrees)
+        for call in (seq.get, seq.ledger):
+            with pytest.raises(SequenceError):
+                call(n)
+
 
 class TestCheckReport:
     def test_witness_only_on_failure(self):
