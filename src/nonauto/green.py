@@ -138,6 +138,8 @@ class Disk(ModelSet):
             raise ValueError("disk center must be finite")
         if not 0 < self.radius < math.inf:
             raise ValueError("disk radius must be positive and finite")
+        if math.hypot(self.center.real, self.center.imag) + self.radius == math.inf:
+            raise ValueError("disk center modulus plus radius must stay within double range")
 
     def green(self, z):
         arr, scalar = _as_c(z)

@@ -20,7 +20,7 @@ import numpy as np
 from .green import (ModelSet, Preimage, UNIT_DISK, capacity_estimate,
                     green_field)
 from .poly import Polynomial
-from .sequences import PolySequence, escape_radius_search
+from .sequences import PolySequence, circle_points, escape_radius_search
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def gamma_models(E: ModelSet, F: ModelSet, m: int = 1024) -> KlimekEstimate:
 def _annulus_net(radius: float, m: int) -> np.ndarray:
     rings = max(4, int(math.isqrt(m // 2)))
     per_ring = max(16, m // rings)
-    parts = [circle * rho for rho in np.linspace(radius / rings, radius, rings)
-             for circle in (np.exp(2j * np.pi * np.arange(per_ring) / per_ring),)]
+    parts = [circle_points(rho, per_ring) for rho in np.linspace(radius / rings, radius, rings)]
     parts.append(_fill_net(radius, m))
     return np.concatenate(parts)
 

@@ -5,7 +5,9 @@ deg p_n >= 2 for n >= 2 (only the head may be affine).  The checkers sample
 circles and grids: guidedness is tested through the finitely checkable
 characterization "the closed disk of radius R pulls back into itself under
 every p_n", certified per n by min |p_n| >= R on the circle plus an
-argument-principle count showing all zeros lie inside it.
+argument-principle count showing all zeros lie inside it.  Circle points are
+exactly symmetric, so a p_n with real coefficients and one parity is evaluated
+only on the first quarter arc and reflected exactly onto the rest.
 """
 from __future__ import annotations
 
@@ -292,8 +294,21 @@ def _wire_coefficient(pair, i: int, j: int) -> complex:
 # --- circle sampling -------------------------------------------------------
 
 def circle_points(radius: float, m: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(m) / m
-    return radius * np.exp(1j * theta)
+    """radius e^(2 pi i k/m), k < m, exactly symmetric: point m-k is the conjugate of
+    point k; for even m, point k+m/2 is minus point k, and point m/2-k minus the conjugate
+    of point k; +-radius and +-i radius are exact; circle_points(r, 2m)[::2] is
+    circle_points(r, m).  An upper-half point, 4k/m quarter turns, takes cos and sin of
+    an angle at most pi/4: its own or its complement, after reflecting the second quadrant.
+    """
+    h = m // 2
+    k4 = 4 * np.arange(min(h + 1, m))
+    t = np.minimum(k4, 2 * m - k4)      # second quadrant: pi minus the angle
+    u = np.minimum(t, m - t)            # the angle or its complement
+    a = 0.5 * np.pi * u / m
+    c, s = np.cos(a), np.sin(a)
+    c, s = np.where(u < t, s, c), np.where(u < t, c, s)
+    upper = radius * (np.where(k4 > m, -c, c) + 1j * s)
+    return np.concatenate([upper, np.conj(upper[m - h - 1:0:-1])])
 
 
 def _horner(coeffs, pts: np.ndarray) -> np.ndarray:
@@ -323,6 +338,22 @@ def log_abs_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
     return _log_abs(values_on(p, pts), p.scale2)
 
 
+def _circle_values(p: Polynomial, pts: np.ndarray) -> np.ndarray:
+    """values_on(p, pts) on circle_points, evaluated only on the first quarter arc when
+    p has real coefficients and one parity and 4 | m: p(conj z) = conj p(z) and
+    p(-conj z) = (-1)**d conj p(z) fill the rest.  Horner commutes exactly with negation
+    and conj, so these equal values_on's (==, NaN and inf in the same places) up to the
+    sign of zero imaginary parts, which neither abs nor _winding's wrapped angle
+    increments depend on."""
+    cs, q = p.coeffs, pts.size // 4
+    if pts.size % 4 or any(c.imag for c in cs) or any(cs[p.degree - 1::-2]):
+        return values_on(p, pts)
+    v = values_on(p, pts[:q + 1])
+    back = np.conj(v[q - 1::-1])
+    v = np.concatenate([v, -back if p.degree % 2 else back])
+    return np.concatenate([v, np.conj(v[2 * q - 1:0:-1])])
+
+
 def _winding(vals: np.ndarray) -> int:
     """Winding number about 0 of the closed curve through vals.
 
@@ -345,7 +376,8 @@ class _Circle:
     disk: the Cauchy bound when it suffices, else the argument principle.
     Then p is sampled on 2M points instead (at least 16 per degree): the
     winding count runs over all of them, and the minimum over every other
-    one, which is bit for bit the M-point circle.
+    one, which is bit for bit the M-point circle.  Either circle is evaluated
+    by _circle_values, on a quarter arc when p is real and of one parity.
     """
 
     def __init__(self, p: Polynomial, radius: float, m: int):
@@ -354,10 +386,10 @@ class _Circle:
         self.vals = None
         if cauchy_root_bound(p) <= radius:
             pts = circle_points(radius, m_min)
-            logs = log_abs_on(p, pts)
+            logs = _log_abs(_circle_values(p, pts), p.scale2)
         else:
             pts = circle_points(radius, 2 * m_min)
-            self.vals = values_on(p, pts)
+            self.vals = _circle_values(p, pts)
             pts = pts[::2]
             # contiguous, so abs and log run the loops they run on the M-point circle
             logs = _log_abs(self.vals[::2].copy(), p.scale2)

@@ -210,6 +210,7 @@ class TestNonFiniteInput:
         (("green", "--model", "disk:nan,1", "--z", "2"), "disk center"),
         (("green", "--model", "disk:inf,1", "--z", "2"), "disk center"),
         (("green", "--model", "disk:0,inf", "--z", "2"), "disk radius"),
+        (("green", "--model", "disk:1.5e308,1.5e308,1", "--z", "1.5e154"), "disk center"),
         (("gamma", "--a", "disk:nan,1", "--b", "segment"), "disk center"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--radius", "nan"), "escape radius"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "nan"), "tail bound"),

@@ -60,6 +60,15 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("center, radius", [(1.5e308 + 1.5e308j, 1.0),
+                                                (1.7e308 + 0j, 1.7e308), (1.7e308j, 1e308)])
+    def test_centre_modulus_past_double_range_rejected(self, center, radius):
+        # finite parts, but |center| + radius is not a double: abs(center) raised
+        # OverflowError in robin_offset and green gave inf
+        with pytest.raises(ValueError, match="double range"):
+            Disk(center, radius)
+        assert Disk(1.7e308 + 0j, 1.0).enclosing_radius() == 1.7e308
+
 
 class TestPreimage:
     def test_square_map_fixes_unit_disk(self, rng):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nonauto import sequences
 from nonauto.poly import (LN2, cauchy_root_bound, chebyshev_minimal, coeffs_close,
                           evaluate, polynomial)
-from nonauto.sequences import (CheckReport, SequenceError, Witness, _Circle, builtin,
-                               check_finite_condition, check_guided, check_P2,
+from nonauto.sequences import (CheckReport, SequenceError, Witness, _Circle, _circle_values,
+                               builtin, check_finite_condition, check_guided, check_P2,
                                circle_points, custom_sequence, escape_radius_search,
                                load_sequence_file, log_abs_on, values_on)
 
@@ -341,6 +342,82 @@ class TestOnePassCircle:
         # min |p_n| on |z| = 2 passes 1e308 near n = 10 for n_exp_z2
         rep = check_guided(builtin("n_exp_z2"), 2.0, 60)
         assert rep.passed and math.isfinite(rep.margin)
+
+
+_SYMMETRY_COUNTS = list(range(81)) + [512, 1001, 1002, 9600, 19200]
+
+
+class TestCirclePoints:
+    @pytest.mark.parametrize("m", _SYMMETRY_COUNTS)
+    def test_exact_symmetries(self, m):
+        pts = circle_points(2.5, m)
+        k = np.arange(m)
+        assert pts.shape == (m,)
+        assert np.array_equal(pts[(m - k) % m], np.conj(pts))
+        if m % 2 == 0:
+            assert np.array_equal(pts[(k + m // 2) % m], -pts)
+            assert np.array_equal(pts[(m // 2 - k) % m], -np.conj(pts))
+        if m % 4 == 0 and m:
+            assert list(pts[::m // 4]) == [2.5, 2.5j, -2.5, -2.5j]
+        # the certificate's minimum runs over every other point of the doubled circle
+        assert np.array_equal(circle_points(2.5, 2 * m)[::2], pts)
+
+    def test_close_to_the_exact_roots_of_unity(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for m in [m for m in _SYMMETRY_COUNTS if 0 < m < 19200]:
+                pts = circle_points(1.0, m)
+                err = max(float(abs(mpmath.mpc(z) - mpmath.expjpi(mpmath.mpf(2 * k) / m)))
+                          for k, z in enumerate(pts))
+                assert err <= (4e-16 if m % 2 == 0 else 8e-16), m
+
+
+def _real_polys():
+    return [polynomial(0.3, -1.2, 0.7, 2.1), polynomial(1, 2, 0, 3, 0, 0, 5),
+            polynomial(0.25, 0, -1.5, 0, 1), polynomial(0, 1.5, 0, -2, 0, 0.5),
+            polynomial(*np.random.default_rng(7).normal(size=32))]
+
+
+class TestCircleValues:
+    """The circle is evaluated on one arc and reflected: values_on's values, ==-equal."""
+
+    @pytest.mark.parametrize("polys", [
+        lambda: [builtin("minimal_chebyshev").get(n) for n in (2, 3, 8, 9, 64, 65, 299, 600)],
+        lambda: [builtin("classical_chebyshev").get(n) for n in (2, 3, 12, 30, 299)],
+        lambda: [builtin("n_exp_z2").get(n) for n in (1, 2, 5, 30, 60)],
+        lambda: [builtin("power", degrees=3).get(4), builtin("power").get(2)],
+        lambda: [_complex_cycle().get(n) for n in (1, 2, 3)],
+        _real_polys,
+    ], ids=["minimal_chebyshev", "classical_chebyshev", "n_exp_z2", "power",
+            "complex_cycle", "real"])
+    @pytest.mark.parametrize("radius", [1.3, 2.0, 3.005203820042822])
+    def test_equals_values_on_the_whole_circle(self, polys, radius):
+        for p in polys():
+            for m in (64, 66, 67, 100, 512, 1024, 16 * p.degree):
+                pts = circle_points(radius, m)
+                assert np.array_equal(_circle_values(p, pts), values_on(p, pts),
+                                      equal_nan=True), (p.degree, m)
+
+    @pytest.mark.parametrize("p, arc", [
+        (chebyshev_minimal(9), lambda m: m // 4 + 1),
+        (chebyshev_minimal(10), lambda m: m // 4 + 1),
+        (polynomial(0.3, -1.2, 0.7, 2.1), lambda m: m),
+        (polynomial(0.1 + 0.1j, 0, -0.2 + 0.05j, 0, 1), lambda m: m)])
+    @pytest.mark.parametrize("radius", [1.5, 4.0])
+    def test_certificate_evaluates_one_arc(self, monkeypatch, p, arc, radius):
+        sizes = []
+
+        def counted(p, pts):
+            sizes.append(pts.size)
+            return values_on(p, pts)
+
+        monkeypatch.setattr(sequences, "values_on", counted)
+        _Circle(p, radius, 64)
+        m = max(64, 8 * p.degree) * (1 if cauchy_root_bound(p) <= radius else 2)
+        assert sizes == [arc(m)]
+
+    def test_radius_to_depth_600(self, min_cheb):
+        assert escape_radius_search(min_cheb, 600) == 3.005203820042822
 
 
 class TestP2:
