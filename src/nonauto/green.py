@@ -427,12 +427,15 @@ class CapacityEstimate:
             raise ValueError("capacity must be positive")
 
 
-def capacity_estimate(g, probe_radii, m: int = 256) -> CapacityEstimate:
+_CAPACITY_SAMPLES = 256  # points per probe circle of capacity_estimate
+
+
+def capacity_estimate(g, probe_radii) -> CapacityEstimate:
     """Robin constant from circle averages of g(z) - log|z| at growing radii.
 
-    g must accept a complex array.  The average over an m-point circle kills
-    every decaying harmonic up to order m, so gamma converges fast once the
-    radii clear the set; spread across radii is the convergence diagnostic.
+    g must accept a complex array.  A circle average over m = _CAPACITY_SAMPLES
+    points kills every decaying harmonic up to order m, so gamma converges fast
+    once the radii clear the set; spread across radii is the convergence diagnostic.
     """
     radii = [float(r) for r in probe_radii]
     if len(radii) < 2:
@@ -441,7 +444,7 @@ def capacity_estimate(g, probe_radii, m: int = 256) -> CapacityEstimate:
         raise ValueError("probe radii must be increasing")
     gammas = []
     for rho in radii:
-        pts = circle_points(rho, m)
+        pts = circle_points(rho, _CAPACITY_SAMPLES)
         vals = np.asarray(g(pts), dtype=float)
         gammas.append(float(np.mean(vals - np.log(np.abs(pts)))))
     gamma = gammas[-1]

@@ -97,7 +97,10 @@ def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
     return KlimekEstimate(max(lo, hi), fine.size, abs(hi - lo))
 
 
-def tail_constant(seq: PolySequence, target: ModelSet, n_max: int, m: int = 256) -> float:
+_TAIL_SAMPLES = 256  # the m of tail_constant's gamma_models nets
+
+
+def tail_constant(seq: PolySequence, target: ModelSet, n_max: int) -> float:
     """max over 1 <= n <= n_max of the sampled distance between target and its
     pullback under p_{n+1}; feeds the truncation term of green_nonauto.
 
@@ -109,7 +112,7 @@ def tail_constant(seq: PolySequence, target: ModelSet, n_max: int, m: int = 256)
     worst = 0.0
     for n in range(1, n_max + 1):
         pre = Preimage(target, seq.get(n + 1))
-        worst = max(worst, gamma_models(target, pre, m).lower)
+        worst = max(worst, gamma_models(target, pre, _TAIL_SAMPLES).lower)
     return worst
 
 

@@ -7,7 +7,7 @@ characterization "the closed disk of radius R pulls back into itself under
 every p_n", certified per n by min |p_n| >= R on the circle plus an
 argument-principle count showing all zeros lie inside it.  Circle points are
 exactly symmetric, so a p_n with real coefficients and one parity is evaluated
-only on the first quarter arc and reflected exactly onto the rest.
+only on the first quarter arc, and its minimum and winding are read off that arc.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import (LN2, Polynomial, cauchy_root_bound, chebyshev_minimal, chebyshev_t,
-                   modulus_ratios, monomial, polynomial)
+from .poly import (LN2, Polynomial, _ldexp_arr, cauchy_root_bound, chebyshev_minimal,
+                   chebyshev_t, modulus_ratios, monomial, polynomial)
 
 _UINT64_MAX = 2**64 - 1
 
@@ -167,13 +167,11 @@ def _seq_z2_minus_2_then_powers(n: int) -> Polynomial:
 
 
 def _degree_choice(spec, default):
-    """Normalize a degree specification: constant, finite list (cycled), callable."""
+    """Normalize a degree specification: constant or finite list (cycled)."""
     if spec is None:
         return default
     if isinstance(spec, int):
         return lambda n: spec
-    if callable(spec):
-        return spec
     degrees = [int(d) for d in spec]
     if not degrees:
         raise SequenceError("empty degree list")
@@ -220,8 +218,6 @@ def _params_repr(degrees) -> str:
         return ""
     if isinstance(degrees, int):
         return str(degrees)
-    if callable(degrees):
-        return "<callable>"
     return ",".join(str(d) for d in degrees)
 
 
@@ -338,34 +334,20 @@ def log_abs_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
     return _log_abs(values_on(p, pts), p.scale2)
 
 
-def _circle_values(p: Polynomial, pts: np.ndarray) -> np.ndarray:
-    """values_on(p, pts) on circle_points, evaluated only on the first quarter arc when
-    p has real coefficients and one parity and 4 | m: p(conj z) = conj p(z) and
-    p(-conj z) = (-1)**d conj p(z) fill the rest.  Horner commutes exactly with negation
-    and conj, so these equal values_on's (==, NaN and inf in the same places) up to the
-    sign of zero imaginary parts, which neither abs nor _winding's wrapped angle
-    increments depend on."""
-    cs, q = p.coeffs, pts.size // 4
-    if pts.size % 4 or any(c.imag for c in cs) or any(cs[p.degree - 1::-2]):
-        return values_on(p, pts)
-    v = values_on(p, pts[:q + 1])
-    back = np.conj(v[q - 1::-1])
-    v = np.concatenate([v, -back if p.degree % 2 else back])
-    return np.concatenate([v, np.conj(v[2 * q - 1:0:-1])])
-
-
-def _winding(vals: np.ndarray) -> int:
-    """Winding number about 0 of the closed curve through vals.
-
-    Valid when no value is zero and the sampling resolves the winding (we
-    use >= 16 points per degree).
-    """
-    if not np.all(np.isfinite(vals)):
+def _finite_values(p: Polynomial, pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """(vals, scale2) with p = 2**scale2 * vals on pts, every value finite: if one of
+    values_on's is not, all are evaluated again on the coefficients scaled by 2**-s,
+    s the binade of the largest coefficient part (green._far_step's rule), else refused."""
+    vals = values_on(p, pts)
+    if np.isfinite(vals).all():
+        return vals, p.scale2
+    cs = np.array(p.coeffs)
+    s = int(np.frexp(np.abs(cs.view(np.float64)).max())[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _horner(_ldexp_arr(cs, -s), pts)
+    if not np.isfinite(vals).all():
         raise SequenceError("circle values overflow doubles; cannot count zeros")
-    args = np.angle(vals)
-    inc = np.diff(np.append(args, args[0]))
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round(float(inc.sum()) / (2.0 * np.pi)))
+    return vals, p.scale2 + s
 
 
 class _Circle:
@@ -376,29 +358,34 @@ class _Circle:
     disk: the Cauchy bound when it suffices, else the argument principle.
     Then p is sampled on 2M points instead (at least 16 per degree): the
     winding count runs over all of them, and the minimum over every other
-    one, which is bit for bit the M-point circle.  Either circle is evaluated
-    by _circle_values, on a quarter arc when p is real and of one parity.
+    one, which is bit for bit the M-point circle.  When p is real and of one
+    parity and 4 | n for the n samples, only points 0..n/4 are evaluated:
+    |p| takes its minimum there first, and each quarter turn winds as far.
     """
 
     def __init__(self, p: Polynomial, radius: float, m: int):
         self.p = p
-        m_min = max(m, 8 * p.degree)
-        self.vals = None
-        if cauchy_root_bound(p) <= radius:
-            pts = circle_points(radius, m_min)
-            logs = _log_abs(_circle_values(p, pts), p.scale2)
-        else:
-            pts = circle_points(radius, 2 * m_min)
-            self.vals = _circle_values(p, pts)
-            pts = pts[::2]
+        shortcut = cauchy_root_bound(p) <= radius
+        n = max(m, 8 * p.degree) * (1 if shortcut else 2)
+        cs = p.coeffs
+        self.quarter = n % 4 == 0 and not any(c.imag for c in cs) and not any(cs[p.degree - 1::-2])
+        pts = circle_points(radius, n)[:n // 4 + 1 if self.quarter else n]
+        vals, scale2 = _finite_values(p, pts)
+        self.vals = None if shortcut else vals
+        if not shortcut:
             # contiguous, so abs and log run the loops they run on the M-point circle
-            logs = _log_abs(self.vals[::2].copy(), p.scale2)
+            pts, vals = pts[::2], vals[::2].copy()
+        logs = _log_abs(vals, scale2)
         i = int(np.argmin(logs))
         self.min_log = float(logs[i])
         self.min_point = complex(pts[i])
 
     def zeros_contained(self) -> bool:
-        return self.vals is None or _winding(self.vals) == self.p.degree
+        if self.vals is None:
+            return True
+        arc = self.vals if self.quarter else np.append(self.vals, self.vals[0])  # closed
+        inc = (np.diff(np.angle(arc)) + np.pi) % (2.0 * np.pi) - np.pi
+        return round(float(inc.sum()) * (4 if self.quarter else 1) / (2.0 * np.pi)) == self.p.degree
 
 
 # --- checkers --------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from nonauto import sequences
 from nonauto.poly import (LN2, cauchy_root_bound, chebyshev_minimal, coeffs_close,
-                          evaluate, polynomial)
-from nonauto.sequences import (CheckReport, SequenceError, Witness, _Circle, _circle_values,
+                          evaluate, monomial, polynomial)
+from nonauto.sequences import (CheckReport, SequenceError, Witness, _Circle,
                                builtin, check_finite_condition, check_guided, check_P2,
                                circle_points, custom_sequence, escape_radius_search,
                                load_sequence_file, log_abs_on, values_on)
@@ -379,7 +379,7 @@ def _real_polys():
 
 
 class TestCircleValues:
-    """The circle is evaluated on one arc and reflected: values_on's values, ==-equal."""
+    """The circle is evaluated on one arc: the whole circle's certificate, bit for bit."""
 
     @pytest.mark.parametrize("polys", [
         lambda: [builtin("minimal_chebyshev").get(n) for n in (2, 3, 8, 9, 64, 65, 299, 600)],
@@ -394,9 +394,10 @@ class TestCircleValues:
     def test_equals_values_on_the_whole_circle(self, polys, radius):
         for p in polys():
             for m in (64, 66, 67, 100, 512, 1024, 16 * p.degree):
-                pts = circle_points(radius, m)
-                assert np.array_equal(_circle_values(p, pts), values_on(p, pts),
-                                      equal_nan=True), (p.degree, m)
+                circle = _Circle(p, radius, m)
+                min_log, point, zeros_contained = _two_pass_circle(p, radius, m)
+                assert (circle.min_log, circle.min_point) == (min_log, point), (p.degree, m)
+                assert circle.zeros_contained() == zeros_contained(), (p.degree, m)
 
     @pytest.mark.parametrize("p, arc", [
         (chebyshev_minimal(9), lambda m: m // 4 + 1),
@@ -418,6 +419,22 @@ class TestCircleValues:
 
     def test_radius_to_depth_600(self, min_cheb):
         assert escape_radius_search(min_cheb, 600) == 3.005203820042822
+
+    def test_values_past_double_range_are_refused(self):
+        # 2**-2000 z**600: Horner overflows on |z| = 4 (NaN), and on |z| >= 2**(1024/600)
+        # in the radius search, though the true log min |p_2| on |z| = 4 is -554.5
+        far = monomial(600, 1.0, scale2=-2000)
+        with pytest.raises(SequenceError, match="overflow"):
+            check_guided(custom_sequence([monomial(2), far], repeat="none"), 4.0, 2)
+        with pytest.raises(SequenceError, match="overflow"):
+            escape_radius_search(custom_sequence([far]), 3)
+
+    def test_coefficients_past_double_range_are_rescaled(self):
+        # 1.5e308 (1 + 1j) z**2 overflows on the circle; on 2**-1024 times it, it does not
+        p = polynomial(0, 0, 1.5e308 * (1 + 1j))
+        circle = _Circle(p, 2.0, 64)
+        want = math.log(1.5e308) + math.log(4 * math.sqrt(2))
+        assert circle.min_log == pytest.approx(want, rel=1e-15)
 
 
 class TestP2:
