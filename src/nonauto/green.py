@@ -215,10 +215,6 @@ class Ellipse(ModelSet):
     def semi_major(self) -> float:
         return 0.5 * (self.r + 1.0 / self.r)
 
-    @property
-    def semi_minor(self) -> float:
-        return 0.5 * (self.r - 1.0 / self.r)
-
     def green(self, z):
         arr, scalar = _as_c(z)
         g = _log_joukowski_abs(arr) - math.log(self.r)
@@ -644,117 +640,98 @@ def _finish(target: ModelSet, w: np.ndarray, e: np.ndarray, a: np.ndarray, inv_d
     return values, w, far
 
 
-def _run_chunks(points, escape_radius: float, outputs, prepare):
-    """The chunk loop shared by escape_steps and green_field.
-
-    Checks the radius and the points, calls prepare() once for a kernel and
-    kernel(chunk, *slices) for each run of _CHUNK points in order; slices
-    are the chunk's views of the outputs, allocated at full size from the
-    (dtype, fill) pairs.  Returns the outputs in the shape of points.
-    """
+def _engine_points(points, escape_radius: float):
+    """(flat points, shape) after the vector engines' checks, which come before
+    any step is built: the radius is positive and every point finite."""
     if not escape_radius > 0:
         raise ValueError("escape radius must be positive")
     src = np.asarray(points, dtype=np.complex128)
-    pts = _flat_finite(src)
-    kernel = prepare()
-    outs = [np.full(pts.size, fill, dtype) for dtype, fill in outputs]
-    for lo in range(0, pts.size, _CHUNK):
-        kernel(pts[lo:lo + _CHUNK], *(o[lo:lo + _CHUNK] for o in outs))
-    return tuple(o.reshape(src.shape) for o in outs)
+    return _flat_finite(src), src.shape
 
 
 def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) -> np.ndarray:
     """First escape step per point (0 = still bounded after n_steps).
 
     The vector twin of orbit_bounded: every point steps by the same rule
-    (_advance), exact to rounding above and below double range.  Points run
-    through every step in fixed chunks; a point's result depends neither on
-    the chunking nor on which other points (or thread band) it comes with,
-    except where the chunk-dependent rounding described under green_field
-    moves an orbit value across the escape radius.
+    (_advance), exact to rounding above and below double range.  Each run of
+    _CHUNK points goes through every step before the next starts, and a step
+    is built only when a point of the chunk reaches it; a point's result
+    depends neither on the chunking nor on which other points (or thread
+    band) it comes with, except where the chunk-dependent rounding described
+    under green_field moves an orbit value across the escape radius.
     """
-    def prepare():
-        log2_r = math.log2(escape_radius)
-
-        def kernel(pts, steps):
-            idx = np.arange(pts.size)
-            w, e = pts.copy(), np.zeros(pts.size)
-            for k in range(1, n_steps + 1):
-                if idx.size == 0:
-                    break
-                w, e, a = _advance(seq.get(k).meta, w, e)  # only the steps a point reaches
-                esc = _beyond(a, e, escape_radius, log2_r)
-                if esc.any():
-                    steps[idx[esc]] = k
-                    keep = ~esc
-                    idx, w, e = idx[keep], w[keep], e[keep]
-        return kernel
-
-    return _run_chunks(points, escape_radius, [(np.int32, 0)], prepare)[0]
+    pts, shape = _engine_points(points, escape_radius)
+    log2_r = math.log2(escape_radius)
+    steps = np.zeros(pts.size, np.int32)
+    for lo in range(0, pts.size, _CHUNK):
+        out, w = steps[lo:lo + _CHUNK], pts[lo:lo + _CHUNK].copy()
+        idx, e = np.arange(w.size), np.zeros(w.size)
+        for k in range(1, n_steps + 1):
+            if idx.size == 0:
+                break
+            w, e, a = _advance(seq.get(k).meta, w, e)
+            esc = _beyond(a, e, escape_radius, log2_r)
+            if esc.any():
+                out[idx[esc]] = k
+                keep = ~esc
+                idx, w, e = idx[keep], w[keep], e[keep]
+    return steps.reshape(shape)
 
 
 def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 target: ModelSet = UNIT_DISK):
     """(values, escape_steps, final_w): normalized potential over a point set.
 
-    Every point steps by the rule of escape_steps, in the same fixed chunks.
-    With real coefficients its results do not depend on the chunking or on
-    thread bands.  With complex ones a point alone in its chunk (a one-point
-    call, or the last of _CHUNK + 1) has its complex products rounded
-    differently from a point in a wider chunk: final_w then differs in the
-    last bits and a value by at most a few EPS (1 + value), inside
-    green_nonauto's error bound.  An
-    escaped point switches to the O(1) update
-    log|w_k| = log|lead_k| + d_k log|w_(k-1)|, carried divided by D_k, once
-    the terms that update drops are below rounding for every remaining
-    step.  final_w holds the last complex orbit value where one exists,
-    else nan.
+    Every point steps by the rule of escape_steps, in the same fixed chunks,
+    after every step p_1..p_N has been built once.  With real coefficients
+    its results do not depend on the chunking or on thread bands.  With
+    complex ones a point alone in its chunk (a one-point call, or the last
+    of _CHUNK + 1) has its complex products rounded differently from a point
+    in a wider chunk: final_w then differs in the last bits and a value by at
+    most a few EPS (1 + value), inside green_nonauto's error bound.  An
+    escaped point leaves the orbit, and its value is written at once, once
+    the terms that the update log|w_k| = log|lead_k| + d_k log|w_(k-1)| drops
+    are below rounding for every remaining step: log|w|/D_(k-1), plus the
+    updates of steps k..N summed in advance, plus robin/D_N.  final_w holds
+    the last complex orbit value where one exists, else nan.
     """
-    def prepare():
-        steps_meta = [seq.get(k).meta for k in range(1, n_steps + 1)]
-        # log2|w| before step k from which the log update and log|w_N| + robin are exact
-        log2_r = math.log2(escape_radius)
-        floor = max(log2_r, target._asymptotic_log2)
-        entry = np.maximum.accumulate([max(m.log_safe, floor) for m in steps_meta[::-1]])[::-1]
-        gate = [2.0 ** x if x < 1024 else math.inf for x in entry]
-        # a lane entering log mode before step k stores log|w|/D_(k-1) - S_(k-1),
-        # where S_k sums log|lead_j|/D_j over j <= k, so adding S_N at the end
-        # applies every later update at once
-        inv_d, s_prev = [], []
-        d_prod, s_sum = 1, 0.0
-        for meta in steps_meta:
-            inv_d.append(1 / d_prod)
-            s_prev.append(s_sum)
-            d_prod *= meta.degree
-            s_sum += meta.lead_log * (1 / d_prod)
-        inv_n = 1 / d_prod
-        robin_n = target.robin() * inv_n
-
-        def kernel(pts, values, steps, w_out):
-            n = pts.size
-            idx = np.arange(n)
-            w, e, a = pts.copy(), np.zeros(n), np.abs(pts)
-            glog = np.zeros(n)
-            in_log = np.zeros(n, dtype=bool)
-            for k, meta in enumerate(steps_meta, start=1):
-                if idx.size == 0:
-                    break
-                go = _beyond(a, e, gate[k - 1], entry[k - 1])
-                if go.any():
-                    t = idx[go]
-                    glog[t] = (np.log(a[go]) + e[go] * LN2) * inv_d[k - 1] - s_prev[k - 1]
-                    in_log[t] = True
-                    steps[t[steps[t] == 0]] = k  # |w| >= R and it grows at this step
-                    keep = ~go
-                    idx, w, e = idx[keep], w[keep], e[keep]
-                w, e, a = _advance(meta, w, e)
-                hit = idx[_beyond(a, e, escape_radius, log2_r)]
-                steps[hit[steps[hit] == 0]] = k
-            glog[in_log] += s_sum
-            values[in_log] = np.maximum(0.0, glog[in_log] + robin_n)
-            values[idx], w_out[idx], _ = _finish(target, w, e, a, inv_n, floor)
-        return kernel
-
-    return _run_chunks(points, escape_radius,
-                       [(float, 0.0), (np.int32, 0), (np.complex128, complex(np.nan, np.nan))],
-                       prepare)
+    pts, shape = _engine_points(points, escape_radius)
+    steps_meta = [seq.get(k).meta for k in range(1, n_steps + 1)]
+    # log2|w| before step k from which the log update and log|w_N| + robin are exact
+    log2_r = math.log2(escape_radius)
+    floor = max(log2_r, target._asymptotic_log2)
+    entry = np.maximum.accumulate([max(m.log_safe, floor) for m in steps_meta[::-1]])[::-1]
+    gate = [2.0 ** x if x < 1024 else math.inf for x in entry]
+    # S_k sums log|lead_j|/D_j over j <= k: a lane entering log mode before step k
+    # takes log|w|/D_(k-1) - S_(k-1) + S_N, every later update at once
+    inv_d, s_prev = [], []
+    d_prod, s_sum = 1, 0.0
+    for meta in steps_meta:
+        inv_d.append(1 / d_prod)
+        s_prev.append(s_sum)
+        d_prod *= meta.degree
+        s_sum += meta.lead_log * (1 / d_prod)
+    inv_n = 1 / d_prod
+    robin_n = target.robin() * inv_n
+    values, steps = np.zeros(pts.size), np.zeros(pts.size, np.int32)
+    final_w = np.full(pts.size, complex(np.nan, np.nan))
+    for lo in range(0, pts.size, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        vals, out, w_out, w = values[chunk], steps[chunk], final_w[chunk], pts[chunk].copy()
+        idx, e, a = np.arange(w.size), np.zeros(w.size), np.abs(w)
+        for k, meta in enumerate(steps_meta, start=1):
+            if idx.size == 0:
+                break
+            go = _beyond(a, e, gate[k - 1], entry[k - 1])
+            if go.any():
+                t = idx[go]
+                glog = (np.log(a[go]) + e[go] * LN2) * inv_d[k - 1] - s_prev[k - 1]
+                vals[t] = np.maximum(0.0, (glog + s_sum) + robin_n)
+                out[t[out[t] == 0]] = k  # |w| >= R and it grows at this step
+                keep = ~go
+                idx, w, e = idx[keep], w[keep], e[keep]
+            w, e, a = _advance(meta, w, e)
+            hit = idx[_beyond(a, e, escape_radius, log2_r)]
+            out[hit[out[hit] == 0]] = k
+        vals[idx], w_out[idx], _ = _finish(target, w, e, a, inv_n, floor)
+    return values.reshape(shape), steps.reshape(shape), final_w.reshape(shape)

@@ -140,30 +140,10 @@ def _monomial_scaled(power: int, mantissa: float, e: int) -> Polynomial:
     return monomial(power, frac * 2.0, e + k - 1)
 
 
-def _seq_n_pow_n(n: int) -> Polynomial:
-    return _monomial_scaled(n, *_scaled_from_int(n**n))
-
-
-def _seq_two_pow_neg_n_sq(n: int) -> Polynomial:
-    return monomial(n, 1.0, -n * n)
-
-
 def _seq_n_exp_z2(n: int) -> Polynomial:
     if n == 1:
         return monomial(2)
     return _monomial_scaled(2, *_pow_scaled(n, 2**n))
-
-
-def _seq_q_variant(n: int) -> Polynomial:
-    if n == 1:
-        return polynomial(-1, 0, 1)
-    return _seq_n_exp_z2(n)
-
-
-def _seq_z2_minus_2_then_powers(n: int) -> Polynomial:
-    if n == 1:
-        return polynomial(-2, 0, 1)
-    return monomial(n)
 
 
 def _degree_choice(spec, default):
@@ -178,39 +158,31 @@ def _degree_choice(spec, default):
     return lambda n: degrees[(n - 1) % len(degrees)]
 
 
-BUILTIN_KINDS = (
-    "minimal_chebyshev",
-    "classical_chebyshev",
-    "power",
-    "n_pow_n",
-    "two_pow_neg_n_sq",
-    "n_exp_z2",
-    "z2_minus_1_then_n_exp_z2",
-    "z2_minus_2_then_powers",
-)
+_FIXED_KINDS: dict[str, Callable[[int], Polynomial]] = {
+    "minimal_chebyshev": chebyshev_minimal,
+    "n_pow_n": lambda n: _monomial_scaled(n, *_scaled_from_int(n**n)),
+    "two_pow_neg_n_sq": lambda n: monomial(n, 1.0, -n * n),
+    "n_exp_z2": _seq_n_exp_z2,
+    "z2_minus_1_then_n_exp_z2": lambda n: polynomial(-1, 0, 1) if n == 1 else _seq_n_exp_z2(n),
+    "z2_minus_2_then_powers": lambda n: polynomial(-2, 0, 1) if n == 1 else monomial(n),
+}
+# kinds whose degrees the caller may set: (polynomial of a degree, default degree of p_n)
+_DEGREE_KINDS = {
+    "classical_chebyshev": (chebyshev_t, lambda n: n),
+    "power": (monomial, lambda n: 2),
+}
+BUILTIN_KINDS = (*_FIXED_KINDS, *_DEGREE_KINDS)
 
 
 def builtin(kind: str, degrees=None) -> PolySequence:
-    """Construct one of the named sequences; `degrees` feeds the parametric kinds."""
-    if kind == "minimal_chebyshev":
-        return PolySequence(kind, chebyshev_minimal)
-    if kind == "classical_chebyshev":
-        dfn = _degree_choice(degrees, lambda n: n)
-        return PolySequence(kind, lambda n: chebyshev_t(dfn(n)), params=_params_repr(degrees))
-    if kind == "power":
-        dfn = _degree_choice(degrees, lambda n: 2)
-        return PolySequence(kind, lambda n: monomial(dfn(n)), params=_params_repr(degrees))
-    if kind == "n_pow_n":
-        return PolySequence(kind, _seq_n_pow_n)
-    if kind == "two_pow_neg_n_sq":
-        return PolySequence(kind, _seq_two_pow_neg_n_sq)
-    if kind == "n_exp_z2":
-        return PolySequence(kind, _seq_n_exp_z2)
-    if kind == "z2_minus_1_then_n_exp_z2":
-        return PolySequence(kind, _seq_q_variant)
-    if kind == "z2_minus_2_then_powers":
-        return PolySequence(kind, _seq_z2_minus_2_then_powers)
-    raise SequenceError(f"unknown sequence kind {kind!r}")
+    """Construct one of the named sequences; `degrees` feeds the kinds that take them."""
+    if kind in _FIXED_KINDS:
+        return PolySequence(kind, _FIXED_KINDS[kind])
+    if kind not in _DEGREE_KINDS:
+        raise SequenceError(f"unknown sequence kind {kind!r}")
+    make, default = _DEGREE_KINDS[kind]
+    dfn = _degree_choice(degrees, default)
+    return PolySequence(kind, lambda n: make(dfn(n)), params=_params_repr(degrees))
 
 
 def _params_repr(degrees) -> str:
@@ -331,7 +303,8 @@ def _log_abs(vals: np.ndarray, scale2: int) -> np.ndarray:
 
 
 def log_abs_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
-    return _log_abs(values_on(p, pts), p.scale2)
+    """log|p| on pts, by _finite_values' rule: rescaled, else refused."""
+    return _log_abs(*_finite_values(p, pts))
 
 
 def _finite_values(p: Polynomial, pts: np.ndarray) -> tuple[np.ndarray, int]:
@@ -346,7 +319,7 @@ def _finite_values(p: Polynomial, pts: np.ndarray) -> tuple[np.ndarray, int]:
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _horner(_ldexp_arr(cs, -s), pts)
     if not np.isfinite(vals).all():
-        raise SequenceError("circle values overflow doubles; cannot count zeros")
+        raise SequenceError("Horner values overflow doubles even on rescaled coefficients")
     return vals, p.scale2 + s
 
 

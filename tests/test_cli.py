@@ -107,6 +107,13 @@ class TestCheckCommand:
         doc = json.loads(out)
         jsonschema.validate(doc, SCHEMA)
 
+    def test_finite_values_past_double_range_exit_2(self, capsys):
+        # 4**600 overflows even on rescaled coefficients; its NaN sup was read as 0 (passed)
+        code, out, err = run(capsys, "check", "--seq", "power:600", "--which", "finite",
+                             "--disk-radius", "4", "--n-max", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "overflow" in err and "Traceback" not in err
+
     def test_escape(self, capsys):
         code, out, _ = run(capsys, "check", "--seq", "minimal-chebyshev", "--which",
                            "escape", "--n-max", "40")

@@ -223,9 +223,13 @@ class TestOrbits:
 
     def test_non_finite_points_rejected(self, min_cheb):
         pts = np.array([0.5, complex(np.nan, 0.0)])
+        # p_2 does not exist: the points are checked before any step is built
+        short = custom_sequence([monomial(2)], repeat="none")
         for engine in (escape_steps, green_field):
             with pytest.raises(ValueError):
                 engine(min_cheb, pts, 5, 2.0)
+            with pytest.raises(ValueError, match="points must be finite"):
+                engine(short, pts, 3, 2.0)
         with pytest.raises(ValueError):
             orbit_bounded(min_cheb, complex(np.inf, 0.0), 5, 2.0)
 
@@ -424,10 +428,14 @@ class TestGreenNonauto:
     def test_every_driver_rejects_a_bad_escape_radius(self, min_cheb, radius):
         # nan passed an "escape_radius <= 0" test: escape_steps then kept 5 as
         # bounded while green_field had it escape at step 1
+        short = custom_sequence([monomial(2)], repeat="none")
         for run in (lambda: orbit_bounded(min_cheb, 5.0, 3, radius),
                     lambda: green_nonauto(min_cheb, 5.0, 3, radius),
                     lambda: escape_steps(min_cheb, np.array([5.0]), 3, radius),
-                    lambda: green_field(min_cheb, np.array([5.0]), 3, radius)):
+                    lambda: green_field(min_cheb, np.array([5.0]), 3, radius),
+                    # p_2 does not exist: the radius is checked before any step is built
+                    lambda: escape_steps(short, np.array([0.5]), 3, radius),
+                    lambda: green_field(short, np.array([0.5]), 3, radius)):
             with pytest.raises(ValueError, match="escape radius"):
                 run()
 

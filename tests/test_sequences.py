@@ -474,3 +474,20 @@ class TestFiniteCondition:
         # sampled sup approaches log 2 from below at grid resolution
         assert rep.sup <= math.log(2.0) + 1e-12
         assert abs(rep.sup - math.log(2.0)) < 0.01
+
+    def test_values_past_double_range_are_refused(self):
+        # 4**600 overflows, and so does 2**-1 4**600: the NaN sup was read as 0 (passed)
+        with pytest.raises(SequenceError, match="overflow"):
+            check_finite_condition(builtin("power", degrees=600), 0j, 4.0, 3)
+
+    def test_coefficients_past_double_range_are_rescaled(self):
+        # 1.5e308 (1 + 1j) z**2 overflows on the grid (the sup read inf); 2**-1024 times it
+        # does not.  The check's grid is 64 x 64 on [-2, 2]**2 (m = 4096), cut to the disk.
+        seq = custom_sequence([polynomial(0, 0, 1.5e308 * (1 + 1j))], repeat="none")
+        rep = check_finite_condition(seq, 0j, 2.0, 1)
+        xs = np.linspace(-2.0, 2.0, 64)
+        moduli = np.abs(xs[:, None] + 1j * xs[None, :])
+        top = float(moduli[moduli <= 2.0].max())
+        want = (math.log(1.5e308) + 0.5 * LN2 + 2.0 * math.log(top)) / 2
+        assert rep.sup == pytest.approx(want, rel=1e-14)
+        assert rep.sup == pytest.approx(355.664, abs=1e-3)
