@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from nonauto.green import Segment, UNIT_DISK, green_model, green_nonauto
+from nonauto.green import Segment, UNIT_DISK, green_nonauto
 from nonauto.klimek import convergence_table, table_to_csv
 from nonauto.sequences import builtin, escape_radius_search
 
@@ -39,7 +39,7 @@ def main() -> int:
     net = np.array([r * np.exp(1j * a)
                     for r in np.linspace(1.1, 3.0, 20)
                     for a in 2 * np.pi * np.arange(10) / 10])
-    target = np.asarray(green_model(Segment(), net))
+    target = np.asarray(Segment().green(net))
     print("\nclassical composition vs segment potential:", file=sys.stderr)
     for n in range(2, min(args.n_max, 12) + 1, 2):
         vals = np.array([green_nonauto(classical, complex(z), n, c_radius).value

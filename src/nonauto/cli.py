@@ -14,7 +14,7 @@ import sys
 
 from . import klimek, render
 from .green import (Disk, Ellipse, ModelSet, Segment, UNIT_DISK,
-                    capacity_estimate, green_field, green_model, green_nonauto)
+                    capacity_estimate, green_field, green_nonauto)
 from .sequences import (BUILTIN_KINDS, CheckReport, PolySequence, SequenceError,
                         builtin, check_finite_condition, check_guided, check_P2,
                         escape_radius_search, load_sequence_file)
@@ -169,9 +169,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_green(args) -> int:
+    if (args.model is None) == (args.seq is None):
+        raise ValueError("need exactly one of --model and --seq")
     z = parse_z(args.z)
-    if args.model:
-        value = green_model(parse_model(args.model), z)
+    if args.model is not None:
+        value = parse_model(args.model).green(z)
         if args.json:
             print(json.dumps({"value": value, "z": [z.real, z.imag]}, sort_keys=True))
         else:
@@ -210,7 +212,7 @@ def cmd_capacity(args) -> int:
     else:
         base = 2.0 * model.enclosing_radius()
         radii = [base, 2.0 * base, 4.0 * base]
-    est = capacity_estimate(lambda pts: green_model(model, pts), radii)
+    est = capacity_estimate(model.green, radii)
     if args.json:
         print(json.dumps({"value": est.value, "gamma": est.gamma,
                           "spread": est.spread}, sort_keys=True))
@@ -293,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seq", None) is None and getattr(args, "model", "") is None:
-        print("error: need --model or --seq", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except CheckFailure as exc:

@@ -1,9 +1,9 @@
 """Green functions of model compacta and of polynomial-sequence preimages.
 
-Model sets carry exact closed-form potentials (disk, the segment [-1,1],
-filled Joukowski ellipses, polynomial preimages of any of these).  The
-non-autonomous potential of a sequence is the normalized escape rate
-(1/(d_1...d_N)) log+ |p_N o ... o p_1|.  The four orbit drivers share the
+Model sets carry exact closed-form potentials (disk, filled Joukowski
+ellipses E_r with the segment [-1,1] as E_1, polynomial preimages of any of
+these).  The non-autonomous potential of a sequence is the normalized escape
+rate (1/(d_1...d_N)) log+ |p_N o ... o p_1|.  The four orbit drivers share the
 lanes' rules: one value carrier (the double in the safe double band, else a
 mantissa and an exponent), one step (double Horner in the band, else the same
 Horner on a rescaled variable), one escape test (_beyond's) and one finishing
@@ -25,7 +25,7 @@ because klimek.tail_constant is a sampled lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -175,33 +175,6 @@ class Disk(ModelSet):
 
 
 @dataclass(frozen=True)
-class Segment(ModelSet):
-    """The segment [-1, 1]."""
-
-    def green(self, z):
-        arr, scalar = _as_c(z)
-        g = _log_joukowski_abs(arr)
-        return _ret(_clamp_green(g), scalar)
-
-    def capacity(self) -> float:
-        return 0.5
-
-    def robin(self) -> float:
-        return LN2
-
-    def enclosing_radius(self) -> float:
-        return 1.0
-
-    def robin_offset(self, log_abs_z):
-        if log_abs_z < 0.7:
-            raise ValueError("asymptotic potential invalid this close to the segment")
-        return LN2, math.exp(-2.0 * log_abs_z)
-
-    def boundary_net(self, m):
-        return np.linspace(-1.0, 1.0, max(2, m)).astype(np.complex128)
-
-
-@dataclass(frozen=True)
 class Ellipse(ModelSet):
     """Filled ellipse with foci +-1: image of |w| <= r under (w + 1/w)/2, r > 1."""
 
@@ -245,6 +218,22 @@ class Ellipse(ModelSet):
             w = circle_points(rho, max(8, m // 4))
             nets.append(0.5 * (w + 1.0 / w))
         return np.concatenate(nets)
+
+
+@dataclass(frozen=True)
+class Segment(Ellipse):
+    """The segment [-1, 1]: the ellipse at r = 1, whose closed forms it shares
+    (log 1 = 0), with its own net on the segment and no interior."""
+
+    r: float = field(default=1.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pass  # r = 1 is fixed, below Ellipse's r > 1
+
+    def boundary_net(self, m):
+        return np.linspace(-1.0, 1.0, max(2, m)).astype(np.complex128)
+
+    interior_net = ModelSet.interior_net
 
 
 _ANCHORS = 4             # companion-solved targets per net, up to twice as many
@@ -400,16 +389,11 @@ class Preimage(ModelSet):
 UNIT_DISK = Disk()
 
 
-def green_model(K: ModelSet, z):
-    """Exact closed-form potential of a model set; zero on the compactum."""
-    return K.green(z)
-
-
 def sublevel_membership(K: ModelSet, z, eps: float) -> bool:
     """z lies in the eps-sublevel set {green <= eps} of K."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    return bool(green_model(K, z) <= eps)
+    return bool(K.green(z) <= eps)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,13 @@ class Polynomial:
         """The step facts the array engines read, built on first use and kept."""
         return _StepMeta(self)
 
+    @cached_property
+    def parity(self) -> int | None:
+        """degree % 2 when every nonzero coefficient's index has the degree's parity
+        (0 for constants), else None; kept."""
+        d = self.degree
+        return d % 2 if d == 0 or not any(self.coeffs[d - 1::-2]) else None
+
 
 def polynomial(*coeffs, scale2: int = 0) -> Polynomial:
     """Build a polynomial from ascending coefficients, trimming trailing zeros."""
@@ -318,10 +325,9 @@ class _StepMeta:
         drop = ((mag[:-1] - mag[-1] + math.log2(d) + 53) / (d - idx[:-1])).max(initial=-math.inf)
         grow = (1 - lead2) / (d - 1) if d > 1 else (-math.inf if lead2 >= 1 else math.inf)
         self.log_safe = max(float(drop), grow)
-        rem = d % 2
-        if d >= 4 and idx.size and bool(np.all(idx % 2 == rem)):
-            self.parity_sub = c[rem::2]
-            self.parity_rem = rem
+        if d >= 4 and p.parity is not None:
+            self.parity_sub = c[p.parity::2]
+            self.parity_rem = p.parity
         else:
             self.parity_sub = None
             self.parity_rem = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import ModelSet, UNIT_DISK, escape_steps, green_field, green_model
+from .green import ModelSet, UNIT_DISK, escape_steps, green_field
 from .sequences import PolySequence
 
 
@@ -105,7 +105,7 @@ def raster_green(source, spec: RasterSpec, target: ModelSet = UNIT_DISK,
     """Normalized potential per pixel: a sequence's escape rate, or a model set's
     closed form when `source` is a ModelSet."""
     if isinstance(source, ModelSet):
-        worker = lambda g: np.asarray(green_model(source, g), dtype=float)
+        worker = lambda g: np.asarray(source.green(g), dtype=float)
     else:
         worker = lambda g: green_field(source, g, spec.n_steps, spec.escape_radius, target)[0]
     return Raster(spec, _by_rows(worker, _grid(spec), threads), "green")

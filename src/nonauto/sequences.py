@@ -6,8 +6,10 @@ circles and grids: guidedness is tested through the finitely checkable
 characterization "the closed disk of radius R pulls back into itself under
 every p_n", certified per n by min |p_n| >= R on the circle plus an
 argument-principle count showing all zeros lie inside it.  Circle points are
-exactly symmetric, so a p_n with real coefficients and one parity is evaluated
-only on the first quarter arc, and its minimum and winding are read off that arc.
+exactly symmetric, so a p_n with real coefficients and one parity (its
+Polynomial.parity) is evaluated only on the first quarter arc, and its minimum
+and winding are read off that arc.  Leading factors past double range, such as
+n**(2**n), are built in exact integers cut to 96 bits and kept as a power-of-two scale.
 """
 from __future__ import annotations
 
@@ -110,28 +112,19 @@ def _scaled_from_int(value: int) -> tuple[float, int]:
     return float(value >> shift), shift
 
 
-def _pow_scaled(base: int, power: int) -> tuple[float, int]:
-    """base**power as (mantissa, e); 96-bit integer mantissa keeps rounding tiny."""
+def _pow2_scaled(base: int, n: int) -> tuple[float, int]:
+    """base**(2**n) as (mantissa, e) by n squarings; 96-bit integer mantissa keeps
+    rounding tiny."""
     m, e = base, 0
-    r_m, r_e = 1, 0
-    while power:
-        if power & 1:
-            r_m *= m
-            r_e += e
-            if r_m.bit_length() > 96:
-                s = r_m.bit_length() - 96
-                r_m >>= s
-                r_e += s
-        power >>= 1
-        if power:
-            m *= m
-            e *= 2
-            if m.bit_length() > 96:
-                s = m.bit_length() - 96
-                m >>= s
-                e += s
-    f, fe = _scaled_from_int(r_m)
-    return f, fe + r_e
+    for _ in range(n):
+        m *= m
+        e *= 2
+        if m.bit_length() > 96:
+            s = m.bit_length() - 96
+            m >>= s
+            e += s
+    f, fe = _scaled_from_int(m)
+    return f, fe + e
 
 
 def _monomial_scaled(power: int, mantissa: float, e: int) -> Polynomial:
@@ -143,7 +136,7 @@ def _monomial_scaled(power: int, mantissa: float, e: int) -> Polynomial:
 def _seq_n_exp_z2(n: int) -> Polynomial:
     if n == 1:
         return monomial(2)
-    return _monomial_scaled(2, *_pow_scaled(n, 2**n))
+    return _monomial_scaled(2, *_pow2_scaled(n, n))
 
 
 def _degree_choice(spec, default):
@@ -177,6 +170,8 @@ BUILTIN_KINDS = (*_FIXED_KINDS, *_DEGREE_KINDS)
 def builtin(kind: str, degrees=None) -> PolySequence:
     """Construct one of the named sequences; `degrees` feeds the kinds that take them."""
     if kind in _FIXED_KINDS:
+        if degrees is not None:
+            raise SequenceError(f"sequence kind {kind!r} takes no degrees")
         return PolySequence(kind, _FIXED_KINDS[kind])
     if kind not in _DEGREE_KINDS:
         raise SequenceError(f"unknown sequence kind {kind!r}")
@@ -340,8 +335,7 @@ class _Circle:
         self.p = p
         shortcut = cauchy_root_bound(p) <= radius
         n = max(m, 8 * p.degree) * (1 if shortcut else 2)
-        cs = p.coeffs
-        self.quarter = n % 4 == 0 and not any(c.imag for c in cs) and not any(cs[p.degree - 1::-2])
+        self.quarter = n % 4 == 0 and p.parity is not None and not any(c.imag for c in p.coeffs)
         pts = circle_points(radius, n)[:n // 4 + 1 if self.quarter else n]
         vals, scale2 = _finite_values(p, pts)
         self.vals = None if shortcut else vals

@@ -69,6 +69,23 @@ class TestPointCommands:
         doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
         assert doc["value"] == 0.0 and doc["error_bound"] is None
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--model", "disk:0,1", "--seq", "power", "--n", "3"), "need exactly one of"),
+        ((), "need exactly one of"), (("--model", ""), "unknown model ''")],
+        ids=["both", "neither", "empty model"])
+    def test_green_needs_exactly_one_source(self, capsys, argv, message):
+        # with both, --seq and --n were dropped silently; an empty --model fell
+        # through to the --seq branch and raised AttributeError
+        code, out, err = run(capsys, "green", "--z", "2", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+
+    def test_green_without_a_verified_radius_exits_3(self, capsys):
+        code, out, err = run(capsys, "green", "--seq", "two-pow-neg-n-sq", "--z", "1",
+                             "--n", "40")
+        assert code == 3 and out == ""
+        assert err.startswith("check failed: no escape radius below ")
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "gamma", "--a", "disk:0,1", "--b", "segment", "--json")
         _, out2, _ = run(capsys, "gamma", "--a", "disk:0,1", "--b", "segment", "--json")
@@ -119,6 +136,35 @@ class TestCheckCommand:
                            "escape", "--n-max", "40")
         assert code == 0
         assert json.loads(out)["radius"] <= 4.0
+
+    @pytest.mark.parametrize("seq, want, key", [("minimal-chebyshev", 0, "radius"),
+                                                ("two-pow-neg-n-sq", 3, "error")])
+    def test_escape_outcomes_match_the_schema(self, capsys, seq, want, key):
+        code, out, _ = run(capsys, "check", "--seq", seq, "--which", "escape", "--n-max", "40")
+        assert code == want
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["passed"] == (want == 0) and key in doc
+
+    def test_guided_zeros_outside_the_disk(self, capsys, tmp_path):
+        spec = tmp_path / "seq.json"
+        spec.write_text(json.dumps({"polynomials": [[[0, 0], [0, 0], [1, 0]],
+                                                    [[0, 0], [0, 0], [-3, 0], [1, 0]]],
+                                    "repeat": "none"}))
+        code, out, _ = run(capsys, "check", "--seq", f"custom:{spec}", "--which", "guided",
+                           "--R", "2", "--n-max", "2")
+        assert code == 3
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["note"] == "zeros not contained in the disk"
+        assert doc["witness"] == {"n": 2, "point": None, "value": 4.0}
+
+    def test_fixed_kind_with_degrees_exits_2(self, capsys):
+        # n-exp-z2 has no degree 7; the argument was echoed and ignored
+        code, out, err = run(capsys, "check", "--seq", "n-exp-z2:7", "--which", "p2",
+                             "--n-max", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "takes no degrees" in err
 
 
 class TestTableCommand:

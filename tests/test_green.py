@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nonauto.green import (_CHUNK, CapacityEstimate, Disk, Ellipse, GreenValue,
                            Preimage, Segment, UNIT_DISK, capacity_estimate, escape_steps,
-                           green_field, green_model, green_nonauto, orbit_bounded,
+                           green_field, green_nonauto, orbit_bounded,
                            sublevel_membership)
 from nonauto.poly import EPS, Polynomial, compose, evaluate, monomial, polynomial
 from nonauto.sequences import builtin, custom_sequence, escape_radius_search
@@ -29,19 +29,33 @@ def ellipse_boundary(r, m):
 
 class TestClosedForms:
     def test_unit_disk_at_two(self):
-        assert abs(green_model(UNIT_DISK, 2.0) - math.log(2)) < 1e-14
+        assert abs(UNIT_DISK.green(2.0) - math.log(2)) < 1e-14
 
     def test_segment_at_five_fourths(self):
-        assert abs(green_model(SEG, 1.25) - math.log(2)) < 1e-14
+        assert abs(SEG.green(1.25) - math.log(2)) < 1e-14
 
     def test_ellipse_boundary_vanishes(self):
-        vals = green_model(Ellipse(2.0), ellipse_boundary(2.0, 4096))
+        vals = Ellipse(2.0).green(ellipse_boundary(2.0, 4096))
         assert float(np.max(np.abs(vals))) < 1e-12
 
     def test_zero_on_the_sets(self):
-        assert green_model(Disk(1 + 1j, 2.0), 1 + 1j) == 0.0
-        assert green_model(SEG, 0.5) == 0.0
-        assert green_model(Ellipse(3.0), 0.2j) == 0.0
+        assert Disk(1 + 1j, 2.0).green(1 + 1j) == 0.0
+        assert SEG.green(0.5) == 0.0
+        assert Ellipse(3.0).green(0.2j) == 0.0
+
+    def test_segment_is_the_unit_ellipse(self):
+        # the r = 1 ellipse, with r fixed and out of repr, equality and hash
+        assert isinstance(SEG, Ellipse) and SEG.r == 1.0
+        assert repr(SEG) == "Segment()" and SEG == Segment() and hash(SEG) == hash(())
+        assert SEG != Ellipse(2.0)
+        with pytest.raises(TypeError):
+            Segment(2.0)
+        assert (SEG.capacity(), SEG.robin(), SEG.enclosing_radius()) == (0.5, math.log(2), 1.0)
+        assert SEG.robin_offset(30.0) == (math.log(2), math.exp(-60.0))
+        with pytest.raises(ValueError, match="ellipse"):
+            SEG.robin_offset(0.69)
+        assert np.array_equal(SEG.boundary_net(5), np.linspace(-1, 1, 5) + 0j)
+        assert SEG.interior_net(64).size == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,19 +89,19 @@ class TestPreimage:
         f = monomial(2)
         for _ in range(50):
             z = complex(*(2 * rng.uniform(-1, 1, 2)))
-            assert abs(Preimage(UNIT_DISK, f).green(z) - green_model(UNIT_DISK, z)) < 1e-13
+            assert abs(Preimage(UNIT_DISK, f).green(z) - UNIT_DISK.green(z)) < 1e-13
 
     def test_chebyshev_total_invariance_on_segment(self, rng):
         T2 = polynomial(-1, 0, 2)
         for _ in range(50):
             z = complex(*(3 * rng.uniform(-1, 1, 2)))
             lhs = Preimage(SEG, T2).green(z)
-            assert abs(lhs - green_model(SEG, z)) < 1e-12
+            assert abs(lhs - SEG.green(z)) < 1e-12
 
     def test_monic_preimage_capacity_one(self, rng):
         f = polynomial(0.3 - 0.1j, -0.5, 0.25j, 1)
         pre = Preimage(UNIT_DISK, f)
-        est = capacity_estimate(lambda pts: green_model(pre, pts),
+        est = capacity_estimate(lambda pts: pre.green(pts),
                                 [4.0, 8.0, 16.0])
         assert abs(est.value - 1.0) < 1e-6
         assert abs(pre.capacity() - 1.0) < 1e-15
@@ -131,7 +145,7 @@ class TestSublevelAndMazurek:
         assert not sublevel_membership(SEG, on_axis_outside, eps)
         # boundary points agree with ellipse membership
         for z in ellipse_boundary(1.7, 64):
-            assert sublevel_membership(SEG, complex(z), eps) == (green_model(ell, complex(z)) == 0.0)
+            assert sublevel_membership(SEG, complex(z), eps) == (ell.green(complex(z)) == 0.0)
 
     def test_points_of_the_set_belong_to_every_sublevel(self):
         for eps in (1e-9, 0.1, 5.0):
@@ -141,8 +155,8 @@ class TestSublevelAndMazurek:
         for _ in range(100):
             z = complex(*(6 * rng.uniform(-1, 1, 2)))
             for r, eps in ((1.0, math.log(2)), (0.5, 0.75), (2.0, 0.1)):
-                lhs = green_model(Disk(0j, r * math.exp(eps)), z)
-                rhs = max(0.0, green_model(Disk(0j, r), z) - eps)
+                lhs = Disk(0j, r * math.exp(eps)).green(z)
+                rhs = max(0.0, Disk(0j, r).green(z) - eps)
                 assert abs(lhs - rhs) < 1e-12
 
     def test_eps_validation(self):
@@ -155,30 +169,30 @@ class TestMonotonicity:
         inner, outer = Disk(0.3 + 0.1j, 0.5), Disk(0j, 2.0)
         for _ in range(1000):
             z = complex(*(5 * rng.uniform(-1, 1, 2)))
-            assert green_model(inner, z) >= green_model(outer, z) - 1e-14
+            assert inner.green(z) >= outer.green(z) - 1e-14
 
     def test_segment_in_ellipses(self, rng):
         small, big = Ellipse(1.5), Ellipse(3.0)
         for _ in range(300):
             z = complex(*(5 * rng.uniform(-1, 1, 2)))
-            gs, g1, g2 = green_model(SEG, z), green_model(small, z), green_model(big, z)
+            gs, g1, g2 = SEG.green(z), small.green(z), big.green(z)
             assert gs >= g1 - 1e-14 >= g2 - 2e-14
 
 
 class TestCapacity:
     def test_disk(self):
         for r in (1.0, 2.5):
-            est = capacity_estimate(lambda pts: green_model(Disk(0j, r), pts),
+            est = capacity_estimate(lambda pts: Disk(0j, r).green(pts),
                                     [4 * r, 8 * r, 16 * r])
             assert abs(est.value - r) < 1e-12
             assert est.spread < 1e-12
 
     def test_segment(self):
-        est = capacity_estimate(lambda pts: green_model(SEG, pts), [4.0, 8.0])
+        est = capacity_estimate(lambda pts: SEG.green(pts), [4.0, 8.0])
         assert abs(est.value - 0.5) < 1e-6
 
     def test_ellipse(self):
-        est = capacity_estimate(lambda pts: green_model(Ellipse(2.0), pts), [8.0, 16.0])
+        est = capacity_estimate(lambda pts: Ellipse(2.0).green(pts), [8.0, 16.0])
         assert abs(est.value - 1.0) < 1e-6
 
     def test_closed_form_capacities(self):
@@ -187,7 +201,7 @@ class TestCapacity:
         assert abs(Ellipse(5.0).capacity() - 2.5) < 1e-15
 
     def test_validation(self):
-        g = lambda pts: green_model(UNIT_DISK, pts)
+        g = lambda pts: UNIT_DISK.green(pts)
         with pytest.raises(ValueError):
             capacity_estimate(g, [2.0])
         with pytest.raises(ValueError):
@@ -281,7 +295,7 @@ class TestGreenNonauto:
             z = complex((1.5 + 1.5 * rng.random()) * cmath.exp(2j * math.pi * rng.random()))
             gv = green_nonauto(classical_cheb, z, 12, classical_cheb_radius, tail_bound=tail)
             assert gv.truncation_included
-            assert abs(gv.value - green_model(SEG, z)) <= gv.error_bound
+            assert abs(gv.value - SEG.green(z)) <= gv.error_bound
 
     def test_error_bound_self_consistent_for_minimal(self, min_cheb, min_cheb_radius, rng):
         from nonauto.klimek import tail_constant
@@ -400,11 +414,11 @@ class TestGreenNonauto:
         w = 2.5
         for k in range(1, 7):
             w = evaluate(min_cheb.get(k), w)
-        want = green_model(SEG, w) / math.factorial(6)
+        want = SEG.green(w) / math.factorial(6)
         assert abs(gv_seg.value - want) <= 1e-15 + 1e-9 * want
 
     def test_segment_target_handles_huge_arguments(self):
-        assert abs(green_model(SEG, 1e280) - (math.log(1e280) + math.log(2))) < 1e-9
+        assert abs(SEG.green(1e280) - (math.log(1e280) + math.log(2))) < 1e-9
 
     @pytest.mark.xfail(strict=True, reason=SEGMENT_DEFECT)
     def test_segment_picks_the_large_root_past_one_over_eps(self):
@@ -412,7 +426,7 @@ class TestGreenNonauto:
         # the |w| >= 1 test: 81.21 instead of log|2z| = 118.21
         z = -7.42922214e+50 + 8.05702447e+50j
         for K, shift in ((SEG, 0.0), (Ellipse(2.0), math.log(2.0))):
-            assert abs(green_model(K, z) - (math.log(abs(2 * z)) - shift)) <= 1e-14 * 118.3
+            assert abs(K.green(z) - (math.log(abs(2 * z)) - shift)) <= 1e-14 * 118.3
 
     def test_value_invariants(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,14 @@ class TestConstruction:
     def test_zero_constant_allowed(self):
         assert polynomial(0).degree == 0
 
+    @pytest.mark.parametrize("coeffs, parity", [
+        ((0,), 0), ((5,), 0), ((0, 2), 1), ((1, 2), None), ((-0.75, 0, 1), 0),
+        ((0, -0.75, 0, 1), 1), ((1, 0, 0, 1), None), ((0, 0, 3j, 0, 1), 0),
+        ((0, 1, 1, 0, 1), None)])
+    def test_parity(self, coeffs, parity):
+        # every nonzero coefficient's index has the degree's parity, else None
+        assert polynomial(*coeffs).parity == parity
+
 
 class TestEvaluate:
     def test_chebyshev_at_zero(self):

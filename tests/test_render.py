@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from nonauto.green import Segment, UNIT_DISK, escape_steps, green_model
+from nonauto.green import Segment, UNIT_DISK, escape_steps
 from nonauto.render import (Raster, RasterSpec, pixel_axes, raster_green,
                             raster_membership, raster_rect_target, write_csv,
                             write_pgm, write_png)

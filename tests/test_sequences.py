@@ -64,6 +64,13 @@ class TestBuiltins:
         with pytest.raises(SequenceError):
             builtin("mystery")
 
+    @pytest.mark.parametrize("kind", sorted(sequences._FIXED_KINDS))
+    @pytest.mark.parametrize("degrees", [7, [2, 3]])
+    def test_fixed_kinds_refuse_degrees(self, kind, degrees):
+        # the degrees did nothing for these kinds, yet were accepted
+        with pytest.raises(SequenceError, match="takes no degrees"):
+            builtin(kind, degrees=degrees)
+
     def test_generator_cached_and_pure(self):
         seq = builtin("minimal_chebyshev")
         assert seq.get(5) is seq.get(5)
@@ -201,6 +208,13 @@ class TestGuided:
                 assert ok
             seen_pass = seen_pass or ok
         assert seen_pass
+
+    def test_zeros_outside_the_disk_fail(self):
+        # z**3 - 3 z**2 stays above R = 2 on the circle, but its zero 3 lies outside
+        seq = custom_sequence([monomial(2), polynomial(0, 0, -3, 1)], repeat="none")
+        rep = check_guided(seq, 2.0, 2)
+        assert not rep.passed and rep.note == "zeros not contained in the disk"
+        assert rep.witness == Witness(2, None, 4.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
