@@ -173,6 +173,10 @@ def cmd_green(args) -> int:
         raise ValueError("need exactly one of --model and --seq")
     z = parse_z(args.z)
     if args.model is not None:
+        unused = [flag for flag, v in (("--n", args.n), ("--radius", args.radius),
+                                       ("--tail-bound", args.tail_bound)) if v is not None]
+        if unused:
+            raise ValueError(f"only --seq takes {', '.join(unused)}")
         value = parse_model(args.model).green(z)
         if args.json:
             print(json.dumps({"value": value, "z": [z.real, z.imag]}, sort_keys=True))
@@ -180,8 +184,9 @@ def cmd_green(args) -> int:
             print(f"{value:.6f}")
         return 0
     seq = parse_sequence(args.seq)
-    radius = _resolve_radius(seq, args.radius, args.n)
-    gv = green_nonauto(seq, z, args.n, radius, tail_bound=args.tail_bound)
+    n = 64 if args.n is None else args.n
+    radius = _resolve_radius(seq, args.radius, n)
+    gv = green_nonauto(seq, z, n, radius, tail_bound=args.tail_bound)
     if args.json:
         print(json.dumps({
             "value": gv.value,  # JSON has no inf: an absent bound is null
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None)
     p.add_argument("--seq", default=None)
     p.add_argument("--z", required=True, help="re or re,im")
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=int, default=None, help="composition depth for --seq (default 64)")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--tail-bound", type=float, default=None,
                    help="tail constant enabling the truncation term; a value from "

@@ -11,8 +11,11 @@ step (_finish).  orbit_bounded and green_nonauto step one point in Python
 (poly._evaluate), the tests' reference; escape_steps and green_field step
 arrays (_advance), and Preimage.green runs one step and _finish.  The vector
 engines carry their points through every step in fixed chunks that fit a
-core's L2 cache.  With real
-coefficients no result depends on the chunking or on render's thread bands.
+core's L2 cache.  For a periodic sequence escape_steps retires a lane once it
+enters disks certified about an attracting cycle of the period map (_trap):
+its escape step 0 is exact, since its float orbit provably never leaves
+them.  With real coefficients no result depends on the chunking or on
+render's thread bands.
 With complex ones numpy rounds a product in a one-point chunk differently
 from a wider chunk: a value may move by a few units of rounding,
 EPS (1 + value), always inside green_nonauto's error bound, and an escape
@@ -633,6 +636,109 @@ def _engine_points(points, escape_radius: float):
     return _flat_finite(src), src.shape
 
 
+_TRAP_PERIODS, _TRAP_CYCLE, _SETTLE = 64, 8, 1e-9
+
+
+def _trap(seq: PolySequence, escape_radius: float):
+    """(centres, radii) of the disks escape_steps tests after each period, or
+    None if none is certified or they reach escape_radius.  _cycle_disks runs
+    once per sequence and is kept on it; bands racing to it store equal values."""
+    if "_trap" not in vars(seq):
+        seq._trap = _cycle_disks(seq)
+    trap = seq._trap
+    return trap[:2] if trap is not None and trap[2] < escape_radius else None
+
+
+def _cycle_disks(seq: PolySequence):
+    """(centres, radii, reach) of disks D_t = D(c_t, rho_t) about an attracting
+    cycle of F = p_P o ... o p_1, certified to hold _advance's float orbits, or None.
+
+    Search (a heuristic): the critical points of p_1, which are critical points
+    of F, run _TRAP_PERIODS periods in complex128; one settles once F**m, m <=
+    _TRAP_CYCLE, moves it by at most _SETTLE (1 + |z|).  Certificate: for p the
+    map after phase t and b_i its Taylor coefficients at c_t, p(D_t) lies within
+    |b_0 - c_(t+1)| + sum_{i>=1} |b_i| rho_t**i of c_(t+1); rho_(t+1) adds
+    margin_t = 16 (d+1) EPS S, S = sum |a_i| (|c_t| + rho_t)**i, and the chain
+    closes if rho_L <= rho_0.  With a complex product x y off by at most
+    1.5 EPS |x y| and a sum by 0.5 EPS |x + y|, _advance's d+1 multiply-adds
+    (w*w and *w of the parity split included) err by 2 (d+1) EPS S (Higham
+    5.1), the Taylor shift by 2 d EPS S, and the positive sums S, sum |b_i|
+    rho**i and rho_(t+1) by (4.5 d + 3) EPS S: under 9 (d+1) EPS S in all.
+    Each disk keeps |c_t| - rho_t >= 2 BAND_LOW and each step scale2 = 0, so
+    such an orbit stays a band double (e = 0); reach bounds np.abs on the
+    disks.  The phase-0 radii are rho_t (1 - 4 EPS): a float |w - c_t| at most
+    that puts w in D_t.
+    """
+    P = seq.period
+    polys = [seq.get(k) for k in range(1, P + 1)] if P else []
+    if not polys or any(p.scale2 for p in polys):
+        return None
+    with np.errstate(all="ignore"):
+        slope = polys[0].meta.coeffs[1:] * np.arange(1, polys[0].degree + 1)
+        if not np.isfinite(slope).all():
+            return None
+        orbit = [np.roots(slope[::-1]).astype(np.complex128)]
+        for _ in range(_TRAP_PERIODS):
+            z = orbit[-1]
+            for p in polys:
+                z = _horner(p.meta.coeffs, z)
+            orbit.append(z)
+        for s, top in enumerate(z):
+            m = next((m for m in range(1, _TRAP_CYCLE + 1) if np.isfinite(top)
+                      and abs(top - orbit[-1 - m][s]) <= _SETTLE * (1 + abs(top))), None)
+            if m is None:
+                continue
+            centres, w = [], z[s:s + 1]
+            for t in range(m * P):
+                centres.append(complex(w[0]))
+                w = _horner(polys[t % P].meta.coeffs, w)
+            try:
+                radii = _close_chain(polys, centres)
+            except OverflowError:  # abs() of a complex past double range
+                continue
+            if radii is not None:
+                reach = max((abs(c) + r) * (1 + 8 * EPS) for c, r in zip(centres, radii))
+                return np.array(centres[::P]), np.array(radii[::P]) * (1 - 4 * EPS), reach
+    return None
+
+
+def _close_chain(polys, centres):
+    """Radii rho_t of a certified chain about the cycle (_cycle_disks), rho_0
+    near the largest that closes, or None."""
+    L, P = len(centres), len(polys)
+    taylor = []
+    for t, c in enumerate(centres):
+        b = list(polys[t % P].coeffs)
+        for i in range(len(b) - 1):
+            for j in range(len(b) - 2, i - 1, -1):
+                b[j] += c * b[j + 1]
+        taylor.append(b)
+
+    def chain(rho):
+        radii = []
+        for t, (c, b) in enumerate(zip(centres, taylor)):
+            if abs(c) - rho * (1 + 8 * EPS) < 2 * BAND_LOW:
+                return None
+            radii.append(rho)
+            s = img = 0.0
+            for a in polys[t % P].coeffs[::-1]:
+                s = s * (abs(c) + rho) + abs(a)
+            for bi in b[:0:-1]:
+                img = (img + abs(bi)) * rho
+            rho = abs(b[0] - centres[(t + 1) % L]) + img + 16 * len(b) * EPS * s
+        return radii if rho <= radii[0] else None
+
+    lo = abs(centres[0])
+    while not chain(lo := 0.5 * lo):  # halve to a closing radius, then bisect upward
+        if not lo > 1e-3 * EPS * abs(centres[0]):
+            return None
+    hi = 2 * lo
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if chain(mid) else (lo, mid)
+    return chain(lo)
+
+
 def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) -> np.ndarray:
     """First escape step per point (0 = still bounded after n_steps).
 
@@ -642,10 +748,15 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
     is built only when a point of the chunk reaches it; a point's result
     depends neither on the chunking nor on which other points (or thread
     band) it comes with, except where the chunk-dependent rounding described
-    under green_field moves an orbit value across the escape radius.
+    under green_field moves an orbit value across the escape radius.  For a
+    periodic sequence with a certified trap (_trap), a band lane found in a
+    trap disk after a whole number of periods is retired with step 0: its
+    float orbit provably stays in the disks, inside the escape radius, so
+    the full loop would give it 0 too.
     """
     pts, shape = _engine_points(points, escape_radius)
     log2_r = math.log2(escape_radius)
+    trap = _trap(seq, escape_radius)
     steps = np.zeros(pts.size, np.int32)
     for lo in range(0, pts.size, _CHUNK):
         out, w = steps[lo:lo + _CHUNK], pts[lo:lo + _CHUNK].copy()
@@ -654,10 +765,12 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
             if idx.size == 0:
                 break
             w, e, a = _advance(seq.get(k).meta, w, e)
-            esc = _beyond(a, e, escape_radius, log2_r)
-            if esc.any():
+            esc = drop = _beyond(a, e, escape_radius, log2_r)
+            if trap is not None and k % seq.period == 0:
+                drop = esc | ((e == 0) & (np.abs(w[:, None] - trap[0]) <= trap[1]).any(axis=1))
+            if drop.any():
                 out[idx[esc]] = k
-                keep = ~esc
+                keep = ~drop
                 idx, w, e = idx[keep], w[keep], e[keep]
     return steps.reshape(shape)
 

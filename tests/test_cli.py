@@ -80,6 +80,19 @@ class TestPointCommands:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("argv, flags", [
+        (("--tail-bound", "5", "--n", "7", "--radius", "3"), "--n, --radius, --tail-bound"),
+        (("--radius", "nan"), "--radius")], ids=["three", "nan radius"])
+    def test_green_model_refuses_sequence_flags(self, capsys, argv, flags):
+        # both exited 0 and printed 1.316958, the flags silently unused
+        code, out, err = run(capsys, "green", "--model", "segment", "--z", "2", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: only --seq takes {flags}\n"
+
+    def test_green_sequence_depth_defaults_to_64(self, capsys):
+        code, out, _ = run(capsys, "green", "--seq", "power:2", "--z", "0.5", "--json")
+        assert code == 0 and json.loads(out)["n"] == 64
+
     def test_green_without_a_verified_radius_exits_3(self, capsys):
         code, out, err = run(capsys, "green", "--seq", "two-pow-neg-n-sq", "--z", "1",
                              "--n", "40")

@@ -11,14 +11,16 @@ green_nonauto's error_bound of both the exact potential and green_nonauto.
 """
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from nonauto import builtin, custom_sequence, polynomial
+from nonauto import builtin, custom_sequence, green, polynomial
 from nonauto.green import (Disk, Ellipse, Segment, escape_steps, green_field, green_nonauto,
                            orbit_bounded)
 from nonauto.poly import EPS, ScaledComplex, evaluate_scaled, monomial
+from nonauto.render import RasterSpec, raster_membership
 from nonauto.sequences import escape_radius_search
 
 mpmath = pytest.importorskip("mpmath")
@@ -203,3 +205,103 @@ class TestDegreeAboveDoubleExponentRange:
             gv = green_nonauto(seq, complex(z), 3, 2.0)
             assert abs(gv.value - max(0.0, math.log(abs(z)))) <= gv.error_bound
             assert abs(v - gv.value) <= gv.error_bound
+
+
+# The bench's cli_custom cycle: z^2 + c1, z^3 + b z + c2, z^4 + a z^2 + c3
+BASE_CYCLE = [polynomial(-0.12 + 0.35j, 0, 1),
+              polynomial(0.05 - 0.2j, 0.15 + 0.1j, 0, 1),
+              polynomial(0.1 + 0.1j, 0, -0.2 + 0.05j, 0, 1)]
+
+
+def grid(width=120, height=80):
+    xs, ys = np.linspace(-1.5, 1.5, width), np.linspace(-1.0, 1.0, height)
+    return xs[None, :] + 1j * ys[:, None]
+
+
+def unrolled(seq, n):
+    """The same maps p_1..p_n as a sequence with no period, hence no trap."""
+    return custom_sequence([seq.get(k) for k in range(1, n + 1)], repeat="none")
+
+
+def jittered_cycle(rng, period):
+    """period maps of degrees 2 to 4, each near the base cycle's map of its degree."""
+    def near(c):
+        return c + complex(*rng.uniform(-0.02, 0.02, 2)) if c else 0j
+    return custom_sequence([polynomial(*(near(c) for c in base.coeffs[:-1]), 1)
+                            for base in rng.choice(BASE_CYCLE, period)])
+
+
+class TestCycleTraps:
+    """escape_steps retires lanes in a certified attracting-cycle trap with step 0;
+    the unrolled sequence, which has no period, runs every orbit in full."""
+
+    def test_base_cycle_is_trapped(self):
+        seq = custom_sequence(BASE_CYCLE)
+        assert green._trap(seq, escape_radius_search(seq, 4)) is not None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_cycles_match_the_unrolled_orbits(self, seed):
+        rng = np.random.default_rng(seed)
+        seq = jittered_cycle(rng, 1 + seed % 3)
+        radius = escape_radius_search(seq, seq.period + 1)
+        pts = grid()
+        got = escape_steps(seq, pts, 500, radius)
+        assert np.array_equal(got, escape_steps(unrolled(seq, 500), pts, 500, radius))
+
+    @pytest.mark.parametrize("c, m", [(-1.1 + 0.05j, 2), (-0.1 + 0.75j, 3), (-1.3, 4)])
+    def test_cycles_of_several_periods_match_the_unrolled_orbits(self, c, m):
+        # z^2 + c has an attracting m-cycle: one trap disk per point of it
+        seq = custom_sequence([polynomial(c, 0, 1)])
+        radius = escape_radius_search(seq, 2)
+        assert len(green._trap(seq, radius)[0]) == m
+        pts = grid()
+        got = escape_steps(seq, pts, 500, radius)
+        assert np.array_equal(got, escape_steps(unrolled(seq, 500), pts, 500, radius))
+
+    def test_trap_disks_hold_their_float_orbits(self, rng):
+        # points spread over each phase-0 disk stay in the disks, period after period
+        seq = custom_sequence(BASE_CYCLE)
+        centres, radii = green._trap(seq, 2.0)
+        for c, r in zip(centres, radii):
+            w = c + r * np.sqrt(rng.uniform(0, 1, 4000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4000))
+            w[:8] = c + r * np.exp(2j * np.pi * np.arange(8) / 8)
+            e = np.zeros(w.size)
+            for _ in range(50):
+                for k in range(1, seq.period + 1):
+                    w, e, a = green._advance(seq.get(k).meta, w, e)
+                    assert not e.any() and (a < 2.0).all()
+                assert (np.abs(w[:, None] - centres) <= radii).any(axis=1).all()
+
+    @pytest.mark.parametrize("seq, radius", [
+        (custom_sequence([polynomial(0.25, 0, 1)]), None),           # multiplier 1
+        (custom_sequence([polynomial(10, 0, 1)]), None),             # no bounded orbit
+        (custom_sequence([polynomial(0.05, 0, 0.5, scale2=1)]), 2.0),  # z^2 + 0.1, scale2 = 1
+        (custom_sequence([monomial(2), polynomial(0, 0, 0, 1)]), None),  # cycle at 0
+        (custom_sequence([polynomial(0.2, 0, 1)]), 0.3),             # disk passes R
+    ], ids=["parabolic", "escaping", "scale2", "zero", "radius"])
+    def test_untrapped_cycles_run_the_full_orbit(self, seq, radius):
+        radius = radius or escape_radius_search(seq, seq.period + 1)
+        assert green._trap(seq, radius) is None
+        pts = grid()
+        got = escape_steps(seq, pts, 300, radius)
+        assert np.array_equal(got, escape_steps(unrolled(seq, 300), pts, 300, radius))
+
+    def test_radius_is_what_refuses_the_near_trap(self):
+        seq = custom_sequence([polynomial(0.2, 0, 1)])
+        assert green._trap(seq, 0.3) is None and green._trap(seq, 2.0) is not None
+
+    def test_thread_bands_share_the_cached_trap(self):
+        # each fresh sequence certifies its trap inside the first band to reach it;
+        # bands racing to certify store the same value
+        spec = RasterSpec(-1.5, 1.5, -1, 1, 90, 60, 400, 2.0)
+        one = raster_membership(custom_sequence(BASE_CYCLE), spec, threads=1).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 4):
+                seq = custom_sequence(BASE_CYCLE)
+                assert np.array_equal(raster_membership(seq, spec, threads=threads).values, one)
+                assert green._trap(seq, 2.0) is not None
+        finally:
+            sys.setswitchinterval(interval)
+        assert (one == 0).any()

@@ -95,6 +95,12 @@ class TestCustomSequences:
         seq = custom_sequence([polynomial(-1, 0, 1), polynomial(0, 0, 0, 1)])
         assert seq.get(3).coeffs == seq.get(1).coeffs
 
+    def test_period(self):
+        polys = [polynomial(-1, 0, 1), polynomial(0, 0, 0, 1)]
+        assert custom_sequence(polys).period == 2
+        assert custom_sequence(polys, repeat="none").period is None
+        assert builtin("power", 2).period is None and builtin("minimal_chebyshev").period is None
+
     def test_json_round_trip(self, tmp_path):
         doc = {"polynomials": [[[ -1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]], "repeat": "cycle"}
         path = tmp_path / "seq.json"
