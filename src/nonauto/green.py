@@ -11,11 +11,12 @@ step (_finish).  orbit_bounded and green_nonauto step one point in Python
 (poly._evaluate), the tests' reference; escape_steps and green_field step
 arrays (_advance), and Preimage.green runs one step and _finish.  The vector
 engines carry their points through every step in fixed chunks that fit a
-core's L2 cache.  For a periodic sequence escape_steps retires a lane once it
-enters disks certified about an attracting cycle of the period map (_trap):
-its escape step 0 is exact, since its float orbit provably never leaves
-them.  With real coefficients no result depends on the chunking or on
-render's thread bands.
+core's L2 cache.  For a periodic sequence both retire a lane found after a
+whole period in disks certified about an attracting cycle of the period map
+(_trap, _held): its escape step 0 is exact, since its float orbit provably
+never leaves them, and so is green_field's value +0.0, which it takes only
+for a Disk target whose green is provably 0 on them.  With real coefficients
+no result depends on the chunking or on render's thread bands.
 With complex ones numpy rounds a product in a one-point chunk differently
 from a wider chunk: a value may move by a few units of rounding,
 EPS (1 + value), always inside green_nonauto's error bound, and an escape
@@ -627,9 +628,11 @@ def _finish(target: ModelSet, w: np.ndarray, e: np.ndarray, a: np.ndarray, inv_d
     return values, w, far
 
 
-def _engine_points(points, escape_radius: float):
+def _engine_points(points, n_steps: int, escape_radius: float):
     """(flat points, shape) after the vector engines' checks, which come before
-    any step is built: the radius is positive and every point finite."""
+    any step is built: at least one step, the radius positive, every point finite."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     if not escape_radius > 0:
         raise ValueError("escape radius must be positive")
     src = np.asarray(points, dtype=np.complex128)
@@ -639,14 +642,26 @@ def _engine_points(points, escape_radius: float):
 _TRAP_PERIODS, _TRAP_CYCLE, _SETTLE = 64, 8, 1e-9
 
 
-def _trap(seq: PolySequence, escape_radius: float):
-    """(centres, radii) of the disks escape_steps tests after each period, or
-    None if none is certified or they reach escape_radius.  _cycle_disks runs
-    once per sequence and is kept on it; bands racing to it store equal values."""
+def _trap(seq: PolySequence, escape_radius: float, target: ModelSet | None = None):
+    """(centres, radii) of the disks the engines test after each period, or None
+    if none is certified, they reach escape_radius, or a given target's green is
+    not provably 0 on them: Disk(a, r) needs |a| + reach <= r, with 8 EPS spare
+    for Disk.green's rounding of w - a, np.abs and the division.  _cycle_disks
+    runs once per sequence and is kept on it; racing bands store equal values."""
     if "_trap" not in vars(seq):
         seq._trap = _cycle_disks(seq)
     trap = seq._trap
-    return trap[:2] if trap is not None and trap[2] < escape_radius else None
+    if trap is None or not trap[2] < escape_radius:
+        return None
+    zero = target is None or isinstance(target, Disk) and (
+        abs(target.center) + trap[2]) * (1 + 8 * EPS) <= target.radius
+    return trap[:2] if zero else None
+
+
+def _held(trap, w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Lanes that a whole number of periods has left in a trap disk (band doubles
+    within a phase-0 radius): their float orbits stay in the disks."""
+    return (e == 0) & (np.abs(w[:, None] - trap[0]) <= trap[1]).any(axis=1)
 
 
 def _cycle_disks(seq: PolySequence):
@@ -754,7 +769,7 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
     float orbit provably stays in the disks, inside the escape radius, so
     the full loop would give it 0 too.
     """
-    pts, shape = _engine_points(points, escape_radius)
+    pts, shape = _engine_points(points, n_steps, escape_radius)
     log2_r = math.log2(escape_radius)
     trap = _trap(seq, escape_radius)
     steps = np.zeros(pts.size, np.int32)
@@ -767,7 +782,7 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
             w, e, a = _advance(seq.get(k).meta, w, e)
             esc = drop = _beyond(a, e, escape_radius, log2_r)
             if trap is not None and k % seq.period == 0:
-                drop = esc | ((e == 0) & (np.abs(w[:, None] - trap[0]) <= trap[1]).any(axis=1))
+                drop = esc | _held(trap, w, e)
             if drop.any():
                 out[idx[esc]] = k
                 keep = ~drop
@@ -789,10 +804,19 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
     escaped point leaves the orbit, and its value is written at once, once
     the terms that the update log|w_k| = log|lead_k| + d_k log|w_(k-1)| drops
     are below rounding for every remaining step: log|w|/D_(k-1), plus the
-    updates of steps k..N summed in advance, plus robin/D_N.  final_w holds
-    the last complex orbit value where one exists, else nan.
+    updates of steps k..N summed in advance, plus robin/D_N.  A lane held in
+    a trap where the Disk target's green is 0 (_trap, _held) leaves too, with
+    the bits the full loop gives: value +0.0 and its escape step; its final_w
+    is nan.  final_w holds the last complex orbit value where one exists.
     """
-    pts, shape = _engine_points(points, escape_radius)
+    return _field(seq, points, n_steps, escape_radius, target, True)
+
+
+def _field(seq: PolySequence, points, n_steps: int, escape_radius: float, target: ModelSet,
+           trapped: bool):
+    """green_field's chunk loop; held lanes retire only if trapped."""
+    pts, shape = _engine_points(points, n_steps, escape_radius)
+    trap = _trap(seq, escape_radius, target) if trapped else None
     steps_meta = [seq.get(k).meta for k in range(1, n_steps + 1)]
     # log2|w| before step k from which the log update and log|w_N| + robin are exact
     log2_r = math.log2(escape_radius)
@@ -830,5 +854,8 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
             w, e, a = _advance(meta, w, e)
             hit = idx[_beyond(a, e, escape_radius, log2_r)]
             out[hit[out[hit] == 0]] = k
+            if trap is not None and k % seq.period == 0:
+                keep = ~_held(trap, w, e)
+                idx, w, e, a = idx[keep], w[keep], e[keep], a[keep]
         vals[idx], w_out[idx], _ = _finish(target, w, e, a, inv_n, floor)
     return values.reshape(shape), steps.reshape(shape), final_w.reshape(shape)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import ModelSet, UNIT_DISK, escape_steps, green_field
+from .green import ModelSet, UNIT_DISK, _field, escape_steps, green_field
 from .sequences import PolySequence
 
 
@@ -116,14 +116,15 @@ def raster_rect_target(seq: PolySequence, spec: RasterSpec, rect, threads: int =
 
     Pixels escaping the verified radius cannot re-enter a rectangle inside it;
     surviving pixels whose final value misses the rectangle are labeled
-    n_steps.  Covers thin targets a ModelSet cannot express.
+    n_steps.  Covers thin targets a ModelSet cannot express.  Bounded orbits
+    run in full (green_field's loop without its trap) to give a final value.
     """
     x0, x1, y0, y1 = (float(v) for v in rect)
     if not (x0 < x1 and y0 < y1):
         raise ValueError("rectangle must have positive extent")
 
     def worker(grid):
-        _, steps, w = green_field(seq, grid, spec.n_steps, spec.escape_radius)
+        _, steps, w = _field(seq, grid, spec.n_steps, spec.escape_radius, UNIT_DISK, False)
         inside = ((steps == 0)
                   & (w.real >= x0) & (w.real <= x1)
                   & (w.imag >= y0) & (w.imag <= y1))

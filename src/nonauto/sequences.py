@@ -93,6 +93,11 @@ class PolySequence:
     def degree(self, n: int) -> int:
         return self.get(n).degree
 
+    def last_distinct(self, n_max: int) -> int:
+        """The circle checkers' last n, min(n_max, P + 1) for period P: p_(n+P) is
+        p_n, so p_2..p_(P+1) hold every p_n, n >= 2, and its first failure."""
+        return min(n_max, self.period + 1) if self.period else n_max
+
     def ledger(self, n: int) -> DegreeLedger:
         log_d = 0.0
         exact: int | None = 1
@@ -366,7 +371,8 @@ def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> Chec
 
     Sufficient per n: all zeros inside the circle and min |p_n| >= R on it
     (the minimum principle extends the bound to |z| >= R).  margin is
-    min over n of (min circle modulus) / R - 1.
+    min over n of (min circle modulus) / R - 1.  Only n <= seq.last_distinct
+    (n_max) are certified, one period: the report is the same.
     """
     if R <= 1:
         raise ValueError("R must exceed 1")
@@ -375,7 +381,7 @@ def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> Chec
     if m < 64:
         raise ValueError("need at least 64 samples per circle")
     margin = math.inf
-    for n in range(2, n_max + 1):
+    for n in range(2, seq.last_distinct(n_max) + 1):
         p = seq.get(n)
         circle = _Circle(p, R, m)
         try:
@@ -397,7 +403,8 @@ def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> Chec
 def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
                          ceiling: float = 2.0**20) -> float:
     """Smallest grid radius R with min |p_n| >= e*R on the circle and zeros inside,
-    for every 2 <= n <= n_max; beyond it each step grows moduli by a factor e."""
+    for every 2 <= n <= n_max (one period: n <= seq.last_distinct(n_max));
+    beyond it each step grows moduli by a factor e."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     worst = 2
@@ -405,7 +412,7 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
     step = 2.0 ** (1.0 / 16.0)
     while radius <= ceiling:
         ok = True
-        for n in range(2, n_max + 1):
+        for n in range(2, seq.last_distinct(n_max) + 1):
             circle = _Circle(seq.get(n), radius, m)
             if circle.min_log < 1.0 + math.log(radius) or not circle.zeros_contained():
                 ok, worst = False, n
@@ -447,6 +454,8 @@ def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: floa
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     side = max(3, int(math.isqrt(m)))
     xs = np.linspace(-radius, radius, side)
     gx, gy = np.meshgrid(xs, xs)

@@ -172,6 +172,12 @@ class TestCheckCommand:
         assert doc["note"] == "zeros not contained in the disk"
         assert doc["witness"] == {"n": 2, "point": None, "value": 4.0}
 
+    def test_finite_n_max_zero_exits_2(self, capsys):
+        code, out, err = run(capsys, "check", "--seq", "power", "--which", "finite",
+                             "--n-max", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "n_max must be >= 1" in err
+
     def test_fixed_kind_with_degrees_exits_2(self, capsys):
         # n-exp-z2 has no degree 7; the argument was echoed and ignored
         code, out, err = run(capsys, "check", "--seq", "n-exp-z2:7", "--which", "p2",
@@ -195,6 +201,13 @@ class TestTableCommand:
         assert code == 0
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[2]) < 1e-9
+
+    @pytest.mark.parametrize("n_list", ["0", "-1"])
+    def test_depth_below_one_exits_2(self, capsys, n_list):
+        # rows for n = 0 and n = -1 were printed from unstepped points
+        code, out, err = run(capsys, "table", "--seq", "power", "--n-list", n_list)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "n_steps must be >= 1" in err
 
     def test_unbounded_family_withholds_capacity(self, capsys):
         code, out, err = run(capsys, "table", "--seq", "n-pow-n", "--n-list", "1,2,3")

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from nonauto import builtin, custom_sequence, green, polynomial
-from nonauto.green import (Disk, Ellipse, Segment, escape_steps, green_field, green_nonauto,
-                           orbit_bounded)
+from nonauto.green import (UNIT_DISK, Disk, Ellipse, Segment, escape_steps, green_field,
+                           green_nonauto, orbit_bounded)
 from nonauto.poly import EPS, ScaledComplex, evaluate_scaled, monomial
-from nonauto.render import RasterSpec, raster_membership
+from nonauto.klimek import convergence_table
+from nonauto.render import RasterSpec, raster_membership, raster_rect_target
 from nonauto.sequences import escape_radius_search
 
 mpmath = pytest.importorskip("mpmath")
@@ -231,9 +232,19 @@ def jittered_cycle(rng, period):
                             for base in rng.choice(BASE_CYCLE, period)])
 
 
+def same_field(got, want):
+    """green_field results equal bit for bit: values (so +0.0 is not -0.0), steps,
+    and final_w with its nans."""
+    return (np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+            and np.array_equal(got[1], want[1])
+            and np.array_equal(got[2].view(np.int64), want[2].view(np.int64)))
+
+
 class TestCycleTraps:
-    """escape_steps retires lanes in a certified attracting-cycle trap with step 0;
-    the unrolled sequence, which has no period, runs every orbit in full."""
+    """escape_steps and green_field retire lanes in a certified attracting-cycle
+    trap with step 0 (green_field only for a Disk target whose green is 0 on the
+    trap, with value +0.0); the unrolled sequence, which has no period, runs
+    every orbit in full."""
 
     def test_base_cycle_is_trapped(self):
         seq = custom_sequence(BASE_CYCLE)
@@ -247,6 +258,49 @@ class TestCycleTraps:
         pts = grid()
         got = escape_steps(seq, pts, 500, radius)
         assert np.array_equal(got, escape_steps(unrolled(seq, 500), pts, 500, radius))
+
+    @pytest.mark.parametrize("target", [UNIT_DISK, Disk(0.1j, 0.8)], ids=["unit", "off-centre"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_cycles_match_the_unrolled_field(self, seed, target):
+        rng = np.random.default_rng(seed)
+        seq = jittered_cycle(rng, 1 + seed % 3)
+        radius = escape_radius_search(seq, seq.period + 1)
+        assert green._trap(seq, radius, target) is not None
+        pts, flat = grid(), unrolled(seq, 200)
+        got = green_field(seq, pts, 200, radius, target)
+        want = green_field(flat, pts, 200, radius, target)
+        # a retired lane's final_w is nan; the unrolled run has its orbit value
+        held = np.isnan(got[2]) & ~np.isnan(want[2])
+        assert held.any() and (want[1][held] == 0).all()
+        got[2][held] = want[2][held]
+        assert same_field(got, want)
+
+    @pytest.mark.parametrize("target", [Disk(1.5 + 0.5j, 1.0), Disk(0.1 + 0.1j, 0.2),
+                                        Segment(), Ellipse(2.0)],
+                             ids=["disk-off", "disk-small", "segment", "ellipse"])
+    def test_targets_without_a_zero_trap_run_the_full_field(self, target):
+        # a disk that misses the trap, or is too small to hold it, and the
+        # Joukowski sets: nothing retires, so final_w is the unrolled one too
+        seq = custom_sequence(BASE_CYCLE)
+        radius = escape_radius_search(seq, 4)
+        assert green._trap(seq, radius) is not None and green._trap(seq, radius, target) is None
+        pts = grid()
+        assert same_field(green_field(seq, pts, 200, radius, target),
+                          green_field(unrolled(seq, 200), pts, 200, radius, target))
+
+    def test_raster_rect_target_keeps_full_orbits(self):
+        seq = custom_sequence(BASE_CYCLE)
+        spec = RasterSpec(-1.5, 1.5, -1, 1, 90, 60, 200, escape_radius_search(seq, 4))
+        rect = (0.0, 0.1, -0.25, -0.15)  # holds the cycle point of phase 200 % 3
+        got = raster_rect_target(seq, spec, rect).values
+        assert np.array_equal(got, raster_rect_target(unrolled(seq, 200), spec, rect).values)
+        assert (got == 0).any()
+
+    def test_convergence_table_matches_the_unrolled_table(self):
+        seq = custom_sequence(BASE_CYCLE)
+        ns = [1, 3, 4, 6]
+        got = convergence_table(seq, UNIT_DISK, ns, samples=256)
+        assert got == convergence_table(unrolled(seq, 7), UNIT_DISK, ns, samples=256)
 
     @pytest.mark.parametrize("c, m", [(-1.1 + 0.05j, 2), (-0.1 + 0.75j, 3), (-1.3, 4)])
     def test_cycles_of_several_periods_match_the_unrolled_orbits(self, c, m):
@@ -282,9 +336,10 @@ class TestCycleTraps:
     def test_untrapped_cycles_run_the_full_orbit(self, seq, radius):
         radius = radius or escape_radius_search(seq, seq.period + 1)
         assert green._trap(seq, radius) is None
-        pts = grid()
+        pts, flat = grid(), unrolled(seq, 300)
         got = escape_steps(seq, pts, 300, radius)
-        assert np.array_equal(got, escape_steps(unrolled(seq, 300), pts, 300, radius))
+        assert np.array_equal(got, escape_steps(flat, pts, 300, radius))
+        assert same_field(green_field(seq, pts, 300, radius), green_field(flat, pts, 300, radius))
 
     def test_radius_is_what_refuses_the_near_trap(self):
         seq = custom_sequence([polynomial(0.2, 0, 1)])

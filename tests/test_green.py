@@ -247,6 +247,14 @@ class TestOrbits:
         with pytest.raises(ValueError):
             orbit_bounded(min_cheb, complex(np.inf, 0.0), 5, 2.0)
 
+    @pytest.mark.parametrize("n_steps", [0, -2])
+    def test_vector_engines_need_a_step(self, n_steps):
+        # escape_steps read 0 steps as "bounded"; green_field returned the target's green
+        seq = builtin("power", degrees=2)
+        for engine in (escape_steps, green_field):
+            with pytest.raises(ValueError, match="n_steps must be >= 1"):
+                engine(seq, np.array([0.5, 3.0]), n_steps, 2.0)
+
     def test_escape_steps_builds_only_the_steps_a_point_reaches(self):
         # p_2 does not exist: every point escapes at step 1, so it is never asked for
         seq = custom_sequence([monomial(2, 1.0, 10)], repeat="none")

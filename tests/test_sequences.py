@@ -253,6 +253,54 @@ class TestEscapeRadius:
             escape_radius_search(builtin("two_pow_neg_n_sq"), 10, ceiling=4.0)
 
 
+class TestPeriodicCheckers:
+    """A cycled sequence certifies n <= P + 1 only, with the report and radius of
+    its unrolled copy, which has no period and certifies every n."""
+
+    CYCLE = [polynomial(-0.12 + 0.35j, 0, 1),
+             polynomial(0.05 - 0.2j, 0.15 + 0.1j, 0, 1),
+             polynomial(0.1 + 0.1j, 0, -0.2 + 0.05j, 0, 1)]
+
+    @staticmethod
+    def unrolled(seq, n):
+        return custom_sequence([seq.get(k) for k in range(1, n + 1)], repeat="none")
+
+    def test_last_distinct(self):
+        assert custom_sequence(self.CYCLE).last_distinct(1000) == 4
+        assert custom_sequence(self.CYCLE).last_distinct(3) == 3
+        assert custom_sequence(self.CYCLE, repeat="none").last_distinct(3) == 3
+        assert builtin("power", 2).last_distinct(1000) == 1000
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 40])
+    def test_passing_cycle_matches_the_unrolled_copy(self, n_max):
+        seq = custom_sequence(self.CYCLE)
+        flat = self.unrolled(seq, n_max)
+        assert escape_radius_search(seq, n_max) == escape_radius_search(flat, n_max)
+        for R in (1.5, 2.0):
+            assert check_guided(seq, R, n_max) == check_guided(flat, R, n_max)
+
+    @pytest.mark.parametrize("polys, n, note", [
+        ([monomial(2), monomial(2), polynomial(5, 0, 1)], 3, "circle minimum below R"),
+        ([polynomial(5, 0, 1), monomial(2), monomial(3)], 4, "circle minimum below R"),
+        ([polynomial(0, 0, -3, 1), monomial(2)], 3, "zeros not contained in the disk"),
+    ], ids=["p3", "p1-at-4", "zeros-at-3"])
+    def test_failing_cycle_matches_the_unrolled_copy(self, polys, n, note):
+        seq = custom_sequence(polys)
+        got = check_guided(seq, 2.0, 30)
+        assert got == check_guided(self.unrolled(seq, 30), 2.0, 30)
+        assert not got.passed and got.witness.n == n and got.note == note
+        assert got.n_range == (2, 30)
+
+    def test_failing_radius_search_names_the_same_map(self):
+        # p_2 = z**2 fails below R = e; then p_3 = p_1 keeps failing up to the ceiling
+        seq = custom_sequence([polynomial(1e13, 0, 1), monomial(2)])
+        with pytest.raises(SequenceError, match="p_3 keeps failing") as cycled:
+            escape_radius_search(seq, 30)
+        with pytest.raises(SequenceError) as flat:
+            escape_radius_search(self.unrolled(seq, 30), 30)
+        assert str(cycled.value) == str(flat.value)
+
+
 def _two_pass_circle(p, radius, m):
     """(min log|p| on max(m, 8d) samples, its point, zeros-contained thunk),
     sampling the winding count separately on max(m, 16d, 64) points."""
@@ -494,6 +542,11 @@ class TestFiniteCondition:
         # sampled sup approaches log 2 from below at grid resolution
         assert rep.sup <= math.log(2.0) + 1e-12
         assert abs(rep.sup - math.log(2.0)) < 0.01
+
+    def test_n_max_below_one_is_refused(self):
+        # numpy's max over an empty array raised instead
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            check_finite_condition(builtin("power", degrees=2), 0j, 2.0, 0)
 
     def test_values_past_double_range_are_refused(self):
         # 4**600 overflows, and so does 2**-1 4**600: the NaN sup was read as 0 (passed)
