@@ -14,8 +14,7 @@ from .sequences import (CheckReport, DegreeLedger, PolySequence, SequenceError,
                         load_sequence_file)
 from .green import (CapacityEstimate, Disk, Ellipse, GreenValue, ModelSet,
                     Preimage, Segment, UNIT_DISK, capacity_estimate, escape_steps,
-                    green_field, green_nonauto, orbit_bounded,
-                    sublevel_membership)
+                    green_field, green_nonauto, orbit_bounded)
 from .klimek import (ContractionResult, KlimekEstimate, TableRow, contraction_check,
                      convergence_table, gamma_models, gamma_nonauto, table_to_csv,
                      tail_constant)

@@ -71,8 +71,6 @@ def parse_z(text: str) -> complex:
 
 def _resolve_radius(seq: PolySequence, requested: float | None, n_max: int) -> float:
     if requested is not None:
-        if not requested > 0:
-            raise ValueError("escape radius must be positive")
         return requested
     try:
         return escape_radius_search(seq, max(2, n_max))
@@ -121,19 +119,29 @@ def cmd_render(args) -> int:
     return 0
 
 
+# check's per-checker flags: (default, the --which choices that read it)
+_CHECK_FLAGS = {"R": (2.0, ("guided",)), "A": (1.0, ("p2",)), "center": ("0", ("finite",)),
+                "disk_radius": (2.0, ("finite",)), "m": (1024, ("guided", "finite", "escape"))}
+
+
 def cmd_check(args) -> int:
+    given = {k: getattr(args, k) for k in _CHECK_FLAGS if getattr(args, k) is not None}
+    unused = [f"--{k.replace('_', '-')}" for k in given if args.which not in _CHECK_FLAGS[k][1]]
+    if unused:
+        raise ValueError(f"--which {args.which} does not take {', '.join(unused)}")
+    opt = {k: default for k, (default, _) in _CHECK_FLAGS.items()} | given
     seq = parse_sequence(args.seq)
     extra = {"sequence": args.seq, "which": args.which}
     if args.which == "guided":
-        report = check_guided(seq, args.R, args.n_max, m=args.m)
+        report = check_guided(seq, opt["R"], args.n_max, m=opt["m"])
     elif args.which == "p2":
-        report = check_P2(seq, args.A, args.n_max)
+        report = check_P2(seq, opt["A"], args.n_max)
     elif args.which == "finite":
-        center = parse_z(args.center)
-        report = check_finite_condition(seq, center, args.disk_radius, args.n_max, m=args.m)
+        center = parse_z(opt["center"])
+        report = check_finite_condition(seq, center, opt["disk_radius"], args.n_max, m=opt["m"])
     else:  # escape
         try:
-            radius = escape_radius_search(seq, args.n_max, m=args.m)
+            radius = escape_radius_search(seq, args.n_max, m=opt["m"])
         except SequenceError as exc:
             print(json.dumps({"passed": False, "which": "escape", "error": str(exc)},
                              sort_keys=True))
@@ -252,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a sequence checker, report JSON")
     p.add_argument("--seq", required=True)
     p.add_argument("--which", choices=("guided", "p2", "finite", "escape"), required=True)
-    p.add_argument("--R", type=float, default=2.0, help="disk radius for guided")
-    p.add_argument("--A", type=float, default=1.0, help="coefficient bound for p2")
-    p.add_argument("--center", default="0", help="disk center for finite")
-    p.add_argument("--disk-radius", type=float, default=2.0, help="disk radius for finite")
+    p.add_argument("--R", type=float, help="disk radius for guided (default 2)")
+    p.add_argument("--A", type=float, help="coefficient bound for p2 (default 1)")
+    p.add_argument("--center", help="disk center for finite (default 0)")
+    p.add_argument("--disk-radius", type=float, help="disk radius for finite (default 2)")
     p.add_argument("--n-max", type=int, default=100)
-    p.add_argument("--m", type=int, default=1024, help="samples per circle")
+    p.add_argument("--m", type=int, help="samples per circle or grid, not for p2 (default 1024)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("table", help="convergence table (CSV: n,logD,gamma,cap)")

@@ -3,11 +3,11 @@
 Model sets carry exact closed-form potentials (disk, filled Joukowski
 ellipses E_r with the segment [-1,1] as E_1, polynomial preimages of any of
 these).  The non-autonomous potential of a sequence is the normalized escape
-rate (1/(d_1...d_N)) log+ |p_N o ... o p_1|.  The four orbit drivers share the
-lanes' rules: one value carrier (the double in the safe double band, else a
-mantissa and an exponent), one step (double Horner in the band, else the same
-Horner on a rescaled variable), one escape test (_beyond's) and one finishing
-step (_finish).  orbit_bounded and green_nonauto step one point in Python
+rate (1/(d_1...d_N)) log+ |p_N o ... o p_1|.  The four orbit drivers share one
+input check (_engine_points) and the lanes' rules: one value carrier (the
+double in the safe double band, else a mantissa and an exponent), one step
+(double Horner in the band, else the same Horner on a rescaled variable), one
+escape test (_beyond's) and one finishing step (_finish).  orbit_bounded and green_nonauto step one point in Python
 (poly._evaluate), the tests' reference; escape_steps and green_field step
 arrays (_advance), and Preimage.green runs one step and _finish.  The vector
 engines carry their points through every step in fixed chunks that fit a
@@ -34,8 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex, _evaluate,
-                   _is_finite, _ldexp_arr, _log2_moduli, _normalize, _StepMeta, modulus_ratios)
+from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex, _binade,
+                   _evaluate, _is_finite, _ldexp_arr, _log2_moduli, _normalize, _StepMeta,
+                   modulus_ratios)
 from .sequences import DegreeLedger, PolySequence, _horner, circle_points, values_on
 
 
@@ -393,13 +394,6 @@ class Preimage(ModelSet):
 UNIT_DISK = Disk()
 
 
-def sublevel_membership(K: ModelSet, z, eps: float) -> bool:
-    """z lies in the eps-sublevel set {green <= eps} of K."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return bool(K.green(z) <= eps)
-
-
 @dataclass(frozen=True)
 class CapacityEstimate:
     value: float
@@ -424,6 +418,8 @@ def capacity_estimate(g, probe_radii) -> CapacityEstimate:
     radii = [float(r) for r in probe_radii]
     if len(radii) < 2:
         raise ValueError("need at least two probe radii")
+    if not all(0 < r < math.inf for r in radii):
+        raise ValueError("probe radii must be positive and finite")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("probe radii must be increasing")
     gammas = []
@@ -452,15 +448,16 @@ class GreenValue:
             raise ValueError("value and error_bound must be non-negative")
 
 
-def _orbit_start(z, n_steps: int, escape_radius: float):
-    """(w, e, log2 R) to start a scalar orbit at z, after the drivers' checks."""
-    if not escape_radius > 0:
-        raise ValueError("escape radius must be positive")
+def _engine_points(points, n_steps: int, escape_radius: float):
+    """(flat points, shape, log2 R) after the four drivers' one input check, which
+    comes before any step is built: at least one step, R = escape_radius positive
+    and finite, every point finite."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if not _is_finite(complex(z)):
-        raise ValueError("points must be finite")
-    return complex(z), 0, math.log2(escape_radius)
+    if not 0 < escape_radius < math.inf:
+        raise ValueError("escape radius must be positive and finite")
+    src = np.asarray(points, dtype=np.complex128)
+    return _flat_finite(src), src.shape, math.log2(escape_radius)
 
 
 def _escaped(w: complex, e: int, r: float, log2_r: float) -> bool:
@@ -479,7 +476,8 @@ def orbit_bounded(seq: PolySequence, z, n_steps: int, escape_radius: float):
     The scalar twin of escape_steps, on the lanes' rules (poly._evaluate,
     _beyond's test); they agree wherever their roundings do (module docstring).
     """
-    w, e, log2_r = _orbit_start(z, n_steps, escape_radius)
+    w, e = complex(z), 0
+    log2_r = _engine_points(w, n_steps, escape_radius)[2]
     for k in range(1, n_steps + 1):
         w, e, _ = _evaluate(seq.get(k), w, e)
         if _escaped(w, e, escape_radius, log2_r):
@@ -501,7 +499,8 @@ def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
     and 2*tail_bound/D_N when a tail constant is given.  klimek.tail_constant
     is a sampled lower bound, so with it that term rests on a sampled estimate.
     """
-    w, e, log2_r = _orbit_start(z, n_steps, escape_radius)
+    w, e = complex(z), 0
+    log2_r = _engine_points(w, n_steps, escape_radius)[2]
     if tail_bound is not None and not 0 <= tail_bound < math.inf:
         raise ValueError("tail bound must be finite and non-negative")
     d_prod, err, escaped_at = 1, 0.0, None
@@ -557,7 +556,7 @@ def _far_step(meta: _StepMeta, m: np.ndarray, e: np.ndarray):
     shift = np.zeros(m.size)
     bad = ~np.isfinite(h)
     if bad.any():  # coefficients near 1.8e308 overflowed: rerun them scaled by 2**-s
-        s = np.frexp(np.abs(meta.coeffs.view(np.float64)).max())[1]
+        s = _binade(meta.coeffs)
         h[bad] = _far_horner(_ldexp_arr(meta.coeffs, -s), meta.valuation, x[bad], big[bad])
         shift[bad] = s
     lm = k * np.log2(np.abs(m))
@@ -626,17 +625,6 @@ def _finish(target: ModelSet, w: np.ndarray, e: np.ndarray, a: np.ndarray, inv_d
     if near.any():
         values[near] = np.maximum(0.0, np.asarray(target.green(w[near]), dtype=float)) * inv_d
     return values, w, far
-
-
-def _engine_points(points, n_steps: int, escape_radius: float):
-    """(flat points, shape) after the vector engines' checks, which come before
-    any step is built: at least one step, the radius positive, every point finite."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if not escape_radius > 0:
-        raise ValueError("escape radius must be positive")
-    src = np.asarray(points, dtype=np.complex128)
-    return _flat_finite(src), src.shape
 
 
 _TRAP_PERIODS, _TRAP_CYCLE, _SETTLE = 64, 8, 1e-9
@@ -769,8 +757,7 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
     float orbit provably stays in the disks, inside the escape radius, so
     the full loop would give it 0 too.
     """
-    pts, shape = _engine_points(points, n_steps, escape_radius)
-    log2_r = math.log2(escape_radius)
+    pts, shape, log2_r = _engine_points(points, n_steps, escape_radius)
     trap = _trap(seq, escape_radius)
     steps = np.zeros(pts.size, np.int32)
     for lo in range(0, pts.size, _CHUNK):
@@ -807,19 +794,13 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
     updates of steps k..N summed in advance, plus robin/D_N.  A lane held in
     a trap where the Disk target's green is 0 (_trap, _held) leaves too, with
     the bits the full loop gives: value +0.0 and its escape step; its final_w
-    is nan.  final_w holds the last complex orbit value where one exists.
+    is nan; other targets (Segment, say) retire no bounded lane.  final_w
+    holds the last complex orbit value where one exists.
     """
-    return _field(seq, points, n_steps, escape_radius, target, True)
-
-
-def _field(seq: PolySequence, points, n_steps: int, escape_radius: float, target: ModelSet,
-           trapped: bool):
-    """green_field's chunk loop; held lanes retire only if trapped."""
-    pts, shape = _engine_points(points, n_steps, escape_radius)
-    trap = _trap(seq, escape_radius, target) if trapped else None
+    pts, shape, log2_r = _engine_points(points, n_steps, escape_radius)
+    trap = _trap(seq, escape_radius, target)
     steps_meta = [seq.get(k).meta for k in range(1, n_steps + 1)]
     # log2|w| before step k from which the log update and log|w_N| + robin are exact
-    log2_r = math.log2(escape_radius)
     floor = max(log2_r, target._asymptotic_log2)
     entry = np.maximum.accumulate([max(m.log_safe, floor) for m in steps_meta[::-1]])[::-1]
     gate = [2.0 ** x if x < 1024 else math.inf for x in entry]

@@ -229,7 +229,7 @@ def _far(p: Polynomial, m: complex, e: int) -> tuple[complex, int, float]:
     h, s = _horner_abs(coeffs, x)
     shift = 0
     if not (_is_finite(h) and s < math.inf):
-        shift = max(math.frexp(max(abs(c.real), abs(c.imag)))[1] for c in coeffs)
+        shift = _binade(coeffs)
         h, s = _horner_abs([_ldexp_c(c, -shift) for c in coeffs], x)
     # m**k as 2**(k log2|m|) at phase k arg(m), on the normalized value: nothing overflows
     lm = k * math.log2(abs(m))
@@ -238,6 +238,12 @@ def _far(p: Polynomial, m: complex, e: int) -> tuple[complex, int, float]:
     h, he = _split(h, e * k + ik + p.scale2 + shift)
     return (*_carry(h * cmath.rect(2.0 ** (lm - ik), k * cmath.phase(m)), he),
             s / a if a else math.inf)
+
+
+def _binade(coeffs) -> int:
+    """s with the largest coefficient part in [2**(s-1), 2**s): every Horner that
+    overflows on coefficients near 1.8e308 reruns on them scaled by 2**-s."""
+    return int(np.frexp(np.abs(np.asarray(coeffs, dtype=np.complex128).view(np.float64)).max())[1])
 
 
 def compose(p: Polynomial, q: Polynomial) -> Polynomial:

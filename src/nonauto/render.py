@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import ModelSet, UNIT_DISK, _field, escape_steps, green_field
+from .green import ModelSet, Segment, UNIT_DISK, escape_steps, green_field
 from .sequences import PolySequence
 
 
@@ -39,8 +39,8 @@ class RasterSpec:
             raise ValueError("raster dimensions must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if not self.escape_radius > 0:
-            raise ValueError("escape radius must be positive")
+        if not 0 < self.escape_radius < math.inf:
+            raise ValueError("escape radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,10 @@ def raster_membership(seq: PolySequence, spec: RasterSpec, threads: int = 1) -> 
     return Raster(spec, _by_rows(worker, _grid(spec), threads), "membership")
 
 
-def raster_green(source, spec: RasterSpec, target: ModelSet = UNIT_DISK,
+def raster_green(seq: PolySequence, spec: RasterSpec, target: ModelSet = UNIT_DISK,
                  threads: int = 1) -> Raster:
-    """Normalized potential per pixel: a sequence's escape rate, or a model set's
-    closed form when `source` is a ModelSet."""
-    if isinstance(source, ModelSet):
-        worker = lambda g: np.asarray(source.green(g), dtype=float)
-    else:
-        worker = lambda g: green_field(source, g, spec.n_steps, spec.escape_radius, target)[0]
+    """Normalized potential of the sequence toward target per pixel (green_field)."""
+    worker = lambda g: green_field(seq, g, spec.n_steps, spec.escape_radius, target)[0]
     return Raster(spec, _by_rows(worker, _grid(spec), threads), "green")
 
 
@@ -116,15 +112,17 @@ def raster_rect_target(seq: PolySequence, spec: RasterSpec, rect, threads: int =
 
     Pixels escaping the verified radius cannot re-enter a rectangle inside it;
     surviving pixels whose final value misses the rectangle are labeled
-    n_steps.  Covers thin targets a ModelSet cannot express.  Bounded orbits
-    run in full (green_field's loop without its trap) to give a final value.
+    n_steps.  Covers thin targets a ModelSet cannot express.  The rectangle
+    stands in for [-1, 1], so green_field runs toward Segment(): no disk of
+    positive radius lies in a segment, so no trap retires a bounded orbit and
+    every one runs in full to give its final value.
     """
     x0, x1, y0, y1 = (float(v) for v in rect)
     if not (x0 < x1 and y0 < y1):
         raise ValueError("rectangle must have positive extent")
 
     def worker(grid):
-        _, steps, w = _field(seq, grid, spec.n_steps, spec.escape_radius, UNIT_DISK, False)
+        _, steps, w = green_field(seq, grid, spec.n_steps, spec.escape_radius, Segment())
         inside = ((steps == 0)
                   & (w.real >= x0) & (w.real <= x1)
                   & (w.imag >= y0) & (w.imag <= y1))

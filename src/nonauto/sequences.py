@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import (LN2, Polynomial, _ldexp_arr, cauchy_root_bound, chebyshev_minimal,
+from .poly import (LN2, Polynomial, _binade, _ldexp_arr, cauchy_root_bound, chebyshev_minimal,
                    chebyshev_t, modulus_ratios, monomial, polynomial)
 
 _UINT64_MAX = 2**64 - 1
@@ -314,14 +314,13 @@ def log_abs_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
 def _finite_values(p: Polynomial, pts: np.ndarray) -> tuple[np.ndarray, int]:
     """(vals, scale2) with p = 2**scale2 * vals on pts, every value finite: if one of
     values_on's is not, all are evaluated again on the coefficients scaled by 2**-s,
-    s the binade of the largest coefficient part (green._far_step's rule), else refused."""
+    s = poly._binade (the rescale rule of every Horner), else refused."""
     vals = values_on(p, pts)
     if np.isfinite(vals).all():
         return vals, p.scale2
-    cs = np.array(p.coeffs)
-    s = int(np.frexp(np.abs(cs.view(np.float64)).max())[1])
+    s = _binade(p.coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _horner(_ldexp_arr(cs, -s), pts)
+        vals = _horner(_ldexp_arr(np.array(p.coeffs), -s), pts)
     if not np.isfinite(vals).all():
         raise SequenceError("Horner values overflow doubles even on rescaled coefficients")
     return vals, p.scale2 + s

@@ -45,6 +45,19 @@ class TestPointCommands:
         code, out, _ = run(capsys, "green", "--model", "segment", "--z", "1.25")
         assert code == 0 and out.strip() == "0.693147"
 
+    def test_green_segment_json(self, capsys):
+        code, out, _ = run(capsys, "green", "--model", "segment", "--z", "1.25", "--json")
+        assert code == 0
+        assert json.loads(out) == {"value": Segment().green(1.25), "z": [1.25, 0.0]}
+
+    def test_capacity_disk_json(self, capsys):
+        code, out, _ = run(capsys, "capacity", "--model", "disk", "--radii", "2,4,8", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"value", "gamma", "spread"}
+        assert abs(doc["value"] - 1.0) < 1e-12 and abs(doc["gamma"]) < 1e-12
+        assert 0 <= doc["spread"] < 1e-12
+
     def test_capacity_ellipse(self, capsys):
         code, out, _ = run(capsys, "capacity", "--model", "ellipse:2")
         assert code == 0 and out.strip() == "1.000000"
@@ -178,6 +191,32 @@ class TestCheckCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "n_max must be >= 1" in err
 
+    @pytest.mark.parametrize("which, flags", [
+        ("p2", ("--R", "5")),
+        ("escape", ("--R", "9", "--disk-radius", "3")),
+        ("guided", ("--A", "2")),
+        ("guided", ("--center", "1")),
+        ("finite", ("--R", "3")),
+        ("p2", ("--m", "64")),
+        ("escape", ("--A", "1", "--center", "0")),
+    ])
+    def test_flags_the_checker_does_not_read_exit_2(self, capsys, which, flags):
+        # --R with --which p2 was accepted and ignored
+        code, out, err = run(capsys, "check", "--seq", "power", "--which", which, *flags,
+                             "--n-max", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: --which {which} does not take {', '.join(flags[::2])}\n"
+
+    @pytest.mark.parametrize("which, defaults", [
+        ("guided", ("--R", "2", "--m", "1024")),
+        ("p2", ("--A", "1")),
+        ("finite", ("--center", "0", "--disk-radius", "2", "--m", "1024")),
+        ("escape", ("--m", "1024")),
+    ])
+    def test_defaults_given_explicitly_change_nothing(self, capsys, which, defaults):
+        argv = ("check", "--seq", "power:3", "--which", which, "--n-max", "5")
+        assert run(capsys, *argv, *defaults) == run(capsys, *argv)
+
     def test_fixed_kind_with_degrees_exits_2(self, capsys):
         # n-exp-z2 has no degree 7; the argument was echoed and ignored
         code, out, err = run(capsys, "check", "--seq", "n-exp-z2:7", "--which", "p2",
@@ -208,6 +247,14 @@ class TestTableCommand:
         code, out, err = run(capsys, "table", "--seq", "power", "--n-list", n_list)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "n_steps must be >= 1" in err
+
+    def test_out_writes_the_printed_table(self, capsys, tmp_path):
+        argv = ("table", "--seq", "power:2", "--n-list", "1,2", "--samples", "64")
+        code, printed, _ = run(capsys, *argv)
+        path = tmp_path / "table.csv"
+        code_out, out, _ = run(capsys, *argv, "--out", str(path))
+        assert code == code_out == 0 and out == f"{path}\n"
+        assert path.read_text() == printed and printed.startswith("n,logD,gamma,cap\n")
 
     def test_unbounded_family_withholds_capacity(self, capsys):
         code, out, err = run(capsys, "table", "--seq", "n-pow-n", "--n-list", "1,2,3")
@@ -274,6 +321,29 @@ class TestRenderCommand:
             paths.append(out_path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("render", "--seq", "power", "--n", "3", "--size", "4x4", "--radius", "inf"),
+         "escape radius must be positive and finite"),
+        (("render", "--seq", "power", "--n", "0", "--size", "4x4"), "n_steps must be >= 1"),
+        (("--threads", "-1", "render", "--seq", "power", "--n", "3", "--size", "4x4"),
+         "threads must be >= 0"),
+    ], ids=["radius-inf", "n-0", "threads--1"])
+    def test_bad_render_input_exits_2(self, capsys, tmp_path, argv, message):
+        # --radius inf marked every pixel bounded
+        out_path = tmp_path / "x.png"
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_custom_coefficient_exits_2(self, capsys, tmp_path, value):
+        # Python's json reads these words as floats
+        doc = tmp_path / "inf.json"
+        doc.write_text(f'{{"polynomials": [[[0, 0], [{value}, 0], [1, 0]]]}}')
+        code, out, err = run(capsys, "green", "--seq", f"custom:{doc}", "--z", "0.1", "--n", "5")
+        assert code == 2 and out == ""
+        assert err == "error: polynomial 1, coefficient 1 is not finite\n"
+
     def test_io_failure_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "render", "--seq", "power:2", "--n", "5",
                            "--size", "8x8", "--out", str(tmp_path / "no" / "dir.png"))
@@ -292,6 +362,10 @@ class TestNonFiniteInput:
         (("green", "--model", "disk:1.5e308,1.5e308,1", "--z", "1.5e154"), "disk center"),
         (("gamma", "--a", "disk:nan,1", "--b", "segment"), "disk center"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--radius", "nan"), "escape radius"),
+        (("green", "--seq", "power", "--z", "1", "--n", "3", "--radius", "inf", "--json"),
+         "escape radius"),
+        (("capacity", "--model", "disk", "--radii", "0,1"), "probe radii"),
+        (("capacity", "--model", "disk", "--radii=-2,1"), "probe radii"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "nan"), "tail bound"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "-1"), "tail bound"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "inf"), "tail bound"),

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from nonauto.green import (_CHUNK, CapacityEstimate, Disk, Ellipse, GreenValue,
                            Preimage, Segment, UNIT_DISK, capacity_estimate, escape_steps,
-                           green_field, green_nonauto, orbit_bounded,
-                           sublevel_membership)
+                           green_field, green_nonauto, orbit_bounded)
 from nonauto.poly import EPS, Polynomial, compose, evaluate, monomial, polynomial
 from nonauto.sequences import builtin, custom_sequence, escape_radius_search
 
@@ -132,24 +131,24 @@ class TestPreimage:
 
 class TestSublevelAndMazurek:
     def test_disk_sublevel_is_scaled_disk(self):
-        assert sublevel_membership(UNIT_DISK, 1.999, math.log(2))
-        assert not sublevel_membership(UNIT_DISK, 2.001, math.log(2))
+        assert UNIT_DISK.green(1.999) <= math.log(2)
+        assert not UNIT_DISK.green(2.001) <= math.log(2)
 
     def test_segment_sublevel_is_filled_ellipse(self):
         r = 2.0
         eps = math.log(r)
         ell = Ellipse(r)
         inside = 0.5 * (Ellipse(r).semi_major)
-        assert sublevel_membership(SEG, inside, eps)
+        assert SEG.green(inside) <= eps
         on_axis_outside = ell.semi_major + 1e-6
-        assert not sublevel_membership(SEG, on_axis_outside, eps)
+        assert not SEG.green(on_axis_outside) <= eps
         # boundary points agree with ellipse membership
         for z in ellipse_boundary(1.7, 64):
-            assert sublevel_membership(SEG, complex(z), eps) == (ell.green(complex(z)) == 0.0)
+            assert (SEG.green(complex(z)) <= eps) == (ell.green(complex(z)) == 0.0)
 
     def test_points_of_the_set_belong_to_every_sublevel(self):
         for eps in (1e-9, 0.1, 5.0):
-            assert sublevel_membership(SEG, 0.3, eps)
+            assert SEG.green(0.3) <= eps
 
     def test_mazurek_identity_for_disks(self, rng):
         for _ in range(100):
@@ -158,10 +157,6 @@ class TestSublevelAndMazurek:
                 lhs = Disk(0j, r * math.exp(eps)).green(z)
                 rhs = max(0.0, Disk(0j, r).green(z) - eps)
                 assert abs(lhs - rhs) < 1e-12
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            sublevel_membership(SEG, 0.0, 0.0)
 
 
 class TestMonotonicity:
@@ -206,6 +201,12 @@ class TestCapacity:
             capacity_estimate(g, [2.0])
         with pytest.raises(ValueError):
             capacity_estimate(g, [4.0, 3.0])
+
+    @pytest.mark.parametrize("radii", [[0.0, 1.0], [-2.0, 1.0], [1.0, math.inf], [math.nan, 1.0]])
+    def test_probe_radii_must_be_positive_and_finite(self, radii):
+        # a radius of 0 took log(0) and reported spread inf; a negative one was accepted
+        with pytest.raises(ValueError, match="probe radii must be positive and finite"):
+            capacity_estimate(lambda pts: UNIT_DISK.green(pts), radii)
 
 
 class TestOrbits:
@@ -446,10 +447,10 @@ class TestGreenNonauto:
         with pytest.raises(ValueError):
             green_nonauto(min_cheb, 1.0, 5, 0.0)
 
-    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0, math.inf])
     def test_every_driver_rejects_a_bad_escape_radius(self, min_cheb, radius):
         # nan passed an "escape_radius <= 0" test: escape_steps then kept 5 as
-        # bounded while green_field had it escape at step 1
+        # bounded while green_field had it escape at step 1; inf kept every point
         short = custom_sequence([monomial(2)], repeat="none")
         for run in (lambda: orbit_bounded(min_cheb, 5.0, 3, radius),
                     lambda: green_nonauto(min_cheb, 5.0, 3, radius),

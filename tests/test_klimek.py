@@ -7,7 +7,7 @@ from nonauto.green import Disk, Ellipse, Preimage, Segment, UNIT_DISK
 from nonauto.klimek import (contraction_check, convergence_table, gamma_models,
                             gamma_nonauto, table_to_csv, tail_constant)
 from nonauto.poly import monomial, polynomial
-from nonauto.sequences import builtin
+from nonauto.sequences import builtin, escape_radius_search
 
 
 class TestGammaModels:
@@ -104,6 +104,12 @@ class TestGammaNonauto:
             min_cheb, UNIT_DISK, n, n + 1, escape_radius=min_cheb_radius).lower
             for n in range(2, 9)]
         assert max(products) < 10.0
+
+    def test_default_radius_is_the_search_result(self, min_cheb):
+        got = gamma_nonauto(min_cheb, UNIT_DISK, 3, 4, samples=256)
+        want = gamma_nonauto(min_cheb, UNIT_DISK, 3, 4, samples=256,
+                             escape_radius=escape_radius_search(min_cheb, 4))
+        assert got == want and got.lower > 0
 
     def test_index_validation(self, min_cheb, min_cheb_radius):
         with pytest.raises(ValueError):

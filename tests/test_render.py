@@ -31,6 +31,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             RasterSpec(-1, 1, -1, 1, 0, 10, 5, 2.0)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+    def test_bad_escape_radius(self, radius):
+        with pytest.raises(ValueError, match="escape radius"):
+            RasterSpec(-1, 1, -1, 1, 4, 4, 5, radius)
+
     def test_mismatched_matrix(self):
         spec = RasterSpec(-1, 1, -1, 1, 4, 4, 5, 2.0)
         with pytest.raises(ValueError):
@@ -103,19 +108,19 @@ class TestMembership:
 class TestGreenRasters:
     def test_model_disk_field(self):
         spec = RasterSpec(-2, 2, -2, 2, 50, 50, 1, 2.0)
-        raster = raster_green(UNIT_DISK, spec)
         xs, ys = pixel_axes(spec)
         grid = xs[None, :] + 1j * ys[:, None]
+        values = UNIT_DISK.green(grid)
         want = np.maximum(0.0, np.log(np.abs(grid)))
-        assert np.allclose(raster.values, want, atol=1e-14)
+        assert np.allclose(values, want, atol=1e-14)
 
     def test_model_segment_zero_exactly_on_pixels_inside(self):
         spec = RasterSpec(-2, 2, -1, 1, 81, 41, 1, 2.0)
-        raster = raster_green(Segment(), spec)
         xs, ys = pixel_axes(spec)
+        values = Segment().green(xs[None, :] + 1j * ys[:, None])
         row = int(np.argmin(np.abs(ys)))
         inside = np.abs(xs) <= 1.0
-        assert np.all(raster.values[row][inside] == 0.0)
+        assert np.all(values[row][inside] == 0.0)
 
     def test_sequence_field_symmetry(self, min_cheb, min_cheb_radius):
         spec = spec_for(min_cheb_radius, 40)
