@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Convergence diagnostics for the monic Chebyshev sequence.
 
-Prints the per-depth table (successive Klimek distances and capacity
-estimates of the disk preimages) and the sampled distance between the
+Prints the per-depth table (successive Klimek distances and the exact
+capacities of the disk preimages) and the sampled distance between the
 normalized potential and the segment potential for the classical
 (non-monic) composition, which converges to the segment.
 """

@@ -13,8 +13,7 @@ import math
 import sys
 
 from . import klimek, render
-from .green import (Disk, Ellipse, ModelSet, Segment, UNIT_DISK,
-                    capacity_estimate, green_field, green_nonauto)
+from .green import Disk, Ellipse, ModelSet, Segment, green_nonauto
 from .sequences import (BUILTIN_KINDS, CheckReport, PolySequence, SequenceError,
                         builtin, check_finite_condition, check_guided, check_P2,
                         escape_radius_search, load_sequence_file)
@@ -158,14 +157,12 @@ def cmd_table(args) -> int:
     target = parse_model(args.E)
     n_list = [int(v) for v in args.n_list.split(",")]
     radius = _resolve_radius(seq, args.radius, max(n_list) + 1)
-    finite = check_finite_condition(seq, 0j, 2.0, max(16, max(n_list)))
-    with_cap = finite.passed
-    if not with_cap:
-        print("warning: normalized potentials look unbounded on disk(0,2); "
-              "the limit set need not be regular, capacity column withheld",
-              file=sys.stderr)
     rows = klimek.convergence_table(seq, target, n_list, escape_radius=radius,
-                                    samples=args.samples, with_capacity=with_cap)
+                                    samples=args.samples)
+    # sampled to the depth the table builds, which a finite custom sequence covers
+    if not check_finite_condition(seq, 0j, 2.0, max(n_list) + 1).passed:
+        print("warning: normalized potentials look unbounded on disk(0,2); "
+              "the limit set need not be regular", file=sys.stderr)
     text = klimek.table_to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -220,17 +217,10 @@ def cmd_gamma(args) -> int:
 
 def cmd_capacity(args) -> int:
     model = parse_model(args.model)
-    if args.radii:
-        radii = [float(v) for v in args.radii.split(",")]
-    else:
-        base = 2.0 * model.enclosing_radius()
-        radii = [base, 2.0 * base, 4.0 * base]
-    est = capacity_estimate(model.green, radii)
     if args.json:
-        print(json.dumps({"value": est.value, "gamma": est.gamma,
-                          "spread": est.spread}, sort_keys=True))
+        print(json.dumps({"value": model.capacity(), "gamma": model.robin()}, sort_keys=True))
     else:
-        print(f"{est.value:.6f}")
+        print(f"{model.capacity():.6f}")
     return 0
 
 
@@ -297,9 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("capacity", help="logarithmic capacity of a model set")
+    p = sub.add_parser("capacity", help="logarithmic capacity of a model set, from its closed form")
     p.add_argument("--model", required=True)
-    p.add_argument("--radii", default=None, help="probe radii, comma separated")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_capacity)
     return parser

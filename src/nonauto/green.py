@@ -67,7 +67,7 @@ class ModelSet:
         raise NotImplementedError
 
     def capacity(self) -> float:
-        return math.exp(-self.robin())
+        return capacity_of(self.robin())
 
     def enclosing_radius(self) -> float:
         raise NotImplementedError
@@ -96,6 +96,14 @@ class ModelSet:
             mid = 0.5 * (lo + hi)
             lo, hi = (lo, mid) if exact(mid) else (mid, hi)
         return hi if exact(hi) else math.inf
+
+
+def capacity_of(robin: float) -> float:
+    """exp(-robin): the capacity for this Robin constant, inf past double range."""
+    try:
+        return math.exp(-robin)
+    except OverflowError:
+        return math.inf
 
 
 def _joukowski(z):
@@ -414,6 +422,8 @@ def capacity_estimate(g, probe_radii) -> CapacityEstimate:
     g must accept a complex array.  A circle average over m = _CAPACITY_SAMPLES
     points kills every decaying harmonic up to order m, so gamma converges fast
     once the radii clear the set; spread across radii is the convergence diagnostic.
+    The commands print closed forms instead (capacity_of); this stays as the
+    tests' sampled oracle of them, and bench/tracing.py times it.
     """
     radii = [float(r) for r in probe_radii]
     if len(radii) < 2:
@@ -777,6 +787,19 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
     return steps.reshape(shape)
 
 
+def _robin_sums(steps_meta):
+    """(1/D_(k-1), S_(k-1) for k = 1..N; S_N; 1/D_N), S_k = sum_(j<=k) log|lead p_j|/D_j.
+    S_N + robin_E/D_N is the Robin constant of P_N^{-1}(E) (Ransford, Thm 5.3.1)."""
+    inv_d, s_prev = [], []
+    d_prod, s_sum = 1, 0.0
+    for meta in steps_meta:
+        inv_d.append(1 / d_prod)
+        s_prev.append(s_sum)
+        d_prod *= meta.degree
+        s_sum += meta.lead_log * (1 / d_prod)
+    return inv_d, s_prev, s_sum, 1 / d_prod
+
+
 def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 target: ModelSet = UNIT_DISK):
     """(values, escape_steps, final_w): normalized potential over a point set.
@@ -804,16 +827,8 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
     floor = max(log2_r, target._asymptotic_log2)
     entry = np.maximum.accumulate([max(m.log_safe, floor) for m in steps_meta[::-1]])[::-1]
     gate = [2.0 ** x if x < 1024 else math.inf for x in entry]
-    # S_k sums log|lead_j|/D_j over j <= k: a lane entering log mode before step k
-    # takes log|w|/D_(k-1) - S_(k-1) + S_N, every later update at once
-    inv_d, s_prev = [], []
-    d_prod, s_sum = 1, 0.0
-    for meta in steps_meta:
-        inv_d.append(1 / d_prod)
-        s_prev.append(s_sum)
-        d_prod *= meta.degree
-        s_sum += meta.lead_log * (1 / d_prod)
-    inv_n = 1 / d_prod
+    # a lane entering log mode before step k takes log|w|/D_(k-1) - S_(k-1) + S_N
+    inv_d, s_prev, s_sum, inv_n = _robin_sums(steps_meta)
     robin_n = target.robin() * inv_n
     values, steps = np.zeros(pts.size), np.zeros(pts.size, np.int32)
     final_w = np.full(pts.size, complex(np.nan, np.nan))

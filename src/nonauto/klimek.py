@@ -5,7 +5,8 @@ are sampled lower bounds over deterministic nets (set boundaries, coarse
 interiors, and a rectangular fill of the enclosing disk) with the change
 under a 4x refinement reported as the resolution diagnostic; certified upper
 bounds would need derivative information the closed forms do not expose
-uniformly.
+uniformly.  The convergence table's capacities are not sampled: each is the
+closed form exp(-robin) of the step-n preimage set's exact Robin constant.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .green import (ModelSet, Preimage, UNIT_DISK, capacity_estimate,
+from .green import (ModelSet, Preimage, _engine_points, _robin_sums, capacity_of,
                     green_field)
 from .poly import Polynomial
 from .sequences import PolySequence, circle_points, escape_radius_search
@@ -84,16 +85,16 @@ def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
     """
     if n > m:
         raise ValueError("need n <= m")
+    if escape_radius is None:
+        escape_radius = escape_radius_search(seq, max(2, m))
+    _engine_points(0j, n, escape_radius)  # the drivers' input check, n == m too
     if n == m:
         return KlimekEstimate(0.0, 0, 0.0)
-    if escape_radius is None:
-        escape_radius = escape_radius_search(seq, m)
     base = _annulus_net(1.25 * escape_radius, samples)
     fine = _annulus_net(1.25 * escape_radius, 4 * samples)
-    lo = float(np.max(np.abs(green_field(seq, base, n, escape_radius, target)[0]
-                             - green_field(seq, base, m, escape_radius, target)[0])))
-    hi = float(np.max(np.abs(green_field(seq, fine, n, escape_radius, target)[0]
-                             - green_field(seq, fine, m, escape_radius, target)[0])))
+    lo, hi = (float(np.max(np.abs(green_field(seq, net, n, escape_radius, target)[0]
+                                  - green_field(seq, net, m, escape_radius, target)[0])))
+              for net in (base, fine))
     return KlimekEstimate(max(lo, hi), fine.size, abs(hi - lo))
 
 
@@ -142,14 +143,14 @@ class TableRow:
     n: int
     log_d: float
     gamma: float        # sampled distance between steps n and n+1
-    cap: float | None   # capacity estimate of the step-n preimage set
-    cap_spread: float | None
+    cap: float          # exact capacity of the step-n preimage set
+    cap_spread: float = 0.0  # read by bench/workloads.py; cap is exact
 
 
 def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int],
-                      escape_radius: float | None = None, samples: int = 1024,
-                      with_capacity: bool = True) -> list[TableRow]:
-    """Per-step diagnostics: degree ledger, successive distances, capacities."""
+                      escape_radius: float | None = None, samples: int = 1024) -> list[TableRow]:
+    """Per-step diagnostics: degree ledger, successive distances, capacities.  cap is
+    exp(-(S_n + robin_E / D_n)) from _robin_sums, the constant green_field adds."""
     ns = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be increasing")
@@ -157,18 +158,13 @@ def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int]
         raise ValueError("n_list must be non-empty")
     if escape_radius is None:
         escape_radius = escape_radius_search(seq, max(ns) + 1)
-    probes = tuple(f * escape_radius for f in (2.0, 4.0, 8.0))
     rows = []
     for n in ns:
-        led = seq.ledger(n)
         gam = gamma_nonauto(seq, target, n, n + 1,
                             escape_radius=escape_radius, samples=samples)
-        if with_capacity:
-            est = capacity_estimate(
-                lambda pts: green_field(seq, pts, n, escape_radius, target)[0], probes)
-            rows.append(TableRow(n, led.log_d, gam.lower, est.value, est.spread))
-        else:
-            rows.append(TableRow(n, led.log_d, gam.lower, None, None))
+        _, _, s_n, inv_n = _robin_sums([seq.get(k).meta for k in range(1, n + 1)])
+        rows.append(TableRow(n, seq.ledger(n).log_d, gam.lower,
+                             capacity_of(s_n + target.robin() * inv_n)))
     return rows
 
 
@@ -177,6 +173,5 @@ def table_to_csv(rows: Sequence[TableRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "logD", "gamma", "cap"])
     for row in rows:
-        cap = "" if row.cap is None else repr(row.cap)
-        writer.writerow([row.n, repr(row.log_d), repr(row.gamma), cap])
+        writer.writerow([row.n, repr(row.log_d), repr(row.gamma), repr(row.cap)])
     return buf.getvalue()

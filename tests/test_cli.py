@@ -51,12 +51,16 @@ class TestPointCommands:
         assert json.loads(out) == {"value": Segment().green(1.25), "z": [1.25, 0.0]}
 
     def test_capacity_disk_json(self, capsys):
-        code, out, _ = run(capsys, "capacity", "--model", "disk", "--radii", "2,4,8", "--json")
+        code, out, _ = run(capsys, "capacity", "--model", "disk:1,2,3", "--json")
         assert code == 0
-        doc = json.loads(out)
-        assert set(doc) == {"value", "gamma", "spread"}
-        assert abs(doc["value"] - 1.0) < 1e-12 and abs(doc["gamma"]) < 1e-12
-        assert 0 <= doc["spread"] < 1e-12
+        assert json.loads(out) == {"value": 3.0, "gamma": -math.log(3.0)}
+
+    @pytest.mark.parametrize("argv", [("--radii", "0,1"), ("--radii=-2,1",)])
+    def test_capacity_takes_no_probe_radii(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "capacity", "--model", "disk", *argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --radii" in capsys.readouterr().err
 
     def test_capacity_ellipse(self, capsys):
         code, out, _ = run(capsys, "capacity", "--model", "ellipse:2")
@@ -257,11 +261,35 @@ class TestTableCommand:
         assert path.read_text() == printed and printed.startswith("n,logD,gamma,cap\n")
 
     def test_unbounded_family_withholds_capacity(self, capsys):
+        # the warning stays; the column, exact at finite n, is printed anyway
         code, out, err = run(capsys, "table", "--seq", "n-pow-n", "--n-list", "1,2,3")
         assert code == 0
-        assert "capacity column withheld" in err
-        for line in out.strip().splitlines()[1:]:
-            assert line.endswith(",")
+        assert "warning: normalized potentials look unbounded" in err
+        assert "withheld" not in err
+        for n, line in enumerate(out.strip().splitlines()[1:], start=1):
+            robin = sum(k * math.log(k) / math.factorial(k) for k in range(1, n + 1))
+            assert abs(float(line.split(",")[3]) - math.exp(-robin)) <= 1e-15
+
+    @pytest.mark.parametrize("radius", [(), ("--radius", "3")])
+    def test_finite_custom_sequence(self, capsys, tmp_path, radius):
+        # the regularity warning samples only the depth the table builds
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps({"polynomials": [
+            [[0.1, 0], [0, 0], [1, 0]], [[0, 0.1], [0, 0], [1, 0]],
+            [[0.1, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0]]], "repeat": "none"}))
+        code, out, err = run(capsys, "table", "--seq", f"custom:{path}", "--n-list", "1,2",
+                             *radius)
+        assert code == 0 and err == ""
+        assert [line.split(",")[3] for line in out.strip().splitlines()[1:]] == ["1.0", "1.0"]
+
+    def test_capacity_past_double_range_prints_inf(self, capsys, tmp_path):
+        # p_1 = 1e-320 z, then z**2: P_n^{-1}(D) has capacity 1e320, past double range
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"polynomials": [[[0, 0], [1e-320, 0]]]
+                                    + 19 * [[[0, 0], [0, 0], [1, 0]]], "repeat": "none"}))
+        code, out, _ = run(capsys, "table", "--seq", f"custom:{path}", "--n-list", "1,2")
+        assert code == 0
+        assert [line.split(",")[3] for line in out.strip().splitlines()[1:]] == ["inf", "inf"]
 
 
 class TestRenderCommand:
@@ -364,8 +392,6 @@ class TestNonFiniteInput:
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--radius", "nan"), "escape radius"),
         (("green", "--seq", "power", "--z", "1", "--n", "3", "--radius", "inf", "--json"),
          "escape radius"),
-        (("capacity", "--model", "disk", "--radii", "0,1"), "probe radii"),
-        (("capacity", "--model", "disk", "--radii=-2,1"), "probe radii"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "nan"), "tail bound"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "-1"), "tail bound"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "inf"), "tail bound"),

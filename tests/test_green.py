@@ -105,6 +105,10 @@ class TestPreimage:
         assert abs(est.value - 1.0) < 1e-6
         assert abs(pre.capacity() - 1.0) < 1e-15
 
+    def test_capacity_past_double_range_is_inf(self):
+        # the preimage of the unit disk under 1e-320 z is the disk of radius 1e320
+        assert Preimage(UNIT_DISK, polynomial(0, 1e-320)).capacity() == math.inf
+
     def test_lead_with_modulus_past_double_range(self):
         # 1.5e308 (1 + 1j) has finite parts and modulus 2.1e308, which abs() cannot hold
         pre = Preimage(UNIT_DISK, polynomial(0, 0, 1.5e308 * (1 + 1j)))

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nonauto.green import Disk, Ellipse, Preimage, Segment, UNIT_DISK
+from nonauto.green import (Disk, Ellipse, Preimage, Segment, UNIT_DISK, capacity_estimate,
+                           green_field)
 from nonauto.klimek import (contraction_check, convergence_table, gamma_models,
                             gamma_nonauto, table_to_csv, tail_constant)
 from nonauto.poly import monomial, polynomial
-from nonauto.sequences import builtin, escape_radius_search
+from nonauto.sequences import builtin, custom_sequence, escape_radius_search
 
 
 class TestGammaModels:
@@ -91,6 +92,17 @@ class TestGammaNonauto:
         est = gamma_nonauto(min_cheb, UNIT_DISK, 4, 4, escape_radius=min_cheb_radius)
         assert est.lower == 0.0 and est.refine_delta == 0.0
 
+    @pytest.mark.parametrize("n, kwargs", [(0, {}), (0, {"escape_radius": 2.0}),
+                                           (-3, {"escape_radius": math.nan})])
+    def test_same_index_checks_its_inputs(self, n, kwargs):
+        # n == m runs the drivers' input check before it returns a zero distance
+        with pytest.raises(ValueError, match="n_steps must be >= 1|escape radius"):
+            gamma_nonauto(builtin("power"), UNIT_DISK, n, n, **kwargs)
+
+    def test_same_index_one_searches_a_radius(self):
+        est = gamma_nonauto(builtin("power"), UNIT_DISK, 1, 1)
+        assert est.lower == 0.0 and est.refine_delta == 0.0
+
     def test_decay_with_depth(self, min_cheb, min_cheb_radius):
         lows = [gamma_nonauto(min_cheb, UNIT_DISK, n, n + 1,
                               escape_radius=min_cheb_radius).lower
@@ -152,11 +164,47 @@ class TestConvergenceTable:
         assert abs(rows[-1].cap - 0.5) < 1e-4
 
     def test_capacity_column_optional(self, min_cheb, min_cheb_radius):
-        rows = convergence_table(min_cheb, UNIT_DISK, [1, 2], escape_radius=min_cheb_radius,
-                                 with_capacity=False)
-        assert rows[0].cap is None
+        # the column is the exact capacity, a float at every depth
+        rows = convergence_table(min_cheb, UNIT_DISK, [1, 2], escape_radius=min_cheb_radius)
+        assert all(type(r.cap) is float and r.cap_spread == 0.0 for r in rows)
         text = table_to_csv(rows)
-        assert text.strip().splitlines()[1].endswith(",")
+        assert [line.split(",")[3] for line in text.strip().splitlines()[1:]] == ["1.0", "1.0"]
+
+    def test_classical_chebyshev_capacity_closed_form(self, classical_cheb,
+                                                       classical_cheb_radius):
+        # S_n = ln 2 * sum_(k<=n) (k-1)/k! = ln 2 (1 - 1/D_n): cap = 0.5 * 2**(1/D_n)
+        rows = convergence_table(classical_cheb, UNIT_DISK, range(1, 11),
+                                 escape_radius=classical_cheb_radius, samples=64)
+        for row in rows:
+            want = 0.5 * 2.0 ** (1.0 / math.factorial(row.n))
+            assert abs(row.cap - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_capacity_matches_the_sampled_oracle(self, seed):
+        # complex, non-monic leads; probe circles past the escape radius clear
+        # every step-n preimage of the unit disk
+        rng = np.random.default_rng(seed)
+        polys = []
+        for _ in range(5):
+            d = int(rng.integers(2, 4))
+            lower = 0.3 * (rng.normal(size=d) + 1j * rng.normal(size=d))
+            lead = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+            polys.append(polynomial(*lower, lead))
+        seq = custom_sequence(polys)
+        radius = escape_radius_search(seq, 6)
+        rows = convergence_table(seq, UNIT_DISK, range(1, 6), escape_radius=radius, samples=64)
+        for row in rows:
+            est = capacity_estimate(
+                lambda pts: green_field(seq, pts, row.n, radius, UNIT_DISK)[0],
+                [2.0 * radius, 4.0 * radius, 8.0 * radius])
+            assert abs(row.cap - est.value) <= 1e-12 * est.value
+
+    def test_capacity_past_double_range_is_inf(self):
+        # p_1 = 1e-320 z: P_1^{-1}(D) is the disk of radius 1e320
+        seq = custom_sequence([polynomial(0, 1e-320), monomial(2)], repeat="none")
+        rows = convergence_table(seq, UNIT_DISK, [1], escape_radius=2.0, samples=64)
+        assert rows[0].cap == math.inf
+        assert table_to_csv(rows).strip().splitlines()[1].endswith(",inf")
 
     def test_validation(self, min_cheb, min_cheb_radius):
         with pytest.raises(ValueError):
