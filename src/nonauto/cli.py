@@ -159,8 +159,9 @@ def cmd_table(args) -> int:
     radius = _resolve_radius(seq, args.radius, max(n_list) + 1)
     rows = klimek.convergence_table(seq, target, n_list, escape_radius=radius,
                                     samples=args.samples)
-    # sampled to the depth the table builds, which a finite custom sequence covers
-    if not check_finite_condition(seq, 0j, 2.0, max(n_list) + 1).passed:
+    # at least 16 maps, as far as a finite custom sequence goes
+    n_max = min(max(16, max(n_list) + 1), seq.length or math.inf)
+    if not check_finite_condition(seq, 0j, 2.0, n_max).passed:
         print("warning: normalized potentials look unbounded on disk(0,2); "
               "the limit set need not be regular", file=sys.stderr)
     text = klimek.table_to_csv(rows)

@@ -360,11 +360,13 @@ class Preimage(ModelSet):
         = t 2**(-s-dk), with k = -s/d rounded (raised until no a_j 2**((j-d)k)
         passes 2**500 |a_d|), so any s works; underflowing terms are negligible.
         Targets a stride apart in net order (the largest power of two at most
-        n/_ANCHORS) take companion roots (np.roots).  Then, halving the
-        stride, each target starts from the roots of the solved target one
-        stride back, and _newton refines all of a stride's targets at once;
-        a target it does not accept takes companion roots.  Roots that
-        underflow in u are polished by _newton in z itself.
+        n/_ANCHORS) take companion roots.  Then, halving the stride, each
+        target starts from the roots of the solved target one stride back, and
+        _newton refines all of a stride's targets at once; a target it does not
+        accept takes companion roots: np.roots's matrices, a level's stacked in
+        np.linalg.eigvals calls of at most _CHUNK entries (one matrix past it),
+        so np.roots's roots bit for bit (t = a_0 keeps np.roots, which strips
+        the root 0).  Roots that underflow in u are polished by _newton in z.
         """
         c = self.poly.meta.coeffs
         d, s = self.poly.degree, self.poly.scale2
@@ -378,13 +380,20 @@ class Preimage(ModelSet):
         roots = np.empty((n, d), dtype=np.complex128)
 
         def companion(rows):
-            for i in rows:
-                b = scaled[::-1].copy()
-                b[-1] -= taus[i]
-                roots[i] = np.roots(b)
+            step = max(1, _CHUNK // (d * d))  # matrices per eigvals call
+            for at in np.split(rows, range(step, rows.size, step)):
+                b = np.tile(scaled[::-1], (at.size, 1))
+                b[:, -1] -= taus[at]
+                held = b[:, -1] == 0  # t = a_0: np.roots strips the root 0
+                for i, row in zip(at[held], b[held]):
+                    roots[i] = np.roots(row)
+                a = np.zeros((at.size, d, d), dtype=b.dtype)  # np.roots's matrices
+                a[:, 0, :] = -b[:, 1:] / b[:, :1]
+                a[:, np.arange(1, d), np.arange(d - 1)] = 1
+                roots[at[~held]] = np.linalg.eigvals(a[~held])
 
         stride = 1 << max(0, (n // _ANCHORS).bit_length() - 1)
-        companion(range(0, n, stride))
+        companion(np.arange(0, n, stride))
         while stride > 1:
             stride //= 2
             rows = np.arange(stride, n, 2 * stride)

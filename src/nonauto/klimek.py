@@ -6,7 +6,8 @@ interiors, and a rectangular fill of the enclosing disk) with the change
 under a 4x refinement reported as the resolution diagnostic; certified upper
 bounds would need derivative information the closed forms do not expose
 uniformly.  The convergence table's capacities are not sampled: each is the
-closed form exp(-robin) of the step-n preimage set's exact Robin constant.
+closed form exp(-robin) of the step-n preimage set's exact Robin constant;
+its distances build the two annulus nets once and each depth's fields once.
 """
 from __future__ import annotations
 
@@ -76,6 +77,17 @@ def _annulus_net(radius: float, m: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _fields(seq: PolySequence, nets, n: int, escape_radius: float, target: ModelSet):
+    """green_field's values at depth n on each net."""
+    return [green_field(seq, net, n, escape_radius, target)[0] for net in nets]
+
+
+def _distance(nets, at_n, at_m) -> KlimekEstimate:
+    """sup |G_n - G_m| on the base net, refined by the 4x net."""
+    lo, hi = (float(np.max(np.abs(a - b))) for a, b in zip(at_n, at_m))
+    return KlimekEstimate(max(lo, hi), nets[1].size, abs(hi - lo))
+
+
 def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
                   escape_radius: float | None = None, samples: int = 2048) -> KlimekEstimate:
     """Sampled distance between the step-n and step-m preimage sets of `target`.
@@ -90,12 +102,8 @@ def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
     _engine_points(0j, n, escape_radius)  # the drivers' input check, n == m too
     if n == m:
         return KlimekEstimate(0.0, 0, 0.0)
-    base = _annulus_net(1.25 * escape_radius, samples)
-    fine = _annulus_net(1.25 * escape_radius, 4 * samples)
-    lo, hi = (float(np.max(np.abs(green_field(seq, net, n, escape_radius, target)[0]
-                                  - green_field(seq, net, m, escape_radius, target)[0])))
-              for net in (base, fine))
-    return KlimekEstimate(max(lo, hi), fine.size, abs(hi - lo))
+    nets = [_annulus_net(1.25 * escape_radius, k * samples) for k in (1, 4)]
+    return _distance(nets, *(_fields(seq, nets, k, escape_radius, target) for k in (n, m)))
 
 
 _TAIL_SAMPLES = 256  # the m of tail_constant's gamma_models nets
@@ -150,7 +158,8 @@ class TableRow:
 def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int],
                       escape_radius: float | None = None, samples: int = 1024) -> list[TableRow]:
     """Per-step diagnostics: degree ledger, successive distances, capacities.  cap is
-    exp(-(S_n + robin_E / D_n)) from _robin_sums, the constant green_field adds."""
+    exp(-(S_n + robin_E / D_n)) from _robin_sums, the constant green_field adds.
+    gamma is gamma_nonauto(n, n + 1).lower, with each depth's fields computed once."""
     ns = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be increasing")
@@ -158,12 +167,14 @@ def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int]
         raise ValueError("n_list must be non-empty")
     if escape_radius is None:
         escape_radius = escape_radius_search(seq, max(ns) + 1)
-    rows = []
-    for n in ns:
-        gam = gamma_nonauto(seq, target, n, n + 1,
-                            escape_radius=escape_radius, samples=samples)
+    _engine_points(0j, ns[0], escape_radius)  # before any field, as gamma_nonauto
+    nets = [_annulus_net(1.25 * escape_radius, k * samples) for k in (1, 4)]
+    rows, fields = [], {}
+    for n in ns:  # each depth's fields once; only depths n and n + 1 are kept
+        fields = {k: fields.get(k) or _fields(seq, nets, k, escape_radius, target)
+                  for k in (n, n + 1)}
         _, _, s_n, inv_n = _robin_sums([seq.get(k).meta for k in range(1, n + 1)])
-        rows.append(TableRow(n, seq.ledger(n).log_d, gam.lower,
+        rows.append(TableRow(n, seq.ledger(n).log_d, _distance(nets, *fields.values()).lower,
                              capacity_of(s_n + target.robin() * inv_n)))
     return rows
 

@@ -64,13 +64,15 @@ class CheckReport:
 
 class PolySequence:
     """Pure generator n -> p_n with kind tag; each p_n is built once and kept.
-    period is P when p_(n+P) = p_n for every n (a cycled custom list), else None."""
+    period is P when p_(n+P) = p_n for every n (a cycled custom list), else None;
+    length is the last n defined (a "repeat": "none" list), None when unbounded."""
 
     def __init__(self, kind: str, generator: Callable[[int], Polynomial], params: str = "",
-                 period: int | None = None):
+                 period: int | None = None, length: int | None = None):
         self.kind = kind
         self.params = params
         self.period = period
+        self.length = length
         self._generator = generator
         self._cache: dict[int, Polynomial] = {}
 
@@ -217,8 +219,8 @@ def custom_sequence(polys: Sequence[Polynomial], repeat: str = "cycle") -> PolyS
             if n > len(polys):
                 raise SequenceError(f"custom sequence defined only up to n = {len(polys)}")
             return polys[n - 1]
-    return PolySequence("custom", gen, params=f"{len(polys)},{repeat}",
-                        period=len(polys) if repeat == "cycle" else None)
+    period, length = (len(polys), None) if repeat == "cycle" else (None, len(polys))
+    return PolySequence("custom", gen, params=f"{len(polys)},{repeat}", period=period, length=length)
 
 
 def load_sequence_file(path) -> PolySequence:

@@ -270,9 +270,15 @@ class TestTableCommand:
             robin = sum(k * math.log(k) / math.factorial(k) for k in range(1, n + 1))
             assert abs(float(line.split(",")[3]) - math.exp(-robin)) <= 1e-15
 
+    @pytest.mark.parametrize("name", ["minimal-chebyshev", "power", "z2-minus-2-then-powers"])
+    def test_regular_family_at_depth_one_does_not_warn(self, capsys, name):
+        # the warning samples at least 16 maps: p_1 and p_2 alone looked unbounded
+        code, out, err = run(capsys, "table", "--seq", name, "--n-list", "1", "--samples", "64")
+        assert code == 0 and err == "" and out.startswith("n,logD,gamma,cap\n1,")
+
     @pytest.mark.parametrize("radius", [(), ("--radius", "3")])
     def test_finite_custom_sequence(self, capsys, tmp_path, radius):
-        # the regularity warning samples only the depth the table builds
+        # the regularity warning samples no further than the list goes
         path = tmp_path / "four.json"
         path.write_text(json.dumps({"polynomials": [
             [[0.1, 0], [0, 0], [1, 0]], [[0, 0.1], [0, 0], [1, 0]],

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from nonauto import klimek
 from nonauto.green import (Disk, Ellipse, Preimage, Segment, UNIT_DISK, capacity_estimate,
                            green_field)
 from nonauto.klimek import (contraction_check, convergence_table, gamma_models,
                             gamma_nonauto, table_to_csv, tail_constant)
 from nonauto.poly import monomial, polynomial
 from nonauto.sequences import builtin, custom_sequence, escape_radius_search
+from test_engines import BASE_CYCLE
 
 
 class TestGammaModels:
@@ -205,6 +207,30 @@ class TestConvergenceTable:
         rows = convergence_table(seq, UNIT_DISK, [1], escape_radius=2.0, samples=64)
         assert rows[0].cap == math.inf
         assert table_to_csv(rows).strip().splitlines()[1].endswith(",inf")
+
+    @pytest.mark.parametrize("n_list", [range(1, 7), [1, 4, 5, 9]])
+    @pytest.mark.parametrize("name", ["minimal_chebyshev", "base_cycle"])
+    def test_rows_are_gamma_nonauto(self, monkeypatch, name, n_list):
+        # each depth's pair of fields once (depth n + 1 of one row is depth n
+        # of the next), and each row's gamma gamma_nonauto's bit for bit
+        seq = builtin(name) if name == "minimal_chebyshev" else custom_sequence(BASE_CYCLE)
+        radius = escape_radius_search(seq, max(n_list) + 1)
+        depths, field = [], klimek.green_field
+        monkeypatch.setattr(klimek, "green_field", lambda *a: depths.append(a[2]) or field(*a))
+        rows = convergence_table(seq, UNIT_DISK, n_list, escape_radius=radius, samples=256)
+        want = sorted({k for n in n_list for k in (n, n + 1)})
+        assert sorted(depths) == sorted(2 * want)
+        for row in rows:
+            gam = gamma_nonauto(seq, UNIT_DISK, row.n, row.n + 1, radius, 256).lower
+            assert row.gamma.hex() == gam.hex()
+
+    @pytest.mark.parametrize("n_list", [[0], [-1, 2]])
+    def test_depth_below_one_before_any_field(self, monkeypatch, n_list):
+        depths = []
+        monkeypatch.setattr(klimek, "green_field", lambda *a: depths.append(a[2]))
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            convergence_table(builtin("power", 2), UNIT_DISK, n_list, escape_radius=2.0)
+        assert depths == []
 
     def test_validation(self, min_cheb, min_cheb_radius):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from nonauto import builtin, klimek
+from nonauto import green
 from nonauto.green import Disk, Ellipse, Preimage, Segment, UNIT_DISK
 from nonauto.poly import EPS, chebyshev_minimal, chebyshev_t, monomial, polynomial
 from test_green import SEGMENT_DEFECT
@@ -223,11 +224,15 @@ class TestNewtonNets:
         targets = inner.boundary_net(m // 8)
         at = int(np.abs(targets - t).argmin())
         assert abs(targets[at] - t) <= 1e-15 and at % 2 == 1
-        calls, solve = [], np.roots
-        monkeypatch.setattr(np, "roots", lambda b: calls.append(b) or solve(b))
+        # companion rows go to np.linalg.eigvals as stacked matrices whose first
+        # row is -b[1:] / b[0]; a target t = a_0 (Segment's t = 1 here) to np.roots
+        solved, roots, eigvals = [], np.roots, np.linalg.eigvals
+        monkeypatch.setattr(np, "roots", lambda b: solved.append(b[-1] / b[0]) or roots(b))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: solved.extend(-a[:, 0, -1]) or eigvals(a))
         net = Preimage(inner, f).boundary_net(m)
         assert net.size == 8 * targets.size and np.isfinite(net).all()
-        assert any(b[-1] / b[0] == (f.coeffs[0] - targets[at]) / f.coeffs[-1] for b in calls)
+        assert (f.coeffs[0] - targets[at]) / f.coeffs[-1] in solved
         assert set_distance(net, companion_net(f, targets), 8) <= 1e-10
 
     def test_nested_preimage_nets(self):
@@ -242,3 +247,99 @@ class TestNewtonNets:
             assert net.size == 3 * targets.size and np.isfinite(net).all()
             assert set_distance(net, companion_net(g, targets), 3) <= 1e-10
             assert_newton_steps_small(g, targets, net)
+
+
+def pullback_by_rows(self, targets):
+    """Preimage._pullback with one np.roots call per companion row: the
+    reference the stacked eigvals solves must equal bit for bit."""
+    c = self.poly.meta.coeffs
+    d, s = self.poly.degree, self.poly.scale2
+    j, mag = green._log2_moduli(c)
+    lo = np.ceil((mag[:-1] - mag[-1] - 500) / (d - j[:-1])).max(initial=-math.inf)
+    k = int(max(-round(s / d), lo))
+    targets = np.asarray(targets, np.complex128)
+    scaled, taus = green._unit_scaled(green._ldexp_arr(c, (np.arange(d + 1) - d) * k),
+                                      green._ldexp_arr(targets, -s - d * k))
+    n = taus.size
+    roots = np.empty((n, d), dtype=np.complex128)
+
+    def companion(rows):
+        for i in rows:
+            b = scaled[::-1].copy()
+            b[-1] -= taus[i]
+            roots[i] = np.roots(b)
+
+    stride = 1 << max(0, (n // green._ANCHORS).bit_length() - 1)
+    companion(range(0, n, stride))
+    while stride > 1:
+        stride //= 2
+        rows = np.arange(stride, n, 2 * stride)
+        u, ok = green._newton(scaled, taus[rows], roots[rows - stride])
+        roots[rows[ok]] = u[ok]
+        companion(rows[~ok])
+    z = green._ldexp_arr(roots.ravel(), k)
+    tiny = np.flatnonzero(np.abs(roots.ravel()) < green._U_NORMAL)
+    if tiny.size:
+        w, ok = green._newton(*green._unit_scaled(c, green._ldexp_arr(targets[tiny // d], -s)),
+                              z[tiny, None])
+        z[tiny[ok]] = w[ok, 0]
+    return z
+
+
+def random_map(rng, degree):
+    return polynomial(*(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)))
+
+
+class TestStackedCompanionSolves:
+    """Companion rows solved in stacked eigvals calls are np.roots's roots bit for bit."""
+
+    @staticmethod
+    def assert_nets_equal(monkeypatch, pre, m):
+        got = [pre.boundary_net(m), pre.interior_net(m)]
+        with monkeypatch.context() as patch:
+            patch.setattr(Preimage, "_pullback", pullback_by_rows)
+            want = [pre.boundary_net(m), pre.interior_net(m)]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), pre
+
+    @pytest.mark.parametrize("config", sorted(METRIC_NETS))
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_metric_nets(self, monkeypatch, config, m):
+        inner, maps = METRIC_NETS[config]
+        for f in maps:
+            self.assert_nets_equal(monkeypatch, Preimage(inner, f), m)
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_random_complex_maps(self, monkeypatch, degree):
+        rng = np.random.default_rng(degree)
+        for inner in (UNIT_DISK, Disk(0.3 - 0.2j, 1.5), Ellipse(2.0), Segment()):
+            for _ in range(3):
+                self.assert_nets_equal(monkeypatch, Preimage(inner, random_map(rng, degree)), 256)
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_target_equal_to_constant_term(self, monkeypatch, n):
+        # odd T_n has a_0 = 0, and the disk's interior net starts at its center
+        # 0: that row's companion polynomial has the root 0, which np.roots strips
+        f = chebyshev_t(n)
+        assert f.coeffs[0] == 0 and UNIT_DISK.interior_net(64)[0] == 0
+        calls, roots = [], np.roots
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "roots", lambda b: calls.append(b) or roots(b))
+            Preimage(UNIT_DISK, f).interior_net(64 * n)
+        assert any(b[-1] == 0 for b in calls)
+        self.assert_nets_equal(monkeypatch, Preimage(UNIT_DISK, f), 64 * n)
+
+    @pytest.mark.parametrize("degree", [100, 200])
+    def test_stacks_are_capped(self, monkeypatch, degree):
+        # at most _CHUNK matrix entries per call: 3 matrices of degree 100, and
+        # one of degree 200 (40,000 entries, past _CHUNK on its own)
+        pre = Preimage(UNIT_DISK, random_map(np.random.default_rng(7), degree))
+        sizes, eigvals = [], np.linalg.eigvals
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvals", lambda a: sizes.append(a.shape) or eigvals(a))
+            pre.boundary_net(64 * degree)
+        assert sizes and all(shape[1:] == (degree, degree) for shape in sizes)
+        most = max(1, green._CHUNK // degree**2)
+        assert max(shape[0] for shape in sizes) == most
+        assert all(shape[0] * degree**2 <= max(green._CHUNK, degree**2) for shape in sizes)
+        self.assert_nets_equal(monkeypatch, pre, 64 * degree)

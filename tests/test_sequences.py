@@ -101,6 +101,13 @@ class TestCustomSequences:
         assert custom_sequence(polys, repeat="none").period is None
         assert builtin("power", 2).period is None and builtin("minimal_chebyshev").period is None
 
+    def test_length(self):
+        # the last n a finite list defines; None for cycled and builtin sequences
+        polys = [polynomial(-1, 0, 1), polynomial(0, 0, 0, 1)]
+        assert custom_sequence(polys, repeat="none").length == 2
+        assert custom_sequence(polys).length is None
+        assert builtin("power", 2).length is None and builtin("minimal_chebyshev").length is None
+
     def test_json_round_trip(self, tmp_path):
         doc = {"polynomials": [[[ -1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]], "repeat": "cycle"}
         path = tmp_path / "seq.json"
