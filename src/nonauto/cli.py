@@ -197,7 +197,7 @@ def cmd_green(args) -> int:
         print(json.dumps({
             "value": gv.value,  # JSON has no inf: an absent bound is null
             "error_bound": gv.error_bound if math.isfinite(gv.error_bound) else None,
-            "escaped_at": gv.escaped_at, "n": gv.ledger.n,
+            "escaped_at": gv.escaped_at, "n": n,
             "truncation_included": gv.truncation_included,
         }, sort_keys=True))
     else:

@@ -37,7 +37,7 @@ import numpy as np
 from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex, _binade,
                    _evaluate, _is_finite, _ldexp_arr, _log2_moduli, _normalize, _StepMeta,
                    modulus_ratios)
-from .sequences import DegreeLedger, PolySequence, _horner, circle_points, values_on
+from .sequences import PolySequence, _horner, circle_points, values_on
 
 
 def _as_c(z):
@@ -72,8 +72,8 @@ class ModelSet:
     def enclosing_radius(self) -> float:
         raise NotImplementedError
 
-    def robin_offset(self, log_abs_z: float) -> tuple[float, float]:
-        """(robin constant, certified error) of green ~ log|z| + robin at this size."""
+    def robin_error(self, log_abs_z: float) -> float:
+        """Certified error of green ~ log|z| + robin() at |z| = exp(log_abs_z)."""
         raise NotImplementedError
 
     def boundary_net(self, m: int) -> np.ndarray:
@@ -84,11 +84,11 @@ class ModelSet:
 
     @cached_property
     def _asymptotic_log2(self) -> float:
-        """log2|w| (to within 1) from which robin_offset certifies g(w) =
+        """log2|w| (to within 1) from which robin_error certifies g(w) =
         log|w| + robin to within EPS, inf if nowhere below 2**(2**20); kept."""
         def exact(x):
             try:
-                return self.robin_offset(x * LN2)[1] <= EPS
+                return self.robin_error(x * LN2) <= EPS
             except ValueError:
                 return False
         lo, hi = -1100.0, 2.0**20
@@ -169,14 +169,14 @@ class Disk(ModelSet):
     def enclosing_radius(self) -> float:
         return abs(self.center) + self.radius
 
-    def robin_offset(self, log_abs_z):
+    def robin_error(self, log_abs_z):
         a = abs(self.center)
         if a == 0.0:
-            return self.robin(), 0.0
+            return 0.0
         log_2a = LN2 + math.log(a)  # 2a itself overflows past a = 9e307
         if log_abs_z < log_2a:
             raise ValueError("asymptotic potential invalid this close to the disk")
-        return self.robin(), math.exp(log_2a - log_abs_z)
+        return math.exp(log_2a - log_abs_z)
 
     def boundary_net(self, m):
         return self.center + circle_points(self.radius, m)
@@ -215,10 +215,10 @@ class Ellipse(ModelSet):
     def enclosing_radius(self) -> float:
         return self.semi_major
 
-    def robin_offset(self, log_abs_z):
+    def robin_error(self, log_abs_z):
         if log_abs_z < math.log(self.r) + 0.7:
             raise ValueError("asymptotic potential invalid this close to the ellipse")
-        return self.robin(), math.exp(-2.0 * log_abs_z)
+        return math.exp(-2.0 * log_abs_z)
 
     def boundary_net(self, m):
         w = circle_points(self.r, m)
@@ -334,16 +334,15 @@ class Preimage(ModelSet):
                                   self.poly.coeffs[-1])
         return 1.0 + max(top) + ru
 
-    def robin_offset(self, log_abs_z):
+    def robin_error(self, log_abs_z):
         d = self.poly.degree
         ratios = sum(modulus_ratios(self.poly.coeffs[:-1], self.poly.coeffs[-1]))
         sigma = ratios * math.exp(-log_abs_z) if log_abs_z > -700 else math.inf
         if sigma > 0.5:
             raise ValueError("asymptotic potential invalid this close to the preimage set")
         delta = -math.log1p(-sigma)
-        inner_gamma, inner_err = self.inner.robin_offset(
-            d * log_abs_z + self.poly.meta.lead_log - delta)
-        return self.robin(), (inner_err + delta) / d
+        inner_err = self.inner.robin_error(d * log_abs_z + self.poly.meta.lead_log - delta)
+        return (inner_err + delta) / d
 
     def boundary_net(self, m):
         targets = self.inner.boundary_net(max(8, m // max(1, self.poly.degree)))
@@ -365,8 +364,10 @@ class Preimage(ModelSet):
         _newton refines all of a stride's targets at once; a target it does not
         accept takes companion roots: np.roots's matrices, a level's stacked in
         np.linalg.eigvals calls of at most _CHUNK entries (one matrix past it),
-        so np.roots's roots bit for bit (t = a_0 keeps np.roots, which strips
-        the root 0).  Roots that underflow in u are polished by _newton in z.
+        so np.roots's roots bit for bit.  A target t = a_0 2**s keeps np.roots,
+        which strips the root 0, and is solved in z itself: its roots do not
+        depend on s, and there no a_j underflows.  Roots that underflow in u
+        are polished by _newton in z.
         """
         c = self.poly.meta.coeffs
         d, s = self.poly.degree, self.poly.scale2
@@ -378,6 +379,7 @@ class Preimage(ModelSet):
                                     _ldexp_arr(targets, -s - d * k))
         n = taus.size
         roots = np.empty((n, d), dtype=np.complex128)
+        exact = {}  # z-roots of the rows np.roots solves in z itself
 
         def companion(rows):
             step = max(1, _CHUNK // (d * d))  # matrices per eigvals call
@@ -386,7 +388,12 @@ class Preimage(ModelSet):
                 b[:, -1] -= taus[at]
                 held = b[:, -1] == 0  # t = a_0: np.roots strips the root 0
                 for i, row in zip(at[held], b[held]):
-                    roots[i] = np.roots(row)
+                    # the zeros of f - a_0 2**s do not depend on s: solve in z, where
+                    # no a_j underflows
+                    cz, tz = _unit_scaled(c, _ldexp_arr(targets[i:i + 1], -s))
+                    if np.isfinite(tz[0]):  # else t 2**-s is past double range
+                        exact[i] = np.roots(np.append(cz[:0:-1], cz[0] - tz[0])).astype(complex)
+                    roots[i] = _ldexp_arr(exact[i], -k) if i in exact else np.roots(row)
                 a = np.zeros((at.size, d, d), dtype=b.dtype)  # np.roots's matrices
                 a[:, 0, :] = -b[:, 1:] / b[:, :1]
                 a[:, np.arange(1, d), np.arange(d - 1)] = 1
@@ -400,7 +407,10 @@ class Preimage(ModelSet):
             u, ok = _newton(scaled, taus[rows], roots[rows - stride])
             roots[rows[ok]] = u[ok]
             companion(rows[~ok])
-        z = _ldexp_arr(roots.ravel(), k)
+        z = _ldexp_arr(roots, k)
+        for i, zi in exact.items():
+            z[i] = zi
+        z = z.ravel()
         tiny = np.flatnonzero(np.abs(roots.ravel()) < _U_NORMAL)
         if tiny.size:
             w, ok = _newton(*_unit_scaled(c, _ldexp_arr(targets[tiny // d], -s)), z[tiny, None])
@@ -459,7 +469,6 @@ class GreenValue:
     value: float
     error_bound: float
     escaped_at: int | None
-    ledger: DegreeLedger
     truncation_included: bool
 
     def __post_init__(self):
@@ -513,7 +522,7 @@ def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
     (from escape_radius_search / check_guided), and _finish takes the value
     with green_field's floor.  error_bound sums 16 eps d_k / D_k times each
     step's Horner condition number (inf at a computed zero away from 0);
-    robin_offset's error where the asymptotic form is used, 8 eps (g + 1) / D_N
+    target.robin_error where the asymptotic form is used, 8 eps (g + 1) / D_N
     where target.green runs in the band, 1e-200 below it; 4 eps (value + 1);
     and 2*tail_bound/D_N when a tail constant is given.  klimek.tail_constant
     is a sampled lower bound, so with it that term rests on a sampled estimate.
@@ -538,12 +547,12 @@ def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
                              (1 << k) / d_prod, max(log2_r, target._asymptotic_log2))
     value, inv_d = float(values[0]), 1 / d_prod
     if far[0]:
-        robin, robin_err = target.robin_offset(ScaledComplex(w, e).log_abs())
-        err += (robin_err + 8.0 * EPS * abs(robin)) * inv_d + 4.0 * EPS * value
+        robin_err = target.robin_error(ScaledComplex(w, e).log_abs())
+        err += (robin_err + 8.0 * EPS * abs(target.robin())) * inv_d + 4.0 * EPS * value
     else:
         err += 1e-200 if e < 0 else 8.0 * EPS * (value + inv_d)
     err += 4.0 * EPS * (value + 1.0) + (0.0 if tail_bound is None else 2.0 * tail_bound * inv_d)
-    return GreenValue(value, err, escaped_at, seq.ledger(n_steps), tail_bound is not None)
+    return GreenValue(value, err, escaped_at, tail_bound is not None)
 
 
 # --- vectorized orbit engine -------------------------------------------------

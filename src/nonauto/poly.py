@@ -3,13 +3,15 @@
 A polynomial is a tuple of complex coefficients in ascending powers plus an
 optional power-of-two scale, so generators can express leading factors far
 outside double range (think n**2**n) while every stored coefficient stays a
-finite double.  An orbit value of any size is carried as the vector
-engines' lanes carry it: the double itself inside the safe band, else a
-complex mantissa in [1,2) with an unbounded integer base-2 exponent.
-_evaluate steps that carrier by the rule every orbit engine shares, and
-evaluate_scaled is its wrapper on ScaledComplex values.  The array engines
-read a polynomial's step facts from its _StepMeta, built once and kept on
-it; their carrier helpers (_ldexp_arr, _normalize) sit beside _ldexp_c and _split.
+finite double.  Its facts (the array engines' _StepMeta, parity, real, the
+Cauchy root bound) are computed once and kept on it.  An orbit value of any
+size is carried as the vector engines' lanes carry it: the double itself
+inside the safe band, else a complex mantissa in [1,2) with an unbounded
+integer base-2 exponent.  _evaluate steps that carrier by the rule every
+orbit engine shares, and evaluate_scaled is its wrapper on ScaledComplex
+values.  The module builds and evaluates polynomials; it does not compose
+them.  The array carrier helpers (_ldexp_arr, _normalize) sit beside
+_ldexp_c and _split.
 """
 from __future__ import annotations
 
@@ -62,9 +64,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z: complex) -> complex:
-        return evaluate(self, z)
-
     @cached_property
     def meta(self) -> _StepMeta:
         """The step facts the array engines read, built on first use and kept."""
@@ -77,6 +76,16 @@ class Polynomial:
         d = self.degree
         return d % 2 if d == 0 or not any(self.coeffs[d - 1::-2]) else None
 
+    @cached_property
+    def real(self) -> bool:
+        """Every coefficient real; kept."""
+        return not any(c.imag for c in self.coeffs)
+
+    @cached_property
+    def root_bound(self) -> float:
+        """cauchy_root_bound(self), kept: the circle checkers read it on every circle."""
+        return cauchy_root_bound(self)
+
 
 def polynomial(*coeffs, scale2: int = 0) -> Polynomial:
     """Build a polynomial from ascending coefficients, trimming trailing zeros."""
@@ -84,10 +93,6 @@ def polynomial(*coeffs, scale2: int = 0) -> Polynomial:
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
     return Polynomial(tuple(cs), scale2)
-
-
-def identity() -> Polynomial:
-    return Polynomial((0j, 1 + 0j))
 
 
 def monomial(power: int, coefficient: complex = 1.0, scale2: int = 0) -> Polynomial:
@@ -246,33 +251,6 @@ def _binade(coeffs) -> int:
     return int(np.frexp(np.abs(np.asarray(coeffs, dtype=np.complex128).view(np.float64)).max())[1])
 
 
-def compose(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p o q by Horner over polynomial arithmetic; deg = deg p * deg q."""
-    qc = list(q.coeffs)
-    if q.scale2:
-        qc = [_ldexp_c(c, q.scale2) for c in qc]
-    pc = list(p.coeffs)
-    acc = [pc[-1]]
-    for c in reversed(pc[:-1]):
-        acc = _poly_mul(acc, qc)
-        acc[0] += c
-    while len(acc) > 1 and acc[-1] == 0:
-        acc.pop()
-    if any(not _is_finite(c) for c in acc):
-        raise MagnitudeOverflow("composition coefficients overflow doubles")
-    return Polynomial(tuple(acc), p.scale2)
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def _ldexp_c(c: complex, s: int) -> complex:
     try:
         return complex(math.ldexp(c.real, s), math.ldexp(c.imag, s))
@@ -418,13 +396,3 @@ def modulus_ratios(values, lead: complex) -> list[float]:
         except OverflowError:
             out.append(math.inf)
     return out
-
-
-def coeffs_close(p: Polynomial, q: Polynomial, rel: float = 1e-9, floor: float = 1e-12) -> bool:
-    """Coefficient-wise comparison with relative tolerance and absolute floor."""
-    if p.degree != q.degree or p.scale2 != q.scale2:
-        return False
-    for a, b in zip(p.coeffs, q.coeffs):
-        if abs(a - b) > max(floor, rel * max(abs(a), abs(b))):
-            return False
-    return True

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import (LN2, Polynomial, _binade, _ldexp_arr, cauchy_root_bound, chebyshev_minimal,
-                   chebyshev_t, modulus_ratios, monomial, polynomial)
+from .poly import (LN2, Polynomial, _binade, _ldexp_arr, chebyshev_minimal, chebyshev_t,
+                   modulus_ratios, monomial, polynomial)
 
 _UINT64_MAX = 2**64 - 1
 
@@ -67,18 +67,16 @@ class PolySequence:
     period is P when p_(n+P) = p_n for every n (a cycled custom list), else None;
     length is the last n defined (a "repeat": "none" list), None when unbounded."""
 
-    def __init__(self, kind: str, generator: Callable[[int], Polynomial], params: str = "",
+    def __init__(self, kind: str, generator: Callable[[int], Polynomial],
                  period: int | None = None, length: int | None = None):
         self.kind = kind
-        self.params = params
         self.period = period
         self.length = length
         self._generator = generator
         self._cache: dict[int, Polynomial] = {}
 
     def __repr__(self):
-        tail = f":{self.params}" if self.params else ""
-        return f"PolySequence({self.kind}{tail})"
+        return f"PolySequence({self.kind})"
 
     def get(self, n: int) -> Polynomial:
         if n < 1:
@@ -187,15 +185,7 @@ def builtin(kind: str, degrees=None) -> PolySequence:
         raise SequenceError(f"unknown sequence kind {kind!r}")
     make, default = _DEGREE_KINDS[kind]
     dfn = _degree_choice(degrees, default)
-    return PolySequence(kind, lambda n: make(dfn(n)), params=_params_repr(degrees))
-
-
-def _params_repr(degrees) -> str:
-    if degrees is None:
-        return ""
-    if isinstance(degrees, int):
-        return str(degrees)
-    return ",".join(str(d) for d in degrees)
+    return PolySequence(kind, lambda n: make(dfn(n)))
 
 
 def custom_sequence(polys: Sequence[Polynomial], repeat: str = "cycle") -> PolySequence:
@@ -220,7 +210,7 @@ def custom_sequence(polys: Sequence[Polynomial], repeat: str = "cycle") -> PolyS
                 raise SequenceError(f"custom sequence defined only up to n = {len(polys)}")
             return polys[n - 1]
     period, length = (len(polys), None) if repeat == "cycle" else (None, len(polys))
-    return PolySequence("custom", gen, params=f"{len(polys)},{repeat}", period=period, length=length)
+    return PolySequence("custom", gen, period=period, length=length)
 
 
 def load_sequence_file(path) -> PolySequence:
@@ -339,13 +329,15 @@ class _Circle:
     one, which is bit for bit the M-point circle.  When p is real and of one
     parity and 4 | n for the n samples, only points 0..n/4 are evaluated:
     |p| takes its minimum there first, and each quarter turn winds as far.
+    The Cauchy bound and the real and parity facts are read from p, which
+    keeps them, so no circle scans the coefficients.
     """
 
     def __init__(self, p: Polynomial, radius: float, m: int):
         self.p = p
-        shortcut = cauchy_root_bound(p) <= radius
+        shortcut = p.root_bound <= radius
         n = max(m, 8 * p.degree) * (1 if shortcut else 2)
-        self.quarter = n % 4 == 0 and p.parity is not None and not any(c.imag for c in p.coeffs)
+        self.quarter = n % 4 == 0 and p.parity is not None and p.real
         pts = circle_points(radius, n)[:n // 4 + 1 if self.quarter else n]
         vals, scale2 = _finite_values(p, pts)
         self.vals = None if shortcut else vals
@@ -395,7 +387,7 @@ def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> Chec
                                note="circle minimum below R")
         if not circle.zeros_contained():
             return CheckReport(False, (2, n_max), min_ratio - 1.0,
-                               Witness(n, None, float(cauchy_root_bound(p))),
+                               Witness(n, None, p.root_bound),
                                note="zeros not contained in the disk")
         margin = min(margin, min_ratio - 1.0)
     return CheckReport(True, (2, n_max), margin)

@@ -16,7 +16,7 @@ from nonauto.green import (Disk, Ellipse, Segment, UNIT_DISK, capacity_estimate,
                            escape_steps, green_nonauto, orbit_bounded)
 from nonauto.klimek import (contraction_check, convergence_table, gamma_models,
                             tail_constant)
-from nonauto.poly import chebyshev_minimal, chebyshev_t, compose, monomial
+from nonauto.poly import chebyshev_minimal, chebyshev_t, monomial
 from nonauto.render import (RasterSpec, raster_green, raster_membership,
                             raster_rect_target, write_pgm)
 from nonauto.sequences import (builtin, check_finite_condition, check_guided,
@@ -39,7 +39,7 @@ def rel_close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def test_criterion_1_chebyshev_algebra():
+def test_criterion_1_chebyshev_algebra(compose):
     with criterion(1, "chebyshev composition law and exact coefficients, < 1 s"):
         t0 = time.perf_counter()
         for m in range(1, 65):

@@ -110,6 +110,10 @@ class TestPointCommands:
         code, out, _ = run(capsys, "green", "--seq", "power:2", "--z", "0.5", "--json")
         assert code == 0 and json.loads(out)["n"] == 64
 
+    def test_green_sequence_json_reports_the_depth_asked_for(self, capsys):
+        code, out, _ = run(capsys, "green", "--seq", "power", "--z", "2", "--n", "7", "--json")
+        assert code == 0 and json.loads(out)["n"] == 7
+
     def test_green_without_a_verified_radius_exits_3(self, capsys):
         code, out, err = run(capsys, "green", "--seq", "two-pow-neg-n-sq", "--z", "1",
                              "--n", "40")

@@ -140,7 +140,7 @@ class TestDriversAgree:
     def test_disk_far_out_stays_inside_the_bound(self):
         # Disk(1e300, 1) is asymptotic to within EPS only past |w| = 2**1050;
         # above the band the finish takes log|w| + robin, 2.2e-9 off at w = 2.25e308,
-        # and the bound carries robin_offset's error
+        # and the bound carries robin_error's value
         target = Disk(1e300 + 0j, 1.0)
         for z in (1.5e154, 2e154j, 1.4e154 * (1 + 1j)):
             gv = green_nonauto(builtin("power"), z, 1, 2.0, target)

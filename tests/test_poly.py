@@ -7,16 +7,9 @@ from hypothesis import strategies as st
 
 from nonauto.poly import (EPS, MagnitudeOverflow, Polynomial, ScaledComplex,
                           cauchy_root_bound, chebyshev_minimal, chebyshev_t,
-                          coeffs_close, compose, evaluate, evaluate_scaled,
-                          identity, monomial, polynomial)
+                          evaluate, evaluate_scaled, monomial, polynomial)
 
 finite_coeff = st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False)
-
-
-def nonconstant_polys(max_degree=12):
-    return (st.lists(finite_coeff, min_size=2, max_size=max_degree + 1)
-            .map(lambda cs: cs[:-1] + [cs[-1] if abs(cs[-1]) > 1e-6 else 1.0 + 0j])
-            .map(lambda cs: Polynomial(tuple(complex(c) for c in cs))))
 
 
 class TestConstruction:
@@ -51,7 +44,7 @@ class TestEvaluate:
 
     def test_identity(self):
         for w in (0.3 + 0.2j, -5.0, 2j):
-            assert evaluate(identity(), w) == w
+            assert evaluate(polynomial(0, 1), w) == w
 
     def test_minimal_chebyshev_toy_point(self):
         val = evaluate(chebyshev_minimal(2), 0.8j)
@@ -67,7 +60,7 @@ class TestEvaluate:
 
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValueError):
-            evaluate(identity(), complex(float("nan"), 0))
+            evaluate(polynomial(0, 1), complex(float("nan"), 0))
 
 
 class TestEvaluateScaled:
@@ -185,27 +178,8 @@ class TestScaledComplex:
 
 
 class TestCompose:
-    def test_chebyshev_semigroup(self):
-        assert coeffs_close(compose(chebyshev_t(2), chebyshev_t(3)), chebyshev_t(6))
-
-    def test_identity_neutral(self):
-        p = polynomial(1, 2, 3)
-        assert compose(p, identity()).coeffs == p.coeffs
-
-    def test_power_maps(self):
-        assert compose(monomial(2), monomial(3)).coeffs == monomial(6).coeffs
-
-    @given(nonconstant_polys(6), nonconstant_polys(6))
-    def test_degree_multiplies(self, p, q):
-        assert compose(p, q).degree == p.degree * q.degree
-
-    @given(nonconstant_polys(4), nonconstant_polys(4), nonconstant_polys(4))
-    def test_associative(self, p, q, r):
-        left = compose(compose(p, q), r)
-        right = compose(p, compose(q, r))
-        assert left.degree == right.degree
-        for a, b in zip(left.coeffs, right.coeffs):
-            assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+    def test_chebyshev_semigroup(self, compose):
+        assert compose(chebyshev_t(2), chebyshev_t(3)) == chebyshev_t(6)
 
 
 class TestChebyshev:
@@ -227,13 +201,11 @@ class TestChebyshev:
         for n in range(1, 101):
             assert chebyshev_minimal(n).coeffs[-1] == 1.0
 
-    def test_composition_law_up_to_64(self):
+    def test_composition_law_up_to_64(self, compose):
+        # numpy's composition reproduces T_(mk) exactly: the coefficients are integers
         for m in range(1, 65):
-            for k in range(1, 65):
-                if m * k > 64:
-                    continue
-                assert coeffs_close(compose(chebyshev_t(m), chebyshev_t(k)),
-                                    chebyshev_t(m * k)), (m, k)
+            for k in range(1, 64 // m + 1):
+                assert compose(chebyshev_t(m), chebyshev_t(k)) == chebyshev_t(m * k), (m, k)
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -172,6 +172,22 @@ class TestNetsAtAnyScale:
             assert_newton_steps_small(f, UNIT_DISK.boundary_net(max(8, 48 // f.degree)),
                                       pre.boundary_net(48))
 
+    def test_target_at_the_scaled_constant_term(self):
+        # t = 0 = a_0 2**s: f - t is f itself, whose zeros do not depend on s.  In
+        # the rescaled variable (k = 289) every a_j below the lead underflowed,
+        # and this row came back as [-1.33+0.23j, 0.94+0.80j, 0.39-1.02j, 0, 0, 0]
+        f = polynomial(0, 0, 0.5 - 0.4j, 0.2 + 1.7j, 0.3 - 0.4j, 0, -0.5 + 0.8j, scale2=-1732)
+        targets = Segment().boundary_net(max(8, 330 // f.degree))
+        at = int(np.flatnonzero(targets == 0)[0])
+        got = list(Preimage(Segment(), f).boundary_net(330).reshape(-1, f.degree)[at])
+        with mpmath.workdps(DIGITS):  # z**2 (a_2 + a_3 z + ... + a_6 z**4)
+            want = [0j, 0j] + [complex(r) for r in mpmath.polyroots(
+                [mpmath.mpc(c) for c in f.coeffs[:1:-1]], maxsteps=200, extraprec=200)]
+        for r in sorted(want, key=abs):
+            z = min(got, key=lambda z: abs(z - r))
+            assert abs(z - r) <= 1e-12 * abs(r), (r, got)
+            got.remove(z)
+
     def test_small_scale_net_unchanged(self):
         # k = 0: per target, the net is np.roots of f(z) = t as a set, and every
         # point is a root to within rounding

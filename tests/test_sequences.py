@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nonauto import sequences
-from nonauto.poly import (LN2, cauchy_root_bound, chebyshev_minimal, coeffs_close,
-                          evaluate, monomial, polynomial)
+from nonauto import poly, sequences
+from nonauto.poly import (LN2, Polynomial, cauchy_root_bound, chebyshev_minimal, evaluate,
+                          monomial, polynomial)
 from nonauto.sequences import (CheckReport, SequenceError, Witness, _Circle,
                                builtin, check_finite_condition, check_guided, check_P2,
                                circle_points, custom_sequence, escape_radius_search,
@@ -19,7 +20,7 @@ from nonauto.sequences import (CheckReport, SequenceError, Witness, _Circle,
 class TestBuiltins:
     def test_minimal_chebyshev(self):
         seq = builtin("minimal_chebyshev")
-        assert coeffs_close(seq.get(3), chebyshev_minimal(3))
+        assert seq.get(3) == chebyshev_minimal(3)
         assert seq.get(3).coeffs == (0j, -0.75 + 0j, 0j, 1 + 0j)
 
     def test_power_constant(self):
@@ -491,6 +492,19 @@ class TestCircleValues:
         _Circle(p, radius, 64)
         m = max(64, 8 * p.degree) * (1 if cauchy_root_bound(p) <= radius else 2)
         assert sizes == [arc(m)]
+
+    def test_each_map_scans_its_coefficients_once(self, monkeypatch):
+        # the Cauchy bound and the real-coefficient fact are kept on the polynomial:
+        # a radius search and check_guided draw many circles per map, and compute
+        # each map's modulus ratios once between them
+        seen, ratios = [], poly.modulus_ratios
+        monkeypatch.setattr(poly, "modulus_ratios",
+                            lambda values, lead: seen.append(tuple(values)) or ratios(values, lead))
+        maps = [Polynomial(chebyshev_minimal(n).coeffs) for n in range(1, 41)]  # none kept yet
+        seq = custom_sequence(maps, repeat="none")
+        escape_radius_search(seq, 40)
+        assert check_guided(seq, 2.0, 40).passed
+        assert Counter(seen) == Counter(p.coeffs[:-1] for p in maps[1:])
 
     def test_radius_to_depth_600(self, min_cheb):
         assert escape_radius_search(min_cheb, 600) == 3.005203820042822
