@@ -364,22 +364,23 @@ class Preimage(ModelSet):
         _newton refines all of a stride's targets at once; a target it does not
         accept takes companion roots: np.roots's matrices, a level's stacked in
         np.linalg.eigvals calls of at most _CHUNK entries (one matrix past it),
-        so np.roots's roots bit for bit.  A target t = a_0 2**s keeps np.roots,
-        which strips the root 0, and is solved in z itself: its roots do not
-        depend on s, and there no a_j underflows.  Roots that underflow in u
-        are polished by _newton in z.
+        so np.roots's roots bit for bit.  A target equal to a_0 in u keeps
+        np.roots, which strips the root 0; its roots are f's zeros, free of s,
+        so it is solved in z = 2**h v, h = max(0, the raise) (h = k at s = 0),
+        or by k's rule for t's own size if t 2**-s passes 2**1000 |a_d| there.
+        Roots that underflow in u are polished by _newton in z.
         """
         c = self.poly.meta.coeffs
         d, s = self.poly.degree, self.poly.scale2
         j, mag = _log2_moduli(c)
         lo = np.ceil((mag[:-1] - mag[-1] - 500) / (d - j[:-1])).max(initial=-math.inf)
-        k = int(max(-round(s / d), lo))
+        k, k0 = int(max(-round(s / d), lo)), int(max(0, lo))
         targets = np.asarray(targets, np.complex128)
         scaled, taus = _unit_scaled(_ldexp_arr(c, (np.arange(d + 1) - d) * k),
                                     _ldexp_arr(targets, -s - d * k))
         n = taus.size
         roots = np.empty((n, d), dtype=np.complex128)
-        exact = {}  # z-roots of the rows np.roots solves in z itself
+        exact = {}  # z-roots of the rows solved in 2**h v
 
         def companion(rows):
             step = max(1, _CHUNK // (d * d))  # matrices per eigvals call
@@ -387,13 +388,13 @@ class Preimage(ModelSet):
                 b = np.tile(scaled[::-1], (at.size, 1))
                 b[:, -1] -= taus[at]
                 held = b[:, -1] == 0  # t = a_0: np.roots strips the root 0
-                for i, row in zip(at[held], b[held]):
-                    # the zeros of f - a_0 2**s do not depend on s: solve in z, where
-                    # no a_j underflows
-                    cz, tz = _unit_scaled(c, _ldexp_arr(targets[i:i + 1], -s))
-                    if np.isfinite(tz[0]):  # else t 2**-s is past double range
-                        exact[i] = np.roots(np.append(cz[:0:-1], cz[0] - tz[0])).astype(complex)
-                    roots[i] = _ldexp_arr(exact[i], -k) if i in exact else np.roots(row)
+                for i in at[held]:
+                    lt = _log2_moduli(targets[i:i + 1])[1].max(initial=-math.inf) - s - mag[-1]
+                    h = k0 if lt - d * k0 < 1000 else round(lt / d)  # t 2**-s a double there
+                    cv, tv = _unit_scaled(_ldexp_arr(c, (np.arange(d + 1) - d) * h),
+                                          _ldexp_arr(targets[i:i + 1], -s - d * h))
+                    v = np.roots(np.append(cv[:0:-1], cv[0] - tv[0])).astype(complex)
+                    roots[i], exact[i] = _ldexp_arr(v, h - k), _ldexp_arr(v, h)
                 a = np.zeros((at.size, d, d), dtype=b.dtype)  # np.roots's matrices
                 a[:, 0, :] = -b[:, 1:] / b[:, :1]
                 a[:, np.arange(1, d), np.arange(d - 1)] = 1
@@ -408,8 +409,7 @@ class Preimage(ModelSet):
             roots[rows[ok]] = u[ok]
             companion(rows[~ok])
         z = _ldexp_arr(roots, k)
-        for i, zi in exact.items():
-            z[i] = zi
+        z[list(exact)] = np.reshape([*exact.values()], (-1, d))
         z = z.ravel()
         tiny = np.flatnonzero(np.abs(roots.ravel()) < _U_NORMAL)
         if tiny.size:

@@ -37,6 +37,10 @@ def _large_root(w):
     return s if abs(w + s) >= abs(w - s) else -s
 
 
+def _pm(r):
+    return [r, -r]
+
+
 def exact_green(inner, f, z):
     """(g_inner(f(z)) / d, tolerance) at DIGITS digits.
 
@@ -172,17 +176,36 @@ class TestNetsAtAnyScale:
             assert_newton_steps_small(f, UNIT_DISK.boundary_net(max(8, 48 // f.degree)),
                                       pre.boundary_net(48))
 
-    def test_target_at_the_scaled_constant_term(self):
-        # t = 0 = a_0 2**s: f - t is f itself, whose zeros do not depend on s.  In
-        # the rescaled variable (k = 289) every a_j below the lead underflowed,
-        # and this row came back as [-1.33+0.23j, 0.94+0.80j, 0.39-1.02j, 0, 0, 0]
-        f = polynomial(0, 0, 0.5 - 0.4j, 0.2 + 1.7j, 0.3 - 0.4j, 0, -0.5 + 0.8j, scale2=-1732)
-        targets = Segment().boundary_net(max(8, 330 // f.degree))
-        at = int(np.flatnonzero(targets == 0)[0])
-        got = list(Preimage(Segment(), f).boundary_net(330).reshape(-1, f.degree)[at])
-        with mpmath.workdps(DIGITS):  # z**2 (a_2 + a_3 z + ... + a_6 z**4)
-            want = [0j, 0j] + [complex(r) for r in mpmath.polyroots(
-                [mpmath.mpc(c) for c in f.coeffs[:1:-1]], maxsteps=200, extraprec=200)]
+    @pytest.mark.parametrize("inner,net,f,m,t,want", [
+        # every a_j below the lead underflowed in u (k = 289), and the row came
+        # back [-1.33+0.23j, 0.94+0.80j, 0.39-1.02j, 0, 0, 0]: z**2 times a quartic
+        (Segment(), "boundary_net",
+         polynomial(0, 0, 0.5 - 0.4j, 0.2 + 1.7j, 0.3 - 0.4j, 0, -0.5 + 0.8j, scale2=-1732),
+         330, 0, lambda f, t: [0, 0, *mpmath.polyroots(
+             [mpmath.mpc(c) for c in f.coeffs[:1:-1]], maxsteps=200, extraprec=200)]),
+        # a lead of 1e-300 beside a_1 = 1e300 (k = 747): solved in z, the lead
+        # underflowed and the row came back [0, 0, 0]; its roots are 0, +-1e300i
+        (Segment(), "boundary_net", polynomial(0, 1e300, 0, 1e-300), 27, 0,
+         lambda f, t: [0, *_pm(mpmath.sqrt(-mpmath.mpc(f.coeffs[1]) / f.coeffs[3]))]),
+        # as above with a 4th-degree lead: np.roots returned 2 roots for 4 branches.
+        # Its root near -1e-300 shares u's zero with the root 0 and comes back 0;
+        # the large ones are +-i sqrt(a_2/a_4) to 1e-600
+        (Segment(), "boundary_net", polynomial(0, 1, 1e300, 0, 1e-300), 36, 0,
+         lambda f, t: [0, *_pm(mpmath.sqrt(-mpmath.mpc(f.coeffs[2]) / f.coeffs[4]))]),
+        # t = 2**-1074 and a_0 = 0 both underflow in u (k = 31), where t 2**-s
+        # = 2**2000 passes double range in z: solved at h = 20 instead
+        (Disk(2.0**-1074, 1.0), "interior_net", monomial(100, 1.0, -3074), 800, 2.0**-1074,
+         lambda f, t: [mpmath.root(mpmath.mpf(t) * mpmath.mpf(2)**-f.scale2, 100, k)
+                       for k in range(100)]),
+    ], ids=["scale2_-1732", "lead_1e-300_cubic", "lead_1e-300_quartic", "subnormal_target"])
+    def test_target_equal_to_the_constant_term(self, inner, net, f, m, t, want):
+        # t 2**-s equals a_0 in the rescaled variable u, where np.roots strips the
+        # root 0: the row is solved apart, checked against 60-digit roots
+        targets = getattr(inner, net)(max(8, m // f.degree))
+        at = int(np.flatnonzero(targets == t)[0])
+        got = list(getattr(Preimage(inner, f), net)(m).reshape(-1, f.degree)[at])
+        with mpmath.workdps(DIGITS):
+            want = [complex(r) for r in want(f, t)]
         for r in sorted(want, key=abs):
             z = min(got, key=lambda z: abs(z - r))
             assert abs(z - r) <= 1e-12 * abs(r), (r, got)
