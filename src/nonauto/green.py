@@ -36,7 +36,7 @@ import numpy as np
 
 from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex, _binade,
                    _evaluate, _is_finite, _ldexp_arr, _log2_moduli, _normalize, _StepMeta,
-                   modulus_ratios)
+                   modulus_ratios, polynomial)
 from .sequences import PolySequence, _horner, circle_points, values_on
 
 
@@ -81,6 +81,10 @@ class ModelSet:
 
     def interior_net(self, m: int) -> np.ndarray:
         return np.empty(0, dtype=np.complex128)
+
+    def nets(self, ms) -> list[np.ndarray]:
+        """boundary_net(m) then interior_net(m), joined, for each m of ms."""
+        return [np.concatenate([self.boundary_net(m), self.interior_net(m)]) for m in ms]
 
     @cached_property
     def _asymptotic_log2(self) -> float:
@@ -249,7 +253,7 @@ class Segment(Ellipse):
     interior_net = ModelSet.interior_net
 
 
-_ANCHORS = 4             # companion-solved targets per net, up to twice as many
+_ANCHORS = 4             # companion-solved targets per _pullback call, up to twice as many
 _NEWTON_STEPS = 10
 _STEP_TOL = 1e-12        # last Newton step, relative to the branch
 _SEP_TOL = 1e-6          # least distance between branches, relative to the largest
@@ -305,6 +309,8 @@ class Preimage(ModelSet):
     green takes f(z) by one step of the engine's rule (values_on, _settle) and
     finishes it like green_field's lanes (_finish): (1/deg f) g_inner(f(z)) for
     f(z) of any size, to one Horner's rounding where inner.green is exact.
+    Its nets pull back the inner set's at m // deg f (at least 8); nets solves
+    every size in one _pullback, and a nested preimage once per level.
     """
 
     inner: ModelSet
@@ -352,6 +358,12 @@ class Preimage(ModelSet):
         targets = self.inner.interior_net(max(8, m // max(1, self.poly.degree)))
         return self._pullback(targets) if targets.size else targets
 
+    def nets(self, ms):
+        """ModelSet.nets by one _pullback of the inner set's nets at every size."""
+        parts = self.inner.nets([max(8, m // self.poly.degree) for m in ms])
+        z = self._pullback(np.concatenate(parts))
+        return np.split(z, self.poly.degree * np.cumsum([p.size for p in parts[:-1]]))
+
     def _pullback(self, targets: np.ndarray) -> np.ndarray:
         """Solve f(z) = t for each target t: its deg f branches, target by target.
 
@@ -368,7 +380,10 @@ class Preimage(ModelSet):
         np.roots, which strips the root 0; its roots are f's zeros, free of s,
         so it is solved in z = 2**h v, h = max(0, the raise) (h = k at s = 0),
         or by k's rule for t's own size if t 2**-s passes 2**1000 |a_d| there.
-        Roots that underflow in u are polished by _newton in z.
+        Roots that underflow in u are polished by _newton in z, each from its
+        own start: r > 1 of a row (r < d, z**r not dividing f - t) start from
+        the pullback of t under a_0 + ... + a_r z**r, whose roots they are to
+        within the dropped terms; the others start from 0.
         """
         c = self.poly.meta.coeffs
         d, s = self.poly.degree, self.poly.scale2
@@ -410,8 +425,13 @@ class Preimage(ModelSet):
             companion(rows[~ok])
         z = _ldexp_arr(roots, k)
         z[list(exact)] = np.reshape([*exact.values()], (-1, d))
-        z = z.ravel()
-        tiny = np.flatnonzero(np.abs(roots.ravel()) < _U_NORMAL)
+        z, tiny = z.ravel(), np.abs(roots) < _U_NORMAL
+        r = tiny.sum(axis=1)
+        for i in np.flatnonzero((r > 1) & (r < d) & (c[r] != 0)):  # the r least roots
+            if i not in exact or c[1:r[i]].any():  # else z**r divides f - t: all 0
+                low = Preimage(self.inner, polynomial(*c[:r[i] + 1], scale2=s))
+                z[i * d + np.flatnonzero(tiny[i])] = low._pullback(targets[i:i + 1])
+        tiny = np.flatnonzero(tiny)
         if tiny.size:
             w, ok = _newton(*_unit_scaled(c, _ldexp_arr(targets[tiny // d], -s)), z[tiny, None])
             z[tiny[ok]] = w[ok, 0]

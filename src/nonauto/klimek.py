@@ -5,9 +5,11 @@ are sampled lower bounds over deterministic nets (set boundaries, coarse
 interiors, and a rectangular fill of the enclosing disk) with the change
 under a 4x refinement reported as the resolution diagnostic; certified upper
 bounds would need derivative information the closed forms do not expose
-uniformly.  The convergence table's capacities are not sampled: each is the
-closed form exp(-robin) of the step-n preimage set's exact Robin constant;
-its distances build the two annulus nets once and each depth's fields once.
+uniformly.  gamma_models asks each set once for its nets at both sizes
+(ModelSet.nets), so a preimage set solves one pullback per level.  The
+convergence table's capacities are not sampled: each is the closed form
+exp(-robin) of the step-n preimage set's exact Robin constant; its
+distances build the two annulus nets once and each depth's fields once.
 """
 from __future__ import annotations
 
@@ -43,30 +45,23 @@ def _fill_net(radius: float, m: int) -> np.ndarray:
     return (gx + 1j * gy).ravel()
 
 
-def _joint_net(E: ModelSet, F: ModelSet, m: int) -> np.ndarray:
-    radius = max(E.enclosing_radius(), F.enclosing_radius())
-    parts = [E.boundary_net(m), F.boundary_net(m),
-             E.interior_net(m), F.interior_net(m),
-             _fill_net(radius, m)]
-    return np.concatenate([p for p in parts if p.size])
-
-
-def _sup_diff(E: ModelSet, F: ModelSet, m: int) -> tuple[float, int]:
-    pts = _joint_net(E, F, m)
-    diff = np.abs(np.asarray(E.green(pts), float) - np.asarray(F.green(pts), float))
-    return float(diff.max()), pts.size
-
-
 def gamma_models(E: ModelSet, F: ModelSet, m: int = 1024) -> KlimekEstimate:
     """Sampled Klimek distance between two model sets.
 
     |g_E - g_F| attains its sup on the two compacta (each Green function
     vanishes on its own set), so boundary nets carry the estimate; the fill
-    net guards preimage variants whose root nets wobble.
+    net guards preimage variants whose root nets wobble.  Each set gives its
+    nets at both sizes, m and 4m, in one ModelSet.nets call (one pullback
+    per Preimage level); each size's sup runs over E's points, F's points
+    and the fill net of the enclosing disk.
     """
-    coarse, _ = _sup_diff(E, F, m)
-    fine, n_fine = _sup_diff(E, F, 4 * m)
-    return KlimekEstimate(max(coarse, fine), n_fine, abs(fine - coarse))
+    sizes = (m, 4 * m)
+    radius = max(E.enclosing_radius(), F.enclosing_radius())
+    joint = [np.concatenate([e_net, f_net, _fill_net(radius, k)])
+             for k, e_net, f_net in zip(sizes, E.nets(sizes), F.nets(sizes))]
+    coarse, fine = (float(np.abs(np.asarray(E.green(pts), float)
+                                 - np.asarray(F.green(pts), float)).max()) for pts in joint)
+    return KlimekEstimate(max(coarse, fine), joint[1].size, abs(fine - coarse))
 
 
 def _annulus_net(radius: float, m: int) -> np.ndarray:

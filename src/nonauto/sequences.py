@@ -443,7 +443,9 @@ def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: floa
     """Sample sup_n (1/deg p_n) log+ |p_n| over a disk grid.
 
     passed needs the sampled sup below _SUP_THRESHOLD and no growth across the
-    last decade of n (a heuristic flag for an unbounded normalized family).
+    last decade of n (a heuristic flag for an unbounded normalized family):
+    its max may pass the earlier max by half of what log n growth adds there,
+    0.5 log(n_max / cut), so a bounded family still rising to its limit passes.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -462,7 +464,8 @@ def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: floa
         per_n[n - 1] = max(0.0, float(la.max())) / p.degree
     sup = float(per_n.max())
     cut = max(1, int(0.9 * n_max))
-    grew = n_max > 1 and float(per_n[cut:].max(initial=-math.inf)) > float(per_n[:cut].max()) + 1e-9
+    rise = float(per_n[cut:].max(initial=-math.inf)) - float(per_n[:cut].max())
+    grew = rise > 0.5 * math.log(n_max / cut)  # -inf at n_max = 1
     ok = sup <= _SUP_THRESHOLD and not grew
     note = "sup grows across the last decade of n (heuristic)" if grew else ""
     if ok:

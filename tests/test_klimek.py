@@ -8,7 +8,7 @@ from nonauto.green import (Disk, Ellipse, Preimage, Segment, UNIT_DISK, capacity
                            green_field)
 from nonauto.klimek import (contraction_check, convergence_table, gamma_models,
                             gamma_nonauto, table_to_csv, tail_constant)
-from nonauto.poly import monomial, polynomial
+from nonauto.poly import chebyshev_t, monomial, polynomial
 from nonauto.sequences import builtin, custom_sequence, escape_radius_search
 from test_engines import BASE_CYCLE
 
@@ -45,6 +45,65 @@ class TestGammaModels:
         for E, F in pairs:
             gap = abs(math.log(E.capacity()) - math.log(F.capacity()))
             assert gap <= gamma_models(E, F).lower + 1e-6
+
+
+    # (E, F, m, lower, samples, refine_delta) as the per-size joint nets gave them
+    @pytest.mark.parametrize("E,F,m,lower,samples,delta", [
+        (UNIT_DISK, Ellipse(2.0), 64, "0x1.c8ff7c79a9a22p-3", 1018, "0x0.0p+0"),
+        (UNIT_DISK, Ellipse(2.0), 256, "0x1.c8ff7c79a9a22p-3", 4069, "0x0.0p+0"),
+        (Segment(), Ellipse(1.5), 64, "0x1.9f323ecbf984fp-2", 825, "0x0.0p+0"),
+        (Segment(), Ellipse(1.5), 256, "0x1.9f323ecbf9854p-2", 3300, "0x1.4000000000000p-52"),
+        (Disk(0.3 - 0.2j, 1.5), Segment(), 64, "0x1.547f7c72c47f1p+0", 826, "0x0.0p+0"),
+        (Disk(0.3 - 0.2j, 1.5), Segment(), 256, "0x1.547fc87450c8ep+0", 3301,
+         "0x1.3006312740000p-18"),
+        (Ellipse(3.0), Disk(-0.2j, 1.2), 64, "0x1.64781b7b502bfp-2", 1018,
+         "0x1.94f910bbd7000p-14"),
+        (Ellipse(3.0), Disk(-0.2j, 1.2), 256, "0x1.64781b7b502bfp-2", 4069, "0x0.0p+0"),
+        (UNIT_DISK, Segment(), 64, "0x1.c34366179d426p-1", 826, "0x0.0p+0"),
+        (UNIT_DISK, Segment(), 256, "0x1.c34366179d426p-1", 3301, "0x0.0p+0"),
+        (Disk(0.5, 2.0), Ellipse(1.2), 64, "0x1.626d2116688e0p+0", 1018, "0x0.0p+0"),
+        (Disk(0.5, 2.0), Ellipse(1.2), 256, "0x1.626d2116688e0p+0", 4069, "0x0.0p+0"),
+    ])
+    def test_model_pairs_unchanged(self, E, F, m, lower, samples, delta):
+        # nets joined per set (ModelSet.nets) sample the same points as before
+        est = gamma_models(E, F, m)
+        assert (est.lower.hex(), est.samples, est.refine_delta.hex()) == (lower, samples, delta)
+
+
+class TestOnePullbackPerSet:
+    """gamma_models asks each Preimage once for its nets at both sizes."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls, pullback = [], Preimage._pullback
+        monkeypatch.setattr(Preimage, "_pullback",
+                            lambda self, targets: calls.append(self) or pullback(self, targets))
+        return calls
+
+    def test_one_preimage(self, monkeypatch):
+        pre = Preimage(UNIT_DISK, chebyshev_t(8))
+        calls = self.spy(monkeypatch)
+        gamma_models(UNIT_DISK, pre, 256)
+        assert calls == [pre]
+
+    def test_two_preimages(self, monkeypatch):
+        f = polynomial(0.2, -0.3, 1.0, 0.5)
+        E, F = Preimage(UNIT_DISK, f), Preimage(Ellipse(2.0), f)
+        calls = self.spy(monkeypatch)
+        gamma_models(E, F, 256)
+        assert calls == [E, F]
+
+    def test_nested_preimage_once_per_level(self, monkeypatch):
+        inner = Preimage(UNIT_DISK, polynomial(0.3j, 0, -0.5, 1))
+        outer = Preimage(inner, polynomial(-0.2, 0.1 + 0.4j, 0, 1))
+        calls = self.spy(monkeypatch)
+        gamma_models(Segment(), outer, 128)
+        assert calls == [inner, outer]
+
+    def test_tail_constant_one_per_depth(self, monkeypatch, min_cheb):
+        calls = self.spy(monkeypatch)
+        tail_constant(min_cheb, UNIT_DISK, 6)
+        assert [pre.poly for pre in calls] == [min_cheb.get(n) for n in range(2, 8)]
 
 
 class TestContraction:

@@ -80,6 +80,26 @@ def assert_newton_steps_small(f, targets, net):
             assert abs(value - t / scale) <= 1e-12 * abs(z * slope), (f, i, z)
 
 
+def _quadratic(a, b, c):
+    s = mpmath.sqrt(b * b - 4 * a * c)
+    return [(-b + s) / (2 * a), (-b - s) / (2 * a)]
+
+
+def _newton_roots(f, t, seeds):
+    """Roots of f(z) = t (scale2 = 0) by Newton at the working precision from
+    seeds, each step at the end below 1e-50 of its root."""
+    cs = [mpmath.mpc(c) for c in f.coeffs]
+    roots = []
+    for z in seeds:
+        for _ in range(8):
+            value = sum(c * z**j for j, c in enumerate(cs)) - t
+            step = value / sum(j * c * z**(j - 1) for j, c in enumerate(cs) if j)
+            z -= step
+        assert abs(step) <= mpmath.mpf(10) ** -50 * abs(z)
+        roots.append(z)
+    return roots
+
+
 def companion_net(f, targets):
     """np.roots of f(z) - t per target, in net order (scale2 = 0 only)."""
     assert f.scale2 == 0
@@ -188,8 +208,8 @@ class TestNetsAtAnyScale:
         (Segment(), "boundary_net", polynomial(0, 1e300, 0, 1e-300), 27, 0,
          lambda f, t: [0, *_pm(mpmath.sqrt(-mpmath.mpc(f.coeffs[1]) / f.coeffs[3]))]),
         # as above with a 4th-degree lead: np.roots returned 2 roots for 4 branches.
-        # Its root near -1e-300 shares u's zero with the root 0 and comes back 0;
-        # the large ones are +-i sqrt(a_2/a_4) to 1e-600
+        # Its root near -1e-300 shares u's zero with the root 0 (test_tiny_roots_keep_apart
+        # checks it); the large ones are +-i sqrt(a_2/a_4) to 1e-600
         (Segment(), "boundary_net", polynomial(0, 1, 1e300, 0, 1e-300), 36, 0,
          lambda f, t: [0, *_pm(mpmath.sqrt(-mpmath.mpc(f.coeffs[2]) / f.coeffs[4]))]),
         # t = 2**-1074 and a_0 = 0 both underflow in u (k = 31), where t 2**-s
@@ -210,6 +230,28 @@ class TestNetsAtAnyScale:
             z = min(got, key=lambda z: abs(z - r))
             assert abs(z - r) <= 1e-12 * abs(r), (r, got)
             got.remove(z)
+
+    @pytest.mark.parametrize("inner", [Segment(), UNIT_DISK], ids=["segment", "unit_disk"])
+    def test_tiny_roots_keep_apart(self, inner):
+        # z + 1e300 z**2 + 1e-300 z**4 = t: the two small roots, near +-sqrt(t) 1e-150,
+        # underflow in u (k = 747).  Polished in z from the one start 0, they came
+        # back as 0 twice in every row.  The 60-digit roots are seeded by each
+        # cluster's quadratic and refined by Newton on f itself
+        f = polynomial(0, 1, 1e300, 0, 1e-300)
+        pre = Preimage(inner, f)
+        for targets, net in ((inner.boundary_net(9), pre.boundary_net(36)),
+                             (inner.interior_net(16), pre.interior_net(64))):
+            assert net.size == 4 * targets.size
+            with mpmath.workdps(DIGITS):
+                for t, got in zip(targets, net.reshape(-1, 4)):
+                    t = mpmath.mpc(complex(t))
+                    seeds = _quadratic(mpmath.mpf(1e300), 1, -t) + _quadratic(
+                        mpmath.mpf(1e-300), 0, mpmath.mpf(1e300))
+                    got = list(got)
+                    for r in sorted((complex(w) for w in _newton_roots(f, t, seeds)), key=abs):
+                        z = min(got, key=lambda z: abs(z - r))
+                        assert abs(z - r) <= 1e-12 * abs(r), (complex(t), r, got)
+                        got.remove(z)
 
     def test_small_scale_net_unchanged(self):
         # k = 0: per target, the net is np.roots of f(z) = t as a set, and every
@@ -382,3 +424,42 @@ class TestStackedCompanionSolves:
         assert max(shape[0] for shape in sizes) == most
         assert all(shape[0] * degree**2 <= max(green._CHUNK, degree**2) for shape in sizes)
         self.assert_nets_equal(monkeypatch, pre, 64 * degree)
+
+
+class TestNets:
+    """Preimage.nets((m, 4m)) holds boundary_net + interior_net at each size."""
+
+    @staticmethod
+    def assert_nets_match(pre, m, whole=False):
+        # whole: branches over one target may come in another order, so the
+        # targets of an outer pullback do too; compare the nets as point sets
+        nets = pre.nets((m, 4 * m))
+        assert len(nets) == 2
+        for k, net in zip((m, 4 * m), nets):
+            want = np.concatenate([pre.boundary_net(k), pre.interior_net(k)])
+            assert net.size == want.size and net.dtype == want.dtype
+            assert set_distance(net, want, want.size if whole else pre.poly.degree) <= 1e-10, pre
+
+    @pytest.mark.parametrize("config", sorted(METRIC_NETS))
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_metric_nets(self, config, m):
+        inner, maps = METRIC_NETS[config]
+        for f in maps:
+            self.assert_nets_match(Preimage(inner, f), m)
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_random_complex_maps(self, degree):
+        rng = np.random.default_rng(100 + degree)
+        for inner in (UNIT_DISK, Disk(0.3 - 0.2j, 1.5), Ellipse(2.0), Segment()):
+            for _ in range(3):
+                self.assert_nets_match(Preimage(inner, random_map(rng, degree)), 256)
+
+    def test_nested_preimage(self):
+        inner = Preimage(UNIT_DISK, polynomial(0.3j, 0, -0.5, 1))
+        self.assert_nets_match(Preimage(inner, polynomial(-0.2, 0.1 + 0.4j, 0, 1)), 64,
+                               whole=True)
+
+    def test_model_sets_join_their_nets(self):
+        for K in (UNIT_DISK, Disk(0.5j, 2.0), Ellipse(1.5), Segment()):
+            for k, net in zip((64, 256), K.nets((64, 256))):
+                assert np.array_equal(net, np.concatenate([K.boundary_net(k), K.interior_net(k)]))

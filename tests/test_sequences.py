@@ -557,6 +557,14 @@ class TestFiniteCondition:
         assert not rep.passed
         assert "decade" in rep.note
 
+    @pytest.mark.parametrize("n_max", [3, 16, 31, 100])
+    def test_classical_chebyshev_not_flagged(self, n_max):
+        # (1/n) log+|T_n| on disk(0, 2) rises toward its limit, below log(2 + sqrt 5);
+        # a rise past 1e-9 over the last decade flagged it as unbounded
+        rep = check_finite_condition(builtin("classical_chebyshev"), 0j, 2.0, n_max)
+        assert rep.passed and rep.note == ""
+        assert rep.sup < math.log(2 + math.sqrt(5))
+
     def test_power_sup_is_log_radius(self):
         rep = check_finite_condition(builtin("power", degrees=2), 0j, 2.0, 50)
         assert rep.passed
