@@ -3,9 +3,9 @@
 Pixel centers are generated from the window midpoint outward, so symmetric
 windows produce exactly mirror-symmetric coordinate grids and therefore
 bit-identical mirror-symmetric rasters for symmetric dynamics.  Rendering is
-deterministic regardless of the thread count: rows are partitioned, each
-pixel is independent, and the arithmetic per pixel never depends on the
-partition.
+deterministic regardless of the thread count: rows are partitioned into
+bands of at most one engine chunk, each pixel is independent, and the
+arithmetic per pixel never depends on the partition.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import ModelSet, Segment, UNIT_DISK, escape_steps, green_field
+from .green import _CHUNK, ModelSet, Segment, UNIT_DISK, escape_steps, green_field
 from .sequences import PolySequence
 
 
@@ -65,22 +65,23 @@ def pixel_axes(spec: RasterSpec) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _grid(spec: RasterSpec) -> np.ndarray:
+def _by_rows(worker, spec: RasterSpec, threads: int) -> np.ndarray:
+    """worker over row bands of the pixel grid, stacked.
+
+    A band holds at most one engine chunk of points (one row if a row is
+    wider), and there are at least as many bands as threads.  No step builds
+    a grid, a step count or an orbit value for the whole raster: the pass
+    allocates its output and small band arrays only.
+    """
     xs, ys = pixel_axes(spec)
-    return xs[None, :] + 1j * ys[:, None]
-
-
-def _by_rows(worker, grid: np.ndarray, threads: int) -> np.ndarray:
     threads = _resolve_threads(threads)
-    if threads <= 1 or grid.shape[0] == 1:
-        return worker(grid)
-    bands = np.array_split(np.arange(grid.shape[0]), min(threads, grid.shape[0]))
-    out: list = [None] * len(bands)
+    rows = max(1, min(-(-spec.height // threads), _CHUNK // spec.width))
+    bands = [ys[i:i + rows] for i in range(0, spec.height, rows)]
+    run = lambda band: worker(xs[None, :] + 1j * band[:, None])
+    if threads <= 1 or len(bands) == 1:
+        return np.vstack([run(band) for band in bands])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(worker, grid[rows]): i for i, rows in enumerate(bands)}
-        for fut, i in futures.items():
-            out[i] = fut.result()
-    return np.vstack(out)
+        return np.vstack(list(pool.map(run, bands)))
 
 
 def _resolve_threads(threads: int) -> int:
@@ -97,14 +98,14 @@ def raster_membership(seq: PolySequence, spec: RasterSpec, threads: int = 1) -> 
     """Escape step per pixel center (0 = bounded), in the least uint holding n_steps."""
     worker = lambda g: escape_steps(seq, g, spec.n_steps, spec.escape_radius).astype(
         np.min_scalar_type(spec.n_steps))
-    return Raster(spec, _by_rows(worker, _grid(spec), threads), "membership")
+    return Raster(spec, _by_rows(worker, spec, threads), "membership")
 
 
 def raster_green(seq: PolySequence, spec: RasterSpec, target: ModelSet = UNIT_DISK,
                  threads: int = 1) -> Raster:
     """Normalized potential of the sequence toward target per pixel (green_field)."""
     worker = lambda g: green_field(seq, g, spec.n_steps, spec.escape_radius, target)[0]
-    return Raster(spec, _by_rows(worker, _grid(spec), threads), "green")
+    return Raster(spec, _by_rows(worker, spec, threads), "green")
 
 
 def raster_rect_target(seq: PolySequence, spec: RasterSpec, rect, threads: int = 1) -> Raster:
@@ -131,7 +132,7 @@ def raster_rect_target(seq: PolySequence, spec: RasterSpec, rect, threads: int =
         labels[inside] = 0
         return labels
 
-    return Raster(spec, _by_rows(worker, _grid(spec), threads), "membership")
+    return Raster(spec, _by_rows(worker, spec, threads), "membership")
 
 
 # --- output formats ----------------------------------------------------------

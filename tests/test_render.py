@@ -6,7 +6,8 @@ import zlib
 import numpy as np
 import pytest
 
-from nonauto.green import Segment, UNIT_DISK, escape_steps
+from nonauto import render
+from nonauto.green import _CHUNK, Segment, UNIT_DISK, escape_steps, green_field
 from nonauto.render import (Raster, RasterSpec, pixel_axes, raster_green,
                             raster_membership, raster_rect_target, write_csv,
                             write_pgm, write_png)
@@ -103,6 +104,40 @@ class TestMembership:
         a = raster_membership(min_cheb, spec, threads=1).values
         b = raster_membership(min_cheb, spec, threads=4).values
         assert np.array_equal(a, b)
+
+
+class TestRowBands:
+    """Rasters are rendered in row bands of at most one engine chunk."""
+
+    @pytest.fixture
+    def wide(self, min_cheb_radius):
+        # 300 x 200 = 60,000 points: two bands of 109 and 91 rows at one thread
+        return spec_for(min_cheb_radius, 20, width=300, height=200)
+
+    @staticmethod
+    def whole_grid(spec):
+        xs, ys = pixel_axes(spec)
+        return xs[None, :] + 1j * ys[:, None]
+
+    def test_bands_match_the_whole_grid(self, min_cheb, wide):
+        grid = self.whole_grid(wide)
+        steps = escape_steps(min_cheb, grid, wide.n_steps, wide.escape_radius)
+        assert np.array_equal(raster_membership(min_cheb, wide).values, steps)
+        field = green_field(min_cheb, grid, wide.n_steps, wide.escape_radius)[0]
+        assert np.array_equal(raster_green(min_cheb, wide).values, field)
+
+    @pytest.mark.parametrize("threads, bands", [(1, [109, 91]), (4, [50, 50, 50, 50])])
+    def test_band_sizes(self, monkeypatch, min_cheb, wide, threads, bands):
+        seen = []
+
+        def spy(seq, points, *args):
+            seen.append(points.shape[0])
+            return escape_steps(seq, points, *args)
+
+        monkeypatch.setattr(render, "escape_steps", spy)
+        raster_membership(min_cheb, wide, threads=threads)
+        assert sorted(seen, reverse=True) == bands
+        assert max(seen) * wide.width <= _CHUNK
 
 
 class TestGreenRasters:
