@@ -340,7 +340,8 @@ def chebyshev_minimal(n: int) -> Polynomial:
         c = 0.5 if k == 1 else 0.25
         nxt = [0j] + list(tk)
         for j, v in enumerate(tk1):
-            nxt[j] -= c * v
+            if v:  # half the terms are zero: they stay the one shared 0j
+                nxt[j] -= c * v
         _min_cache.append(Polynomial(tuple(nxt)))
     return _min_cache[n]
 

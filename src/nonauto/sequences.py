@@ -8,8 +8,11 @@ every p_n", certified per n by min |p_n| >= R on the circle plus an
 argument-principle count showing all zeros lie inside it.  Circle points are
 exactly symmetric, so a p_n with real coefficients and one parity (its
 Polynomial.parity) is evaluated only on the first quarter arc, and its minimum
-and winding are read off that arc.  Leading factors past double range, such as
-n**(2**n), are built in exact integers cut to 96 bits and kept as a power-of-two scale.
+and winding are read off that arc.  The radius search bounds the circle minimum
+of the Chebyshev kinds, whose maps are all c T_d, in closed form and samples only
+the maps that bound does not clear; check_guided samples every map.  Leading
+factors past double range, such as n**(2**n), are built in exact integers cut to
+96 bits and kept as a power-of-two scale.
 """
 from __future__ import annotations
 
@@ -173,6 +176,8 @@ _DEGREE_KINDS = {
     "power": (monomial, lambda n: 2),
 }
 BUILTIN_KINDS = (*_FIXED_KINDS, *_DEGREE_KINDS)
+# kinds whose every map is c T_d, whatever the degrees: _chebyshev_floor bounds them
+_CHEBYSHEV_KINDS = frozenset({"minimal_chebyshev", "classical_chebyshev"})
 
 
 def builtin(kind: str, degrees=None) -> PolySequence:
@@ -357,6 +362,26 @@ class _Circle:
         return round(float(inc.sum()) * (4 if self.quarter else 1) / (2.0 * np.pi)) == self.p.degree
 
 
+def _chebyshev_floor(p: Polynomial, radius: float) -> float:
+    """log min |p| over |z| = radius > 1 for p = c T_d, from below (Rivlin): with
+    z = (w + 1/w)/2, T_d = (w**d + w**-d)/2, and the circle lies outside the ellipse
+    |w| = rho = radius + sqrt(radius**2 - 1) but at +-radius, so |p| >= |c| (rho**d -
+    rho**-d)/2 on it; the zeros lie in [-1, 1].  c is read from p's lead 2**(d-1) c
+    and scale2; the bound is of c T_d itself, not of the rounding p stores."""
+    d = p.degree
+    rho = radius + math.sqrt(radius - 1.0) * math.sqrt(radius + 1.0)
+    return (math.log(abs(p.coeffs[-1])) + p.scale2 * LN2 + d * math.log(0.5 * rho)
+            + math.log1p(-rho ** (-2 * d)))
+
+
+# _chebyshev_floor's rounding: rho has no cancellation and is within 4 ulps, so d log(rho/2)
+# is within d (4 + 2|log(rho/2)|) 2**-53 <= 1.6e-10 (d <= 1000, the Chebyshev cap, any finite
+# rho); log|lead| + scale2 ln 2 adds 1e-13, and the three sums 1.5 ulps of 7.1e5, 1.8e-10.
+# Near log(e*R) > 1, rho**d > 2e: log1p's argument is below 0.04 and passes on its 2d ulps
+# unamplified.  1e-9 covers the total almost threefold.
+_FLOOR_MARGIN = 1e-9
+
+
 # --- checkers --------------------------------------------------------------
 
 def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> CheckReport:
@@ -397,17 +422,24 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
                          ceiling: float = 2.0**20) -> float:
     """Smallest grid radius R with min |p_n| >= e*R on the circle and zeros inside,
     for every 2 <= n <= n_max (one period: n <= seq.last_distinct(n_max));
-    beyond it each step grows moduli by a factor e."""
+    beyond it each step grows moduli by a factor e.  A map of a Chebyshev kind is
+    sampled only where _chebyshev_floor does not clear log(e*R) by _FLOOR_MARGIN, so
+    depth costs O(1) a map there; check_guided samples every map of every kind."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     worst = 2
     radius = 17.0 / 16.0
     step = 2.0 ** (1.0 / 16.0)
+    closed = seq.kind in _CHEBYSHEV_KINDS
     while radius <= ceiling:
         ok = True
+        target = 1.0 + math.log(radius)
         for n in range(2, seq.last_distinct(n_max) + 1):
-            circle = _Circle(seq.get(n), radius, m)
-            if circle.min_log < 1.0 + math.log(radius) or not circle.zeros_contained():
+            p = seq.get(n)
+            if closed and _chebyshev_floor(p, radius) >= target + _FLOOR_MARGIN:
+                continue
+            circle = _Circle(p, radius, m)
+            if circle.min_log < target or not circle.zeros_contained():
                 ok, worst = False, n
                 break
         if ok:

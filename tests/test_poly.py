@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -206,6 +208,19 @@ class TestChebyshev:
         for m in range(1, 65):
             for k in range(1, 64 // m + 1):
                 assert compose(chebyshev_t(m), chebyshev_t(k)) == chebyshev_t(m * k), (m, k)
+
+    def test_minimal_coefficient_bits_and_shared_zeros(self):
+        # t_1..t_1000 bit for bit, signs of zero included; the recurrence skips the
+        # zero terms, so the 250,500 zero coefficients are one object, not one each
+        h = hashlib.sha256()
+        zeros = set()
+        for n in range(1, 1001):
+            for c in chebyshev_minimal(n).coeffs:
+                h.update(struct.pack("<dd", c.real, c.imag))
+                if not c:
+                    zeros.add(id(c))
+        assert h.hexdigest() == "923618654a3592695c5b789ee813d45a40c61b812e1ee67428ea6bb0a5a35f1e"
+        assert len(zeros) == 1
 
     def test_cap(self):
         with pytest.raises(ValueError):

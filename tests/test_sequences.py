@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonauto import poly, sequences
-from nonauto.poly import (LN2, Polynomial, cauchy_root_bound, chebyshev_minimal, evaluate,
-                          monomial, polynomial)
-from nonauto.sequences import (CheckReport, SequenceError, Witness, _Circle,
-                               builtin, check_finite_condition, check_guided, check_P2,
+from nonauto.poly import (LN2, Polynomial, cauchy_root_bound, chebyshev_minimal, chebyshev_t,
+                          evaluate, monomial, polynomial)
+from nonauto.sequences import (_FLOOR_MARGIN, CheckReport, SequenceError, Witness, _chebyshev_floor,
+                               _Circle, builtin, check_finite_condition, check_guided, check_P2,
                                circle_points, custom_sequence, escape_radius_search,
                                load_sequence_file, log_abs_on, values_on)
 
@@ -250,10 +250,13 @@ class TestEscapeRadius:
         assert r >= 2.0
 
     def test_sampling_robustness(self, min_cheb, min_cheb_radius):
-        # the search lands on the same radius at 4x the sampling density,
+        # the search lands on the same radius at 4x the sampling density, on the same
+        # maps as a custom sequence, which is sampled, not bounded in closed form;
         # and the radius keeps verifying as a guided-disk certificate
-        assert escape_radius_search(min_cheb, 40, m=2048) == pytest.approx(
-            escape_radius_search(min_cheb, 40), abs=0.0)
+        sampled = custom_sequence([min_cheb.get(n) for n in range(1, 41)], repeat="none")
+        assert escape_radius_search(sampled, 40, m=2048) == pytest.approx(
+            escape_radius_search(sampled, 40), abs=0.0)
+        assert escape_radius_search(sampled, 40) == escape_radius_search(min_cheb, 40)
         assert check_guided(min_cheb, min_cheb_radius, 40, m=4096).passed
 
     def test_unreachable_reports(self):
@@ -418,6 +421,90 @@ class TestOnePassCircle:
         # min |p_n| on |z| = 2 passes 1e308 near n = 10 for n_exp_z2
         rep = check_guided(builtin("n_exp_z2"), 2.0, 60)
         assert rep.passed and math.isfinite(rep.margin)
+
+
+def _spy_circles(monkeypatch):
+    """The (degree, radius) of every _Circle the checkers build from here on."""
+    built, circle = [], sequences._Circle
+    monkeypatch.setattr(sequences, "_Circle",
+                        lambda p, radius, m: built.append((p.degree, radius)) or circle(p, radius, m))
+    return built
+
+
+class TestChebyshevFloor:
+    """The radius search's closed-form circle floor for the maps c T_d."""
+
+    @pytest.mark.parametrize("R", [1.01, 1.3, 2.0, 3.005203820042822, 100.0])
+    def test_floor_is_below_the_circle_minimum(self, R):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            r = mpmath.mpf(R)
+            rho = r + mpmath.sqrt(r * r - 1)
+            # log w at 4,096 circle points, z = (w + 1/w)/2; |T_d| is even and conjugate
+            # symmetric, so the first quarter arc holds every modulus
+            logs = []
+            for k in range(1025):
+                z = r * mpmath.expjpi(mpmath.mpf(k) / 2048)
+                logs.append(mpmath.log(z + mpmath.sqrt(z - 1) * mpmath.sqrt(z + 1)))
+            for d in (2, 3, 7, 8, 40, 299, 600, 1000):
+                # log|T_d| = d log|w| + log|1 + w**(-2d)| - log 2; the middle term is
+                # below 1e-86 past d log|w| = 100
+                min_log = min(d * lw.real + (mpmath.log(abs(1 + mpmath.exp(-2 * d * lw)))
+                                             if d * lw.real <= 100 else 0)
+                              for lw in logs) - mpmath.log(2)
+                at_r = mpmath.log(mpmath.cosh(d * mpmath.acosh(r)))  # the value at z = R
+                bound = mpmath.log((rho**d - rho**-d) / 2)
+                # equal to 60 digits at d log rho >> 70, where rho**(-2d) vanishes
+                assert bound <= min_log + 1e-50 and bound <= at_r + 1e-50, d
+                for p, log_c in ((chebyshev_minimal(d), (1 - d) * mpmath.log(2)),
+                                 (chebyshev_t(d), 0)):
+                    floor = _chebyshev_floor(p, R)
+                    # the double floor's rounding stays a hundredth of the margin
+                    assert abs(floor - (bound + log_c)) <= _FLOOR_MARGIN / 100, (d, p.scale2)
+                    assert floor - _FLOOR_MARGIN <= min_log + log_c, (d, p.scale2)
+                    assert floor - _FLOOR_MARGIN <= at_r + log_c, (d, p.scale2)
+
+    @pytest.mark.parametrize("excess, radius", [(0.5, 3.005203820042822), (2.0, 17.0 / 16.0)])
+    def test_floor_within_the_margin_is_sampled(self, monkeypatch, excess, radius):
+        # a floor that clears log(e R) by half the margin decides nothing: every map is
+        # sampled as on other kinds; by twice the margin it passes every map unsampled
+        monkeypatch.setattr(sequences, "_chebyshev_floor",
+                            lambda p, r: 1.0 + math.log(r) + excess * _FLOOR_MARGIN)
+        built = _spy_circles(monkeypatch)
+        seq = builtin("minimal_chebyshev")
+        assert escape_radius_search(seq, 40) == radius
+        if excess < 1:
+            assert built[-39:] == [(n, radius) for n in range(2, 41)]
+            assert radius == _two_pass_radius(seq, 40, 512)
+        else:
+            assert built == []
+
+    def test_depth_600_samples_p2_at_the_failing_radii_only(self, monkeypatch):
+        built = _spy_circles(monkeypatch)
+        radius = escape_radius_search(builtin("minimal_chebyshev"), 600)
+        failing, r = [], 17.0 / 16.0
+        for _ in range(24):
+            failing.append((2, r))
+            r *= 2.0 ** (1.0 / 16.0)
+        assert built == failing and radius == r == 3.005203820042822
+
+    @pytest.mark.parametrize("make, n_maxes", [
+        (lambda: builtin("minimal_chebyshev"), [*range(2, 41), 150]),
+        (lambda: builtin("classical_chebyshev"), [*range(2, 41), 120]),
+        (lambda: builtin("classical_chebyshev", degrees=[2, 3]), [2, 3, 40]),
+    ], ids=["minimal_chebyshev", "classical_chebyshev", "classical_2_3"])
+    def test_same_radius_as_sampling(self, make, n_maxes):
+        seq = make()
+        for n_max in n_maxes:
+            assert escape_radius_search(seq, n_max) == _two_pass_radius(seq, n_max, 512), n_max
+
+    @pytest.mark.parametrize("kind, n_max, radius", [
+        ("minimal_chebyshev", 1000, 3.005203820042822),    # sampled values overflow doubles
+        ("classical_chebyshev", 300, 1.7111459776960813),  # sampling gave 2.034906971484467
+        ("classical_chebyshev", 600, 1.7111459776960813),  # sampling gave 2.8777930372408926
+    ])
+    def test_deep_radii(self, kind, n_max, radius):
+        assert escape_radius_search(builtin(kind), n_max) == radius
 
 
 _SYMMETRY_COUNTS = list(range(81)) + [512, 1001, 1002, 9600, 19200]
