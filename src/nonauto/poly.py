@@ -86,6 +86,30 @@ class Polynomial:
         """cauchy_root_bound(self), kept: the circle checkers read it on every circle."""
         return cauchy_root_bound(self)
 
+    @cached_property
+    def chebyshev_error(self) -> float:
+        """Least g with |coeffs_j - c a_j| <= g |c a_j| for every j, where T_d = sum a_j z**j
+        and c a_d is the lead: how far each stored coefficient is from the exact c T_d, for
+        the radius search's Chebyshev floor; kept.  Exact integer quotients, rounded up;
+        inf for a term c T_d lacks (imaginary or of the wrong parity) or a ratio past doubles."""
+        d = self.degree
+        if d < 1 or not self.real or self.parity is None:
+            return math.inf
+        lead_num, lead_den = self.coeffs[-1].real.as_integer_ratio()
+        top = lead_den.bit_length() + d - 2  # c a_j = a / 2**top
+        worst, a = 0.0, lead_num << (d - 1)
+        for k in range(d // 2 + 1):
+            j = d - 2 * k
+            num, den = self.coeffs[j].real.as_integer_ratio()  # coeffs_j = num / 2**e
+            e = den.bit_length() - 1
+            try:
+                worst = max(worst, abs((num << top) - (a << e)) / abs(a << e))
+            except OverflowError:
+                return math.inf
+            if j >= 2:
+                a = -a * j * (j - 1) // (4 * (k + 1) * (d - k - 1))
+        return worst * (1 + 2.0**-52)
+
 
 def polynomial(*coeffs, scale2: int = 0) -> Polynomial:
     """Build a polynomial from ascending coefficients, trimming trailing zeros."""

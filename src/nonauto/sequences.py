@@ -9,10 +9,10 @@ argument-principle count showing all zeros lie inside it.  Circle points are
 exactly symmetric, so a p_n with real coefficients and one parity (its
 Polynomial.parity) is evaluated only on the first quarter arc, and its minimum
 and winding are read off that arc.  The radius search bounds the circle minimum
-of the Chebyshev kinds, whose maps are all c T_d, in closed form and samples only
-the maps that bound does not clear; check_guided samples every map.  Leading
-factors past double range, such as n**(2**n), are built in exact integers cut to
-96 bits and kept as a power-of-two scale.
+of the Chebyshev kinds, whose maps are all c T_d up to the rounding of their stored
+coefficients, in closed form and samples only the maps that bound does not clear;
+check_guided samples every map.  Leading factors past double range, such as
+n**(2**n), are built in exact integers cut to 96 bits and kept as a power-of-two scale.
 """
 from __future__ import annotations
 
@@ -77,6 +77,7 @@ class PolySequence:
         self.length = length
         self._generator = generator
         self._cache: dict[int, Polynomial] = {}
+        self.chebyshev = False  # every p_n is c T_d up to its rounding; builtin sets it
 
     def __repr__(self):
         return f"PolySequence({self.kind})"
@@ -176,21 +177,24 @@ _DEGREE_KINDS = {
     "power": (monomial, lambda n: 2),
 }
 BUILTIN_KINDS = (*_FIXED_KINDS, *_DEGREE_KINDS)
-# kinds whose every map is c T_d, whatever the degrees: _chebyshev_floor bounds them
-_CHEBYSHEV_KINDS = frozenset({"minimal_chebyshev", "classical_chebyshev"})
 
 
 def builtin(kind: str, degrees=None) -> PolySequence:
-    """Construct one of the named sequences; `degrees` feeds the kinds that take them."""
+    """Construct one of the named sequences; `degrees` feeds the kinds that take them.
+    The kinds made by chebyshev_minimal or chebyshev_t are marked chebyshev."""
     if kind in _FIXED_KINDS:
         if degrees is not None:
             raise SequenceError(f"sequence kind {kind!r} takes no degrees")
-        return PolySequence(kind, _FIXED_KINDS[kind])
-    if kind not in _DEGREE_KINDS:
+        make = _FIXED_KINDS[kind]
+        seq = PolySequence(kind, make)
+    elif kind in _DEGREE_KINDS:
+        make, default = _DEGREE_KINDS[kind]
+        dfn = _degree_choice(degrees, default)
+        seq = PolySequence(kind, lambda n: make(dfn(n)))
+    else:
         raise SequenceError(f"unknown sequence kind {kind!r}")
-    make, default = _DEGREE_KINDS[kind]
-    dfn = _degree_choice(degrees, default)
-    return PolySequence(kind, lambda n: make(dfn(n)))
+    seq.chebyshev = make in (chebyshev_minimal, chebyshev_t)
+    return seq
 
 
 def custom_sequence(polys: Sequence[Polynomial], repeat: str = "cycle") -> PolySequence:
@@ -363,22 +367,33 @@ class _Circle:
 
 
 def _chebyshev_floor(p: Polynomial, radius: float) -> float:
-    """log min |p| over |z| = radius > 1 for p = c T_d, from below (Rivlin): with
-    z = (w + 1/w)/2, T_d = (w**d + w**-d)/2, and the circle lies outside the ellipse
-    |w| = rho = radius + sqrt(radius**2 - 1) but at +-radius, so |p| >= |c| (rho**d -
-    rho**-d)/2 on it; the zeros lie in [-1, 1].  c is read from p's lead 2**(d-1) c
-    and scale2; the bound is of c T_d itself, not of the rounding p stores."""
-    d = p.degree
+    """log min |p| over |z| = radius > 1 from below, for p near c T_d; -inf when the
+    bound does not hold.  With z = (w + 1/w)/2, T_d = (w**d + w**-d)/2, and the circle
+    lies outside the ellipse |w| = rho = radius + sqrt(radius**2 - 1) but at +-radius, so
+    |c T_d| >= F = |c| (rho**d - rho**-d)/2 on it (Rivlin); c is read from p's lead
+    2**(d-1) c and scale2.  p's stored coefficients differ from c T_d's by at most
+    g = p.chebyshev_error of each, so |p - c T_d| <= D = g |c T_d(i radius)| <= g |c|
+    (sigma**d + sigma**-d)/2 with sigma = radius + sqrt(radius**2 + 1), T_d's
+    coefficients alternating in sign.  Where D <= F/2, |p| >= F - D, and by Rouche p
+    has T_d's d zeros inside, all in [-1, 1]."""
+    d, g = p.degree, p.chebyshev_error
     rho = radius + math.sqrt(radius - 1.0) * math.sqrt(radius + 1.0)
-    return (math.log(abs(p.coeffs[-1])) + p.scale2 * LN2 + d * math.log(0.5 * rho)
-            + math.log1p(-rho ** (-2 * d)))
+    sigma = radius + math.hypot(radius, 1.0)
+    shrink = math.log1p(-rho ** (-2 * d))
+    log_ratio = (math.log(g) + d * math.log(sigma / rho) + math.log1p(sigma ** (-2 * d)) - shrink
+                 if g else -math.inf)  # log(D / F)
+    if log_ratio > -LN2:
+        return -math.inf
+    return (math.log(abs(p.coeffs[-1])) + p.scale2 * LN2 + d * math.log(0.5 * rho) + shrink
+            + math.log1p(-math.exp(log_ratio)))
 
 
 # _chebyshev_floor's rounding: rho has no cancellation and is within 4 ulps, so d log(rho/2)
 # is within d (4 + 2|log(rho/2)|) 2**-53 <= 1.6e-10 (d <= 1000, the Chebyshev cap, any finite
 # rho); log|lead| + scale2 ln 2 adds 1e-13, and the three sums 1.5 ulps of 7.1e5, 1.8e-10.
 # Near log(e*R) > 1, rho**d > 2e: log1p's argument is below 0.04 and passes on its 2d ulps
-# unamplified.  1e-9 covers the total almost threefold.
+# unamplified.  log(D / F) is within 1e-12 (d log(sigma/rho) within d 3 ulps), and with
+# D / F <= 1/2 log1p(-D / F) moves by at most twice that.  1e-9 covers the total twice.
 _FLOOR_MARGIN = 1e-9
 
 
@@ -422,21 +437,20 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
                          ceiling: float = 2.0**20) -> float:
     """Smallest grid radius R with min |p_n| >= e*R on the circle and zeros inside,
     for every 2 <= n <= n_max (one period: n <= seq.last_distinct(n_max));
-    beyond it each step grows moduli by a factor e.  A map of a Chebyshev kind is
+    beyond it each step grows moduli by a factor e.  A map of a seq marked chebyshev is
     sampled only where _chebyshev_floor does not clear log(e*R) by _FLOOR_MARGIN, so
-    depth costs O(1) a map there; check_guided samples every map of every kind."""
+    depth costs O(1) a map there; check_guided samples every map."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     worst = 2
     radius = 17.0 / 16.0
     step = 2.0 ** (1.0 / 16.0)
-    closed = seq.kind in _CHEBYSHEV_KINDS
     while radius <= ceiling:
         ok = True
         target = 1.0 + math.log(radius)
         for n in range(2, seq.last_distinct(n_max) + 1):
             p = seq.get(n)
-            if closed and _chebyshev_floor(p, radius) >= target + _FLOOR_MARGIN:
+            if seq.chebyshev and _chebyshev_floor(p, radius) >= target + _FLOOR_MARGIN:
                 continue
             circle = _Circle(p, radius, m)
             if circle.min_log < target or not circle.zeros_contained():

@@ -7,7 +7,6 @@ import pytest
 
 from nonauto.cli import main, parse_model, parse_sequence, parse_z
 from nonauto.green import Disk, Ellipse, Segment
-from nonauto.sequences import builtin
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "check_report.schema.json").read_text())
 
@@ -41,37 +40,7 @@ class TestParsers:
         assert parse_z("0,0.8") == 0.8j
 
 
-def _minimal_chebyshev_potential(z: complex, n: int) -> float:
-    """log|t_n o ... o t_1 (z)| / n! by a 60-digit mpmath orbit of the stored maps.
-    The lower terms of t_k sum below 1.21**k |w|**(k-2) (|T_k(i)| / 2**(k-1)), so
-    past |w| = 1e400 a step is w**k to 60 digits for every k <= 1000."""
-    mpmath = pytest.importorskip("mpmath")
-    seq = builtin("minimal_chebyshev")
-    with mpmath.workdps(60):
-        w = mpmath.mpc(z)
-        for k in range(1, n + 1):
-            if abs(w) > mpmath.mpf(10) ** 400:
-                w = w**k
-                continue
-            coeffs = seq.get(k).coeffs
-            acc = mpmath.mpc(coeffs[-1])
-            for c in coeffs[-2::-1]:
-                acc = acc * w + mpmath.mpc(c)
-            w = acc
-        return float(mpmath.log(abs(w)) / mpmath.factorial(n))
-
-
 class TestPointCommands:
-    def test_green_at_depth_800(self, capsys):
-        # the radius search bounds minimal Chebyshev maps in closed form, past the
-        # depth (about 700) where their sampled circle values overflow doubles
-        code, out, _ = run(capsys, "green", "--seq", "minimal-chebyshev", "--n", "800",
-                           "--z", "2,0.5", "--json")
-        assert code == 0
-        got = json.loads(out)
-        assert got["n"] == 800 and got["escaped_at"] == 2
-        assert abs(got["value"] - _minimal_chebyshev_potential(2 + 0.5j, 800)) <= got["error_bound"]
-
     def test_green_segment(self, capsys):
         code, out, _ = run(capsys, "green", "--model", "segment", "--z", "1.25")
         assert code == 0 and out.strip() == "0.693147"

@@ -209,6 +209,18 @@ class TestChebyshev:
             for k in range(1, 64 // m + 1):
                 assert compose(chebyshev_t(m), chebyshev_t(k)) == chebyshev_t(m * k), (m, k)
 
+    def test_chebyshev_error(self):
+        # the stored maps are exact while T_n's numerators fit 53 bits; past that the
+        # recurrence adds terms of one sign, so n roundings leave each coefficient within
+        # (1 + 2**-53)**n - 1 of c T_n's, and far less in fact; chebyshev_t scales exactly
+        assert all(chebyshev_minimal(n).chebyshev_error == 0 for n in range(1, 41))
+        for n in (300, 600, 1000):
+            g = chebyshev_minimal(n).chebyshev_error
+            assert 2.0**-53 < g < n * 2.0**-53 / 25 and chebyshev_t(n).chebyshev_error == g, n
+        assert 3.0 <= polynomial(1, 0, 1).chebyshev_error <= 3.0 + 1e-15  # 1 against -1/2 (z**2 - 1/2)
+        for p in (polynomial(0, 1, 1), polynomial(-0.5, 0, 1j), polynomial(1e300, 0, 1e-300)):
+            assert p.chebyshev_error == math.inf  # a term T_2 lacks; a ratio past doubles
+
     def test_minimal_coefficient_bits_and_shared_zeros(self):
         # t_1..t_1000 bit for bit, signs of zero included; the recurrence skips the
         # zero terms, so the 250,500 zero coefficients are one object, not one each

@@ -431,6 +431,28 @@ def _spy_circles(monkeypatch):
     return built
 
 
+def _t_ints(d):
+    """T_d's integer coefficients, by T_(k+1) = 2z T_k - T_(k-1) from T_0 = 1, T_1 = z."""
+    prev, cur = [1], [0, 1]
+    for _ in range(d - 1):
+        nxt = [0] + [2 * v for v in cur]
+        for j, v in enumerate(prev):
+            nxt[j] -= v
+        prev, cur = cur, nxt
+    return cur if d else prev
+
+
+def _stored_deviation(p, radius, mpmath):
+    """(log|c|, log sum_j |p_j - c a_j| radius**j) at the working precision, for p's stored
+    coefficients (scale2 included) against c T_d = sum_j c a_j z**j with p's lead."""
+    d, scale = p.degree, mpmath.mpf(2) ** p.scale2
+    c = mpmath.mpf(p.coeffs[-1].real) * scale / mpmath.mpf(2) ** (d - 1)
+    dev = sum(abs(mpmath.mpf(x.real) * scale - c * a) * mpmath.mpf(radius) ** j
+              + abs(x.imag) * scale * mpmath.mpf(radius) ** j
+              for j, (x, a) in enumerate(zip(p.coeffs, _t_ints(d))))
+    return mpmath.log(abs(c)), mpmath.log(dev) if dev else -mpmath.inf
+
+
 class TestChebyshevFloor:
     """The radius search's closed-form circle floor for the maps c T_d."""
 
@@ -456,13 +478,32 @@ class TestChebyshevFloor:
                 bound = mpmath.log((rho**d - rho**-d) / 2)
                 # equal to 60 digits at d log rho >> 70, where rho**(-2d) vanishes
                 assert bound <= min_log + 1e-50 and bound <= at_r + 1e-50, d
-                for p, log_c in ((chebyshev_minimal(d), (1 - d) * mpmath.log(2)),
-                                 (chebyshev_t(d), 0)):
+                for p in (chebyshev_minimal(d), chebyshev_t(d)):
                     floor = _chebyshev_floor(p, R)
-                    # the double floor's rounding stays a hundredth of the margin
-                    assert abs(floor - (bound + log_c)) <= _FLOOR_MARGIN / 100, (d, p.scale2)
-                    assert floor - _FLOOR_MARGIN <= min_log + log_c, (d, p.scale2)
-                    assert floor - _FLOOR_MARGIN <= at_r + log_c, (d, p.scale2)
+                    log_c, log_dev = _stored_deviation(p, R, mpmath)
+                    if p.chebyshev_error == 0:  # p is c T_d: the double floor's rounding
+                        assert log_dev == -mpmath.inf  # stays a hundredth of the margin
+                        assert abs(floor - (bound + log_c)) <= _FLOOR_MARGIN / 100, d
+                    if floor > -math.inf:
+                        # |p| >= |c T_d| - |p - c T_d| on the circle, and by Rouche p has
+                        # T_d's d zeros inside when the second term is the smaller
+                        assert log_dev < bound + log_c, (d, p.scale2)
+                        stored_min = bound + log_c + mpmath.log(1 - mpmath.exp(log_dev - bound - log_c))
+                        assert floor - _FLOOR_MARGIN <= stored_min, (d, p.scale2)
+                        assert floor - _FLOOR_MARGIN <= min_log + log_c, (d, p.scale2)
+                        assert floor - _FLOOR_MARGIN <= at_r + log_c, (d, p.scale2)
+                    elif R == 3.005203820042822 and d == 1000:
+                        # the stored t_1000 is not within its floor's reach of c T_1000 there
+                        assert log_dev > bound + log_c
+        # the floor decides the deep maps at the search's radius and at large radii
+        assert _chebyshev_floor(chebyshev_minimal(600), 3.005203820042822) > 600
+        assert _chebyshev_floor(chebyshev_t(1000), 100.0) > 4000
+
+    def test_marked_by_the_maker_not_the_name(self):
+        assert builtin("minimal_chebyshev").chebyshev
+        assert builtin("classical_chebyshev", degrees=[2, 3]).chebyshev
+        assert not any(builtin(kind).chebyshev for kind in ("power", "n_exp_z2", "n_pow_n"))
+        assert not sequences.PolySequence("minimal_chebyshev", chebyshev_minimal).chebyshev
 
     @pytest.mark.parametrize("excess, radius", [(0.5, 3.005203820042822), (2.0, 17.0 / 16.0)])
     def test_floor_within_the_margin_is_sampled(self, monkeypatch, excess, radius):
@@ -499,12 +540,32 @@ class TestChebyshevFloor:
             assert escape_radius_search(seq, n_max) == _two_pass_radius(seq, n_max, 512), n_max
 
     @pytest.mark.parametrize("kind, n_max, radius", [
-        ("minimal_chebyshev", 1000, 3.005203820042822),    # sampled values overflow doubles
-        ("classical_chebyshev", 300, 1.7111459776960813),  # sampling gave 2.034906971484467
-        ("classical_chebyshev", 600, 1.7111459776960813),  # sampling gave 2.8777930372408926
+        ("minimal_chebyshev", 600, 3.005203820042822),
+        ("classical_chebyshev", 200, 1.7111459776960813),
+        ("minimal_chebyshev", 800, None),   # the stored maps past ~640 need sampling, and
+        ("minimal_chebyshev", 1000, None),  # their Horner values overflow doubles
     ])
-    def test_deep_radii(self, kind, n_max, radius):
-        assert escape_radius_search(builtin(kind), n_max) == radius
+    def test_deep_radii_hold_for_the_stored_maps(self, kind, n_max, radius):
+        # each radius the search returns holds for the stored coefficients, not only for
+        # c T_d: a 60-digit floor less the deviation from c T_d clears log(e R), and by
+        # Rouche the stored map winds d times
+        mpmath = pytest.importorskip("mpmath")
+        seq = builtin(kind)
+        if radius is None:
+            with pytest.raises(SequenceError, match="overflow"):
+                escape_radius_search(seq, n_max)
+            radius = 3.005203820042822
+            assert _chebyshev_floor(seq.get(n_max), radius) == -math.inf
+            return
+        assert escape_radius_search(seq, n_max) == radius
+        with mpmath.workdps(60):
+            rho = mpmath.mpf(radius) + mpmath.sqrt(mpmath.mpf(radius) ** 2 - 1)
+            for d in (2, 3, n_max // 2 - 1, n_max // 2, n_max):
+                log_c, log_dev = _stored_deviation(seq.get(d), radius, mpmath)
+                floor = log_c + mpmath.log((rho**d - rho**-d) / 2)
+                assert log_dev < floor
+                stored_min = floor + mpmath.log(1 - mpmath.exp(log_dev - floor))
+                assert stored_min >= 1 + mpmath.log(radius), d
 
 
 _SYMMETRY_COUNTS = list(range(81)) + [512, 1001, 1002, 9600, 19200]
