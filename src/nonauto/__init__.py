@@ -5,9 +5,8 @@ certified error bounds, logarithmic capacities, Klimek-metric diagnostics,
 and raster reproduction of the associated figures.
 """
 
-from .poly import (MagnitudeOverflow, Polynomial, ScaledComplex, cauchy_root_bound,
-                   chebyshev_minimal, chebyshev_t, evaluate, evaluate_scaled, monomial,
-                   polynomial)
+from .poly import (MagnitudeOverflow, Polynomial, ScaledComplex, chebyshev_minimal,
+                   chebyshev_t, evaluate, evaluate_scaled, monomial, polynomial)
 from .sequences import (CheckReport, DegreeLedger, PolySequence, SequenceError,
                         Witness, builtin, check_finite_condition, check_guided,
                         check_P2, custom_sequence, escape_radius_search,

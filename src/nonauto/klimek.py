@@ -59,9 +59,7 @@ def gamma_models(E: ModelSet, F: ModelSet, m: int = 1024) -> KlimekEstimate:
     radius = max(E.enclosing_radius(), F.enclosing_radius())
     joint = [np.concatenate([e_net, f_net, _fill_net(radius, k)])
              for k, e_net, f_net in zip(sizes, E.nets(sizes), F.nets(sizes))]
-    coarse, fine = (float(np.abs(np.asarray(E.green(pts), float)
-                                 - np.asarray(F.green(pts), float)).max()) for pts in joint)
-    return KlimekEstimate(max(coarse, fine), joint[1].size, abs(fine - coarse))
+    return _distance(joint, [E.green(pts) for pts in joint], [F.green(pts) for pts in joint])
 
 
 def _annulus_net(radius: float, m: int) -> np.ndarray:
@@ -78,7 +76,7 @@ def _fields(seq: PolySequence, nets, n: int, escape_radius: float, target: Model
 
 
 def _distance(nets, at_n, at_m) -> KlimekEstimate:
-    """sup |G_n - G_m| on the base net, refined by the 4x net."""
+    """sup |G_n - G_m| on the base net, refined by the 4x net (gamma_models' rule too)."""
     lo, hi = (float(np.max(np.abs(a - b))) for a, b in zip(at_n, at_m))
     return KlimekEstimate(max(lo, hi), nets[1].size, abs(hi - lo))
 

@@ -4,14 +4,14 @@ A polynomial is a tuple of complex coefficients in ascending powers plus an
 optional power-of-two scale, so generators can express leading factors far
 outside double range (think n**2**n) while every stored coefficient stays a
 finite double.  Its facts (the array engines' _StepMeta, parity, real, the
-Cauchy root bound) are computed once and kept on it.  An orbit value of any
-size is carried as the vector engines' lanes carry it: the double itself
-inside the safe band, else a complex mantissa in [1,2) with an unbounded
-integer base-2 exponent.  _evaluate steps that carrier by the rule every
-orbit engine shares, and evaluate_scaled is its wrapper on ScaledComplex
-values.  The module builds and evaluates polynomials; it does not compose
-them.  The array carrier helpers (_ldexp_arr, _normalize) sit beside
-_ldexp_c and _split.
+Cauchy root bound, the deviation from c T_d) are computed once and kept on it.
+An orbit value of any size is carried as the vector engines' lanes carry it:
+the double itself inside the safe band, else a complex mantissa in [1,2) with
+an unbounded integer base-2 exponent.  _evaluate steps that carrier by the
+rule every orbit engine shares; evaluate is its one step from a double to a
+double, and evaluate_scaled from ScaledComplex to ScaledComplex.  The module
+builds and evaluates polynomials; it does not compose them.  The array
+carrier helpers (_ldexp_arr, _normalize) sit beside _ldexp_c and _split.
 """
 from __future__ import annotations
 
@@ -83,17 +83,20 @@ class Polynomial:
 
     @cached_property
     def root_bound(self) -> float:
-        """cauchy_root_bound(self), kept: the circle checkers read it on every circle."""
-        return cauchy_root_bound(self)
+        """Cauchy's 1 + max |a_j| / |a_d|, at least every zero's modulus; kept for the circles."""
+        if self.degree < 1:
+            raise ValueError("root bound needs degree >= 1")
+        return 1.0 + max(modulus_ratios(self.coeffs[:-1], self.coeffs[-1]))
 
     @cached_property
     def chebyshev_error(self) -> float:
         """Least g with |coeffs_j - c a_j| <= g |c a_j| for every j, where T_d = sum a_j z**j
         and c a_d is the lead: how far each stored coefficient is from the exact c T_d, for
-        the radius search's Chebyshev floor; kept.  Exact integer quotients, rounded up;
-        inf for a term c T_d lacks (imaginary or of the wrong parity) or a ratio past doubles."""
+        the radius search's Chebyshev floor; kept.  Exact integer quotients, rounded up, below
+        1/2; inf once one reaches 1/2, for a term c T_d lacks (imaginary or of the wrong
+        parity) and past degree _CHEBYSHEV_CAP, the premise of the floor's margin."""
         d = self.degree
-        if d < 1 or not self.real or self.parity is None:
+        if not 1 <= d <= _CHEBYSHEV_CAP or not self.real or self.parity is None:
             return math.inf
         lead_num, lead_den = self.coeffs[-1].real.as_integer_ratio()
         top = lead_den.bit_length() + d - 2  # c a_j = a / 2**top
@@ -102,10 +105,10 @@ class Polynomial:
             j = d - 2 * k
             num, den = self.coeffs[j].real.as_integer_ratio()  # coeffs_j = num / 2**e
             e = den.bit_length() - 1
-            try:
-                worst = max(worst, abs((num << top) - (a << e)) / abs(a << e))
-            except OverflowError:
+            dev, ref = abs((num << top) - (a << e)), abs(a << e)
+            if 2 * dev >= ref:  # from g = 1/2 on the floor refuses: D / F > g
                 return math.inf
+            worst = max(worst, dev / ref)
             if j >= 2:
                 a = -a * j * (j - 1) // (4 * (k + 1) * (d - k - 1))
         return worst * (1 + 2.0**-52)
@@ -133,19 +136,11 @@ def _horner(coeffs, z: complex) -> complex:
 
 
 def evaluate(p: Polynomial, z: complex) -> complex:
-    """Horner evaluation in plain doubles; raises MagnitudeOverflow on leaving range."""
+    """p(z) by one step of _evaluate; MagnitudeOverflow where it is past double range."""
     z = complex(z)
     if not _is_finite(z):
         raise ValueError("evaluation point must be finite")
-    acc = _horner(p.coeffs, z)
-    if p.scale2:
-        try:
-            acc = complex(math.ldexp(acc.real, p.scale2), math.ldexp(acc.imag, p.scale2))
-        except OverflowError as exc:
-            raise MagnitudeOverflow(f"2**{p.scale2} scale leaves double range") from exc
-    if not _is_finite(acc):
-        raise MagnitudeOverflow(f"|p(z)| overflows doubles at z={z!r}")
-    return acc
+    return _ldexp_c(*_evaluate(p, z, 0)[:2])
 
 
 @dataclass(frozen=True)
@@ -386,17 +381,10 @@ def chebyshev_t(n: int) -> Polynomial:
     t = chebyshev_minimal(n)
     if n == 1:
         return t
-    try:
-        return Polynomial(tuple(_ldexp_c(c, n - 1) for c in t.coeffs))
+    try:  # zero terms stay the monic recurrence's one shared 0j
+        return Polynomial(tuple(_ldexp_c(c, n - 1) if c else c for c in t.coeffs))
     except MagnitudeOverflow:
         return Polynomial(t.coeffs, scale2=n - 1)
-
-
-def cauchy_root_bound(p: Polynomial) -> float:
-    """1 + max |a_j| / |a_d|: every zero of p lies in the closed disk of this radius."""
-    if p.degree < 1:
-        raise ValueError("root bound needs degree >= 1")
-    return 1.0 + max(modulus_ratios(p.coeffs[:-1], p.coeffs[-1]))
 
 
 def modulus_ratios(values, lead: complex) -> list[float]:

@@ -9,10 +9,10 @@ argument-principle count showing all zeros lie inside it.  Circle points are
 exactly symmetric, so a p_n with real coefficients and one parity (its
 Polynomial.parity) is evaluated only on the first quarter arc, and its minimum
 and winding are read off that arc.  The radius search bounds the circle minimum
-of the Chebyshev kinds, whose maps are all c T_d up to the rounding of their stored
-coefficients, in closed form and samples only the maps that bound does not clear;
-check_guided samples every map.  Leading factors past double range, such as
-n**(2**n), are built in exact integers cut to 96 bits and kept as a power-of-two scale.
+of each map within its own stored deviation (Polynomial.chebyshev_error) of c T_d, as
+every map of the two Chebyshev kinds is, in closed form, and samples only the maps that
+bound does not clear; check_guided samples every map.  Leading factors past double range,
+such as n**(2**n), are built in exact integers cut to 96 bits and kept as a power-of-two scale.
 """
 from __future__ import annotations
 
@@ -77,7 +77,6 @@ class PolySequence:
         self.length = length
         self._generator = generator
         self._cache: dict[int, Polynomial] = {}
-        self.chebyshev = False  # every p_n is c T_d up to its rounding; builtin sets it
 
     def __repr__(self):
         return f"PolySequence({self.kind})"
@@ -180,21 +179,16 @@ BUILTIN_KINDS = (*_FIXED_KINDS, *_DEGREE_KINDS)
 
 
 def builtin(kind: str, degrees=None) -> PolySequence:
-    """Construct one of the named sequences; `degrees` feeds the kinds that take them.
-    The kinds made by chebyshev_minimal or chebyshev_t are marked chebyshev."""
+    """Construct one of the named sequences; `degrees` feeds the kinds that take them."""
     if kind in _FIXED_KINDS:
         if degrees is not None:
             raise SequenceError(f"sequence kind {kind!r} takes no degrees")
-        make = _FIXED_KINDS[kind]
-        seq = PolySequence(kind, make)
-    elif kind in _DEGREE_KINDS:
+        return PolySequence(kind, _FIXED_KINDS[kind])
+    if kind in _DEGREE_KINDS:
         make, default = _DEGREE_KINDS[kind]
         dfn = _degree_choice(degrees, default)
-        seq = PolySequence(kind, lambda n: make(dfn(n)))
-    else:
-        raise SequenceError(f"unknown sequence kind {kind!r}")
-    seq.chebyshev = make in (chebyshev_minimal, chebyshev_t)
-    return seq
+        return PolySequence(kind, lambda n: make(dfn(n)))
+    raise SequenceError(f"unknown sequence kind {kind!r}")
 
 
 def custom_sequence(polys: Sequence[Polynomial], repeat: str = "cycle") -> PolySequence:
@@ -390,7 +384,10 @@ def _chebyshev_floor(p: Polynomial, radius: float) -> float:
 
 # _chebyshev_floor's rounding: rho has no cancellation and is within 4 ulps, so d log(rho/2)
 # is within d (4 + 2|log(rho/2)|) 2**-53 <= 1.6e-10 (d <= 1000, the Chebyshev cap, any finite
-# rho); log|lead| + scale2 ln 2 adds 1e-13, and the three sums 1.5 ulps of 7.1e5, 1.8e-10.
+# rho).  log|lead| + scale2 ln 2 is within 1e-13 on the makers' maps (scale2 <= 999); on any
+# map whose floor is near the target, |term| <= 1 + |target| + d |log(rho/2)|: 1.4e4 for
+# R <= 2**20, so |scale2| <= 2.2e4 and (LN2 within 2.4e-17 of ln 2) the term is within 2.5e-12,
+# and within 1.4e-10 for any finite rho.  The three later sums add 1.5 ulps of 7.1e5, 1.8e-10.
 # Near log(e*R) > 1, rho**d > 2e: log1p's argument is below 0.04 and passes on its 2d ulps
 # unamplified.  log(D / F) is within 1e-12 (d log(sigma/rho) within d 3 ulps), and with
 # D / F <= 1/2 log1p(-D / F) moves by at most twice that.  1e-9 covers the total twice.
@@ -437,9 +434,9 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
                          ceiling: float = 2.0**20) -> float:
     """Smallest grid radius R with min |p_n| >= e*R on the circle and zeros inside,
     for every 2 <= n <= n_max (one period: n <= seq.last_distinct(n_max));
-    beyond it each step grows moduli by a factor e.  A map of a seq marked chebyshev is
-    sampled only where _chebyshev_floor does not clear log(e*R) by _FLOOR_MARGIN, so
-    depth costs O(1) a map there; check_guided samples every map."""
+    beyond it each step grows moduli by a factor e.  A map is sampled only where its own
+    _chebyshev_floor does not clear log(e*R) by _FLOOR_MARGIN, so a map near c T_d costs
+    O(1) and any other leaves the floor at once; check_guided samples every map."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     worst = 2
@@ -450,7 +447,7 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
         target = 1.0 + math.log(radius)
         for n in range(2, seq.last_distinct(n_max) + 1):
             p = seq.get(n)
-            if seq.chebyshev and _chebyshev_floor(p, radius) >= target + _FLOOR_MARGIN:
+            if _chebyshev_floor(p, radius) >= target + _FLOOR_MARGIN:
                 continue
             circle = _Circle(p, radius, m)
             if circle.min_log < target or not circle.zeros_contained():
@@ -482,6 +479,9 @@ def check_P2(seq: PolySequence, A: float, n_max: int) -> CheckReport:
 
 
 _SUP_THRESHOLD = 50.0  # check_finite_condition's bound on the sampled sup
+# and growth factor: on its default grid, rise / log(n_max / cut) is at most 0.58 for bounded
+# builtins (classical, n_max = 2) and at least 1 for unbounded ones (n_pow_n), n_max 2..40, 64, 100
+_GROWTH = 0.75
 
 
 def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: float = 2.0,
@@ -490,8 +490,8 @@ def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: floa
 
     passed needs the sampled sup below _SUP_THRESHOLD and no growth across the
     last decade of n (a heuristic flag for an unbounded normalized family):
-    its max may pass the earlier max by half of what log n growth adds there,
-    0.5 log(n_max / cut), so a bounded family still rising to its limit passes.
+    its max may pass the earlier max by _GROWTH times what log n growth adds
+    there, log(n_max / cut), so a bounded family still rising to its limit passes.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -511,7 +511,7 @@ def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: floa
     sup = float(per_n.max())
     cut = max(1, int(0.9 * n_max))
     rise = float(per_n[cut:].max(initial=-math.inf)) - float(per_n[:cut].max())
-    grew = rise > 0.5 * math.log(n_max / cut)  # -inf at n_max = 1
+    grew = rise > _GROWTH * math.log(n_max / cut)  # -inf at n_max = 1
     ok = sup <= _SUP_THRESHOLD and not grew
     note = "sup grows across the last decade of n (heuristic)" if grew else ""
     if ok:

@@ -391,6 +391,24 @@ class TestRenderCommand:
         assert code == 1
 
 
+class TestMalformedInput:
+    """Malformed sequence, model and point syntax exits 2 with a message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--seq", "custom", "--which", "p2"), "custom sequence needs a JSON path"),
+        (("check", "--seq", "custom:", "--which", "p2"), "custom sequence needs a JSON path"),
+        (("table", "--seq", "power", "--E", "disk:1,2,3,4", "--n-list", "1"), "disk syntax"),
+        (("gamma", "--a", "disk:1", "--b", "segment"), "disk syntax"),
+        (("gamma", "--a", "ellipse", "--b", "segment"), "ellipse syntax"),
+        (("green", "--model", "segment", "--z", "1,2,3"), "point syntax"),
+        (("green", "--seq", "power", "--z", "0.1,0.2,0.3", "--n", "3"), "point syntax"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_exits_2_with_a_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 class TestNonFiniteInput:
     """Non-finite model parameters, escape radii and tail bounds exit 2 with a message."""
 

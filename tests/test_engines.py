@@ -341,6 +341,27 @@ class TestCycleTraps:
         assert np.array_equal(got, escape_steps(flat, pts, 300, radius))
         assert same_field(green_field(seq, pts, 300, radius), green_field(flat, pts, 300, radius))
 
+    def test_coefficients_past_double_range_give_no_trap(self, monkeypatch):
+        # a p_1 slope past 1.8e308 gives no critical points to run; a settled cycle whose
+        # next map has a coefficient of modulus past 1.8e308 (both parts finite) has a
+        # chain that abs() cannot bound, and is skipped
+        calls, chain = [], green._close_chain
+
+        def spy(polys, centres):
+            calls.append(centres)
+            try:
+                return chain(polys, centres)
+            except OverflowError:
+                calls.append("overflow")
+                raise
+        monkeypatch.setattr(green, "_close_chain", spy)
+        assert green._cycle_disks(custom_sequence([polynomial(0, 0, 1e308), monomial(2)])) is None
+        assert calls == []
+        big = 1.5e308 * (1 + 1j)
+        seq = custom_sequence([polynomial(1e-200, 0, 1), polynomial(1e-200, 0, 0, big, 1)])
+        assert green._cycle_disks(seq) is None
+        assert len(calls) == 2 and calls[1] == "overflow"
+
     def test_radius_is_what_refuses_the_near_trap(self):
         seq = custom_sequence([polynomial(0.2, 0, 1)])
         assert green._trap(seq, 0.3) is None and green._trap(seq, 2.0) is not None

@@ -205,6 +205,11 @@ class TestCapacity:
         with pytest.raises(ValueError):
             capacity_estimate(g, [4.0, 3.0])
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_estimate_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            CapacityEstimate(value, 0.0, 0.0)
+
     @pytest.mark.parametrize("radii", [[0.0, 1.0], [-2.0, 1.0], [1.0, math.inf], [math.nan, 1.0]])
     def test_probe_radii_must_be_positive_and_finite(self, radii):
         # a radius of 0 took log(0) and reported spread inf; a negative one was accepted

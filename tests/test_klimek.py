@@ -127,6 +127,15 @@ class TestContraction:
 
 
 class TestTailConstant:
+    def test_depth_below_two_is_refused(self):
+        with pytest.raises(ValueError, match="n_max must be >= 2"):
+            tail_constant(builtin("power", degrees=2), UNIT_DISK, 1)
+
+    @pytest.mark.parametrize("fields", [(-1.0, 4, 0.0), (0.0, 4, -1e-300)])
+    def test_estimate_fields_must_be_non_negative(self, fields):
+        with pytest.raises(ValueError, match="non-negative"):
+            klimek.KlimekEstimate(*fields)
+
     def test_power_maps_zero(self):
         assert tail_constant(builtin("power", degrees=2), UNIT_DISK, 10) < 1e-9
 

@@ -8,13 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonauto.poly import (EPS, MagnitudeOverflow, Polynomial, ScaledComplex,
-                          cauchy_root_bound, chebyshev_minimal, chebyshev_t,
-                          evaluate, evaluate_scaled, monomial, polynomial)
+                          chebyshev_minimal, chebyshev_t, evaluate, evaluate_scaled,
+                          monomial, polynomial)
 
 finite_coeff = st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False)
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Polynomial(()), "at least one coefficient"),
+        (lambda: monomial(-1), "power must be >= 0"),
+        (lambda: chebyshev_minimal(1001), "capped at n <= 1000"),
+        (lambda: chebyshev_t(-1), "n must be >= 0"),
+    ], ids=["empty", "monomial", "minimal-cap", "classical-negative"])
+    def test_rejects_bad_arguments(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Polynomial((complex(float("inf"), 0.0),))
@@ -178,6 +188,28 @@ class TestScaledComplex:
         z = 3.25 - 0.5j
         assert ScaledComplex.from_complex(z).to_complex() == z
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf)])
+    def test_non_finite_rejected(self, z):
+        with pytest.raises(ValueError, match="non-finite"):
+            ScaledComplex.from_complex(z)
+
+    def test_zero(self):
+        zero = ScaledComplex.from_complex(0j, 7)
+        assert zero == ScaledComplex(0j, 0)
+        assert zero.to_complex() == 0j and zero.log_abs() == -math.inf
+
+    @pytest.mark.parametrize("exponent", [1024, 5000, -1075, -5000])
+    def test_out_of_double_range(self, exponent):
+        w = ScaledComplex(1.5, exponent)
+        with pytest.raises(MagnitudeOverflow):
+            w.to_complex()
+        assert w.log_abs() == pytest.approx(exponent * math.log(2) + math.log(1.5))
+
+    def test_log_abs_past_float_exponents(self):
+        # an exponent past 1.8e308 itself reads as +-inf, not OverflowError
+        assert ScaledComplex(1.5, 10**400).log_abs() == math.inf
+        assert ScaledComplex(1.5, -10**400).log_abs() == -math.inf
+
 
 class TestCompose:
     def test_chebyshev_semigroup(self, compose):
@@ -217,9 +249,23 @@ class TestChebyshev:
         for n in (300, 600, 1000):
             g = chebyshev_minimal(n).chebyshev_error
             assert 2.0**-53 < g < n * 2.0**-53 / 25 and chebyshev_t(n).chebyshev_error == g, n
-        assert 3.0 <= polynomial(1, 0, 1).chebyshev_error <= 3.0 + 1e-15  # 1 against -1/2 (z**2 - 1/2)
-        for p in (polynomial(0, 1, 1), polynomial(-0.5, 0, 1j), polynomial(1e300, 0, 1e-300)):
-            assert p.chebyshev_error == math.inf  # a term T_2 lacks; a ratio past doubles
+        # exact below 1/2, rounded up by one ulp: -3/8 against -1/2 (z**2 - 1/2), -1/2
+        # against -3/4 (z**3 - 3z/4), 0.2499999 against 1/2 at 1/2 - 2e-7
+        assert polynomial(-0.375, 0, 1).chebyshev_error == 0.25 * (1 + 2.0**-52)
+        assert 1 / 3 <= polynomial(0, -0.5, 0, 1).chebyshev_error <= 1 / 3 + 1e-16
+        assert 0.4999998 <= polynomial(-0.2500001, 0, 1).chebyshev_error < 0.5
+        # inf from 1/2 on: where the floor refuses anyway, at once for a monomial
+        for p in (polynomial(-0.25, 0, 1), polynomial(1, 0, 1), monomial(600),
+                  monomial(2, 1.0, scale2=2**40), polynomial(1e300, 0, 1e-300)):
+            assert p.chebyshev_error == math.inf, p.coeffs[0]
+        for p in (polynomial(0, 1, 1), polynomial(-0.5, 0, 1j)):
+            assert p.chebyshev_error == math.inf  # a term T_2 lacks
+        # t_1001 by the monic recurrence is as close to c T_1001 as t_1000 to c T_1000,
+        # but past the cap the floor's margin is not derived: inf
+        t1001 = [0j, *chebyshev_minimal(1000).coeffs]
+        for j, v in enumerate(chebyshev_minimal(999).coeffs):
+            t1001[j] -= 0.25 * v
+        assert Polynomial(tuple(t1001)).chebyshev_error == math.inf
 
     def test_minimal_coefficient_bits_and_shared_zeros(self):
         # t_1..t_1000 bit for bit, signs of zero included; the recurrence skips the
@@ -232,6 +278,17 @@ class TestChebyshev:
                 if not c:
                     zeros.add(id(c))
         assert h.hexdigest() == "923618654a3592695c5b789ee813d45a40c61b812e1ee67428ea6bb0a5a35f1e"
+        assert len(zeros) == 1
+        # T_1..T_1000 (scale2 included) as before; their zero terms share t_n's one 0j
+        h = hashlib.sha256()
+        kept = [chebyshev_t(n) for n in range(1, 1001)]  # alive, so no id is reused
+        for p in kept:
+            h.update(struct.pack("<q", p.scale2))
+            for c in p.coeffs:
+                h.update(struct.pack("<dd", c.real, c.imag))
+                if not c:
+                    zeros.add(id(c))
+        assert h.hexdigest() == "754bd98c6dfda12b2cf70a7ba781d4b91e0507be971d94b3e02ee0e685ebddf9"
         assert len(zeros) == 1
 
     def test_cap(self):
@@ -253,27 +310,27 @@ class TestChebyshev:
 
 class TestCauchyBound:
     def test_pure_power(self):
-        assert cauchy_root_bound(monomial(5)) == 1.0
+        assert monomial(5).root_bound == 1.0
 
     def test_shifted_square(self):
-        assert cauchy_root_bound(polynomial(-2, 0, 1)) == 3.0
+        assert polynomial(-2, 0, 1).root_bound == 3.0
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            cauchy_root_bound(polynomial(3))
+            polynomial(3).root_bound
 
     def test_coefficient_with_modulus_past_double_range(self):
         # 1.5e308 (1 + 1j): finite parts, modulus 2.1e308, which abs() cannot hold
         big = 1.5e308 * (1 + 1j)
-        assert cauchy_root_bound(polynomial(0, 0, big)) == 1.0
-        assert cauchy_root_bound(polynomial(big, 0, big)) == 2.0
-        assert cauchy_root_bound(polynomial(big, 0, 0.5 * big)) == 3.0
-        assert cauchy_root_bound(polynomial(big, 1e-300)) == math.inf
+        assert polynomial(0, 0, big).root_bound == 1.0
+        assert polynomial(big, 0, big).root_bound == 2.0
+        assert polynomial(big, 0, 0.5 * big).root_bound == 3.0
+        assert polynomial(big, 1e-300).root_bound == math.inf
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_chebyshev_zeros_inside(self, n):
         t = chebyshev_minimal(n)
-        bound = cauchy_root_bound(t)
+        bound = t.root_bound
         zeros = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
         assert np.all(np.abs(zeros) <= bound)
         vals = [evaluate(t, complex(z)) for z in zeros]

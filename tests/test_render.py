@@ -181,6 +181,15 @@ class TestRectTarget:
 
 
 class TestWriters:
+    def test_pgm_constant_green_field(self, tmp_path):
+        # no spread to scale: every pixel is 0, and the header names the one value
+        spec = RasterSpec(-1, 1, -1, 1, 3, 2, 10, 2.0)
+        path = tmp_path / "flat.pgm"
+        write_pgm(Raster(spec, np.full((2, 3), 0.25), "green"), path)
+        data = path.read_bytes()
+        assert b"# green: constant field value 0.25\n" in data
+        assert data.endswith(b"\x00" * 12)
+
     def test_pgm_all_zero(self, tmp_path, power_seq):
         spec = RasterSpec(-0.3, 0.3, -0.3, 0.3, 2, 2, 10, 2.0)
         raster = raster_membership(power_seq, spec)

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonauto import poly, sequences
-from nonauto.poly import (LN2, Polynomial, cauchy_root_bound, chebyshev_minimal, chebyshev_t,
-                          evaluate, monomial, polynomial)
+from nonauto.poly import (LN2, Polynomial, chebyshev_minimal, chebyshev_t, evaluate, monomial,
+                          polynomial)
 from nonauto.sequences import (_FLOOR_MARGIN, CheckReport, SequenceError, Witness, _chebyshev_floor,
                                _Circle, builtin, check_finite_condition, check_guided, check_P2,
                                circle_points, custom_sequence, escape_radius_search,
@@ -20,6 +20,7 @@ from nonauto.sequences import (_FLOOR_MARGIN, CheckReport, SequenceError, Witnes
 class TestBuiltins:
     def test_minimal_chebyshev(self):
         seq = builtin("minimal_chebyshev")
+        assert repr(seq) == "PolySequence(minimal_chebyshev)"
         assert seq.get(3) == chebyshev_minimal(3)
         assert seq.get(3).coeffs == (0j, -0.75 + 0j, 0j, 1 + 0j)
 
@@ -320,7 +321,7 @@ def _two_pass_circle(p, radius, m):
     i = int(np.argmin(logs))
 
     def zeros_contained():
-        if cauchy_root_bound(p) <= radius:
+        if p.root_bound <= radius:
             return True
         vals = values_on(p, circle_points(radius, max(m, 16 * p.degree, 64)))
         if not np.all(np.isfinite(vals)):
@@ -346,7 +347,7 @@ def _two_pass_check_guided(seq, R, n_max, m):
                                Witness(n, point, min_ratio * R), note="circle minimum below R")
         if not zeros_contained():
             return CheckReport(False, (2, n_max), min_ratio - 1.0,
-                               Witness(n, None, float(cauchy_root_bound(p))),
+                               Witness(n, None, float(p.root_bound)),
                                note="zeros not contained in the disk")
         margin = min(margin, min_ratio - 1.0)
     return CheckReport(True, (2, n_max), margin)
@@ -431,6 +432,17 @@ def _spy_circles(monkeypatch):
     return built
 
 
+def _p2_at_the_failing_radii():
+    """(2, R) for the 24 grid radii below 3.005203820042822, where t_2 fails: the circles
+    the radius search builds for the stored minimal Chebyshev maps."""
+    failing, r = [], 17.0 / 16.0
+    for _ in range(24):
+        failing.append((2, r))
+        r *= 2.0 ** (1.0 / 16.0)
+    assert r == 3.005203820042822
+    return failing
+
+
 def _t_ints(d):
     """T_d's integer coefficients, by T_(k+1) = 2z T_k - T_(k-1) from T_0 = 1, T_1 = z."""
     prev, cur = [1], [0, 1]
@@ -499,11 +511,33 @@ class TestChebyshevFloor:
         assert _chebyshev_floor(chebyshev_minimal(600), 3.005203820042822) > 600
         assert _chebyshev_floor(chebyshev_t(1000), 100.0) > 4000
 
-    def test_marked_by_the_maker_not_the_name(self):
-        assert builtin("minimal_chebyshev").chebyshev
-        assert builtin("classical_chebyshev", degrees=[2, 3]).chebyshev
-        assert not any(builtin(kind).chebyshev for kind in ("power", "n_exp_z2", "n_pow_n"))
-        assert not sequences.PolySequence("minimal_chebyshev", chebyshev_minimal).chebyshev
+    def test_decided_by_the_map_not_the_name(self, monkeypatch):
+        # the floor reads each map's own deviation from c T_d, and no sequence carries a
+        # mark: the Chebyshev kinds' maps are within reach, the other kinds' maps leave
+        # at once, and a sequence named minimal_chebyshev that makes monomials is sampled
+        # at every map, as any other sequence of monomials
+        for seq in (builtin("minimal_chebyshev"), builtin("classical_chebyshev"),
+                    builtin("classical_chebyshev", degrees=[2, 3])):
+            assert all(seq.get(n).chebyshev_error < 1e-13 for n in range(2, 41)), seq
+        for kind in ("power", "n_exp_z2", "n_pow_n", "two_pow_neg_n_sq"):
+            assert all(builtin(kind).get(n).chebyshev_error == math.inf for n in range(2, 41))
+        named = sequences.PolySequence("minimal_chebyshev", monomial)
+        assert not hasattr(named, "chebyshev")
+        built = _spy_circles(monkeypatch)
+        radius = escape_radius_search(named, 40)
+        assert built[-39:] == [(n, radius) for n in range(2, 41)]
+        assert radius == _two_pass_radius(named, 40, 512)
+
+    def test_custom_list_of_stored_maps_takes_the_floor(self, monkeypatch):
+        # the stored t_1..t_60 as a custom list: the search samples p_2 at the radii it
+        # fails and no map past it, as for the builtin
+        built = _spy_circles(monkeypatch)
+        custom = custom_sequence([chebyshev_minimal(n) for n in range(1, 61)], repeat="none")
+        assert escape_radius_search(custom, 60) == 3.005203820042822
+        from_custom = built[:]
+        built.clear()
+        assert escape_radius_search(builtin("minimal_chebyshev"), 60) == 3.005203820042822
+        assert from_custom == built == _p2_at_the_failing_radii()
 
     @pytest.mark.parametrize("excess, radius", [(0.5, 3.005203820042822), (2.0, 17.0 / 16.0)])
     def test_floor_within_the_margin_is_sampled(self, monkeypatch, excess, radius):
@@ -523,11 +557,7 @@ class TestChebyshevFloor:
     def test_depth_600_samples_p2_at_the_failing_radii_only(self, monkeypatch):
         built = _spy_circles(monkeypatch)
         radius = escape_radius_search(builtin("minimal_chebyshev"), 600)
-        failing, r = [], 17.0 / 16.0
-        for _ in range(24):
-            failing.append((2, r))
-            r *= 2.0 ** (1.0 / 16.0)
-        assert built == failing and radius == r == 3.005203820042822
+        assert built == _p2_at_the_failing_radii() and radius == 3.005203820042822
 
     @pytest.mark.parametrize("make, n_maxes", [
         (lambda: builtin("minimal_chebyshev"), [*range(2, 41), 150]),
@@ -638,7 +668,7 @@ class TestCircleValues:
 
         monkeypatch.setattr(sequences, "values_on", counted)
         _Circle(p, radius, 64)
-        m = max(64, 8 * p.degree) * (1 if cauchy_root_bound(p) <= radius else 2)
+        m = max(64, 8 * p.degree) * (1 if p.root_bound <= radius else 2)
         assert sizes == [arc(m)]
 
     def test_each_map_scans_its_coefficients_once(self, monkeypatch):
@@ -694,6 +724,30 @@ class TestP2:
         assert not rep.passed and rep.witness.n == 2 and rep.witness.value == 2.0
 
 
+class TestInputChecks:
+    """Each checker and constructor refuses what it cannot take, with a message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: check_guided(s, 2.0, 10, m=63), "at least 64 samples"),
+        (lambda s: escape_radius_search(s, 1), "n_max must be >= 2"),
+        (lambda s: check_P2(s, -1.0, 10), "A must be >= 0"),
+        (lambda s: check_P2(s, 1.0, 0), "n_max must be >= 1"),
+        (lambda s: check_finite_condition(s, 0j, 0.0, 10), "radius must be positive"),
+        (lambda s: check_finite_condition(s, 0j, -1.0, 10), "radius must be positive"),
+    ], ids=["guided-m", "escape-n_max", "p2-A", "p2-n_max", "finite-zero", "finite-negative"])
+    def test_checkers(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(builtin("power", degrees=2))
+
+    def test_sequences(self):
+        with pytest.raises(SequenceError, match="indices start at 1"):
+            builtin("power").get(0)
+        with pytest.raises(SequenceError, match="empty degree list"):
+            builtin("power", degrees=[])
+        with pytest.raises(SequenceError, match="repeat must be"):
+            custom_sequence([monomial(2)], repeat="loop")
+
+
 class TestFiniteCondition:
     def test_head_then_powers_bounded(self):
         rep = check_finite_condition(builtin("z2_minus_2_then_powers"), 0j, 2.0, 100)
@@ -705,13 +759,30 @@ class TestFiniteCondition:
         assert not rep.passed
         assert "decade" in rep.note
 
-    @pytest.mark.parametrize("n_max", [3, 16, 31, 100])
+    @pytest.mark.parametrize("n_max", [2, 3, 16, 31, 100])
     def test_classical_chebyshev_not_flagged(self, n_max):
         # (1/n) log+|T_n| on disk(0, 2) rises toward its limit, below log(2 + sqrt 5);
-        # a rise past 1e-9 over the last decade flagged it as unbounded
+        # a rise past 1e-9 over the last decade flagged it as unbounded, and at n_max = 2
+        # the rise 0.40 from T_1 to T_2 passed half of log 2
         rep = check_finite_condition(builtin("classical_chebyshev"), 0j, 2.0, n_max)
         assert rep.passed and rep.note == ""
         assert rep.sup < math.log(2 + math.sqrt(5))
+
+    @pytest.mark.parametrize("kind", ["n_pow_n", "n_exp_z2", "z2_minus_1_then_n_exp_z2"])
+    def test_unbounded_kinds_flagged_at_every_depth(self, kind):
+        # their growth factor is at least 1 (n_pow_n's log n exactly) against the bounded
+        # kinds' 0.58 at most; the flag sits between
+        seq = builtin(kind)
+        for n_max in range(2, 41):
+            rep = check_finite_condition(seq, 0j, 2.0, n_max)
+            assert not rep.passed and "decade" in rep.note, n_max
+
+    @pytest.mark.parametrize("kind", ["minimal_chebyshev", "classical_chebyshev", "power",
+                                      "two_pow_neg_n_sq", "z2_minus_2_then_powers"])
+    def test_bounded_kinds_pass_at_every_depth(self, kind):
+        seq = builtin(kind)
+        for n_max in range(2, 41):
+            assert check_finite_condition(seq, 0j, 2.0, n_max).passed, n_max
 
     def test_power_sup_is_log_radius(self):
         rep = check_finite_condition(builtin("power", degrees=2), 0j, 2.0, 50)
