@@ -34,9 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex, _binade,
-                   _evaluate, _is_finite, _ldexp_arr, _log2_moduli, _normalize, _StepMeta,
-                   modulus_ratios, polynomial)
+from .poly import (BAND_LOW, BAND_MIN_EXP, EPS, LN2, Polynomial, ScaledComplex, _evaluate,
+                   _is_finite, _ldexp_arr, _log2_moduli, _normalize, modulus_ratios, polynomial)
 from .sequences import PolySequence, _horner, circle_points, values_on
 
 
@@ -323,14 +322,14 @@ class Preimage(ModelSet):
     def green(self, z):
         arr, scalar = _as_c(z)
         flat = _flat_finite(arr)
-        w, e, a = _settle(self.poly.meta, values_on(self.poly, flat), flat, np.zeros(flat.size))
+        w, e, a = _settle(self.poly, values_on(self.poly, flat), flat, np.zeros(flat.size))
         # inner.green in the band at any size: the asymptotic form would mend (i) of
         # ROADMAP item 1 for Segment inners, and move a recorded benchmark value
         values = _finish(self.inner, w, e, a, 1 / self.poly.degree, math.inf)[0]
         return _ret(values.reshape(arr.shape), scalar)
 
     def robin(self) -> float:
-        return (self.inner.robin() + self.poly.meta.lead_log) / self.poly.degree
+        return (self.inner.robin() + self.poly.lead_log) / self.poly.degree
 
     def enclosing_radius(self) -> float:
         # Cauchy-style bound covering every branch of f(z) = w, |w| <= rho.
@@ -347,7 +346,7 @@ class Preimage(ModelSet):
         if sigma > 0.5:
             raise ValueError("asymptotic potential invalid this close to the preimage set")
         delta = -math.log1p(-sigma)
-        inner_err = self.inner.robin_error(d * log_abs_z + self.poly.meta.lead_log - delta)
+        inner_err = self.inner.robin_error(d * log_abs_z + self.poly.lead_log - delta)
         return (inner_err + delta) / d
 
     def boundary_net(self, m):
@@ -385,9 +384,8 @@ class Preimage(ModelSet):
         the pullback of t under a_0 + ... + a_r z**r, whose roots they are to
         within the dropped terms; the others start from 0.
         """
-        c = self.poly.meta.coeffs
+        c, (j, mag) = self.poly.array, self.poly._moduli
         d, s = self.poly.degree, self.poly.scale2
-        j, mag = _log2_moduli(c)
         lo = np.ceil((mag[:-1] - mag[-1] - 500) / (d - j[:-1])).max(initial=-math.inf)
         k, k0 = int(max(-round(s / d), lo)), int(max(0, lo))
         targets = np.asarray(targets, np.complex128)
@@ -594,49 +592,49 @@ def _far_horner(coeffs: np.ndarray, valuation: int, x: np.ndarray, big: np.ndarr
     return h
 
 
-def _far_step(meta: _StepMeta, m: np.ndarray, e: np.ndarray):
+def _far_step(p: Polynomial, m: np.ndarray, e: np.ndarray):
     """poly._far over arrays: p(m * 2**e) off the band, as (mantissa, exponent)."""
     big = e >= 0
-    k = np.where(big, float(meta.degree), float(meta.valuation))
+    k = np.where(big, float(p.degree), float(p.valuation))
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.where(big, _ldexp_arr(1 / m, -e), _ldexp_arr(m, e))  # |x| <= 1
-        h = _far_horner(meta.coeffs, meta.valuation, x, big)
+        h = _far_horner(p.array, p.valuation, x, big)
     shift = np.zeros(m.size)
     bad = ~np.isfinite(h)
     if bad.any():  # coefficients near 1.8e308 overflowed: rerun them scaled by 2**-s
-        s = _binade(meta.coeffs)
-        h[bad] = _far_horner(_ldexp_arr(meta.coeffs, -s), meta.valuation, x[bad], big[bad])
-        shift[bad] = s
+        h[bad] = _far_horner(_ldexp_arr(p.array, -p.binade), p.valuation, x[bad], big[bad])
+        shift[bad] = p.binade
     lm = k * np.log2(np.abs(m))
     ik = np.floor(lm)
-    h, ex = _normalize(h, np.where(k > 0, e * k, 0.0) + ik + meta.scale2 + shift)
+    h, ex = _normalize(h, np.where(k > 0, e * k, 0.0) + ik + p.scale2 + shift)
     return _normalize(h * np.exp2(lm - ik) * np.exp(1j * k * np.angle(m)), ex)
 
 
-def _advance(meta: _StepMeta, w: np.ndarray, e: np.ndarray):
-    """One step of poly._evaluate's rule over lanes; returns (w, e, |w|)."""
+def _advance(p: Polynomial, w: np.ndarray, e: np.ndarray):
+    """One step by p of poly._evaluate's rule over lanes; returns (w, e, |w|).  From
+    degree 4 on, a p of one parity runs its Horner on every other coefficient in w*w."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow sends a lane off-band
-        if meta.parity_sub is None:
-            return _settle(meta, _horner(meta.coeffs, w), w, e)
-        u = _horner(meta.parity_sub, w * w)
-        return _settle(meta, u * w if meta.parity_rem else u, w, e)
+        if p.degree < 4 or p.parity is None:
+            return _settle(p, _horner(p.array, w), w, e)
+        u = _horner(p.array[p.parity::2], w * w)
+        return _settle(p, u * w if p.parity else u, w, e)
 
 
-def _settle(meta: _StepMeta, u: np.ndarray, w: np.ndarray, e: np.ndarray):
-    """The off-band half of _advance, given u, the step's double Horner value
-    (used where e == 0); returns (w, e, |w|), |w| a mantissa's off the band,
+def _settle(p: Polynomial, u: np.ndarray, w: np.ndarray, e: np.ndarray):
+    """The off-band half of _advance by p, given u, p's unscaled double Horner
+    value (used where e == 0); returns (w, e, |w|), |w| a mantissa's off the band,
     and may reuse u.  Band lanes keep u when |u| is finite and at least
     BAND_LOW (or the lane is 0, where it is exact); the rest run _far_step."""
     a = np.abs(u)
-    if not meta.scale2 and a.size and a.min() >= BAND_LOW and a.max() < np.inf and not e.any():
+    if not p.scale2 and a.size and a.min() >= BAND_LOW and a.max() < np.inf and not e.any():
         return u, e, a  # every lane stays in the band (a nan fails the min test)
     off = ~((a >= BAND_LOW) & (a < np.inf)) | (e != 0)
-    sub = np.arange(u.size) if meta.scale2 else np.flatnonzero(off)
+    sub = np.arange(u.size) if p.scale2 else np.flatnonzero(off)
     redo = off[sub] & ((e[sub] != 0) | (w[sub] != 0))
-    m, ex = _normalize(np.where(redo, 0j, u[sub]), meta.scale2)  # redo lanes may be inf
+    m, ex = _normalize(np.where(redo, 0j, u[sub]), p.scale2)  # redo lanes may be inf
     if redo.any():
         r = sub[redo]
-        m[redo], ex[redo] = _far_step(meta, *_normalize(w[r], e[r]))
+        m[redo], ex[redo] = _far_step(p, *_normalize(w[r], e[r]))
     band = (ex >= BAND_MIN_EXP) & (ex <= 1023)
     m[band] = _ldexp_arr(m[band], ex[band])
     ex[band] = 0.0
@@ -725,14 +723,14 @@ def _cycle_disks(seq: PolySequence):
     if not polys or any(p.scale2 for p in polys):
         return None
     with np.errstate(all="ignore"):
-        slope = polys[0].meta.coeffs[1:] * np.arange(1, polys[0].degree + 1)
+        slope = polys[0].array[1:] * np.arange(1, polys[0].degree + 1)
         if not np.isfinite(slope).all():
             return None
         orbit = [np.roots(slope[::-1]).astype(np.complex128)]
         for _ in range(_TRAP_PERIODS):
             z = orbit[-1]
             for p in polys:
-                z = _horner(p.meta.coeffs, z)
+                z = _horner(p.array, z)
             orbit.append(z)
         for s, top in enumerate(z):
             m = next((m for m in range(1, _TRAP_CYCLE + 1) if np.isfinite(top)
@@ -742,7 +740,7 @@ def _cycle_disks(seq: PolySequence):
             centres, w = [], z[s:s + 1]
             for t in range(m * P):
                 centres.append(complex(w[0]))
-                w = _horner(polys[t % P].meta.coeffs, w)
+                w = _horner(polys[t % P].array, w)
             try:
                 radii = _close_chain(polys, centres)
             except OverflowError:  # abs() of a complex past double range
@@ -814,7 +812,7 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
         for k in range(1, n_steps + 1):
             if idx.size == 0:
                 break
-            w, e, a = _advance(seq.get(k).meta, w, e)
+            w, e, a = _advance(seq.get(k), w, e)
             esc = drop = _beyond(a, e, escape_radius, log2_r)
             if trap is not None and k % seq.period == 0:
                 drop = esc | _held(trap, w, e)
@@ -825,16 +823,16 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
     return steps.reshape(shape)
 
 
-def _robin_sums(steps_meta):
+def _robin_sums(polys):
     """(1/D_(k-1), S_(k-1) for k = 1..N; S_N; 1/D_N), S_k = sum_(j<=k) log|lead p_j|/D_j.
     S_N + robin_E/D_N is the Robin constant of P_N^{-1}(E) (Ransford, Thm 5.3.1)."""
     inv_d, s_prev = [], []
     d_prod, s_sum = 1, 0.0
-    for meta in steps_meta:
+    for p in polys:
         inv_d.append(1 / d_prod)
         s_prev.append(s_sum)
-        d_prod *= meta.degree
-        s_sum += meta.lead_log * (1 / d_prod)
+        d_prod *= p.degree
+        s_sum += p.lead_log * (1 / d_prod)
     return inv_d, s_prev, s_sum, 1 / d_prod
 
 
@@ -860,13 +858,13 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
     """
     pts, shape, log2_r = _engine_points(points, n_steps, escape_radius)
     trap = _trap(seq, escape_radius, target)
-    steps_meta = [seq.get(k).meta for k in range(1, n_steps + 1)]
+    polys = [seq.get(k) for k in range(1, n_steps + 1)]
     # log2|w| before step k from which the log update and log|w_N| + robin are exact
     floor = max(log2_r, target._asymptotic_log2)
-    entry = np.maximum.accumulate([max(m.log_safe, floor) for m in steps_meta[::-1]])[::-1]
+    entry = np.maximum.accumulate([max(p.log_safe, floor) for p in polys[::-1]])[::-1]
     gate = [2.0 ** x if x < 1024 else math.inf for x in entry]
     # a lane entering log mode before step k takes log|w|/D_(k-1) - S_(k-1) + S_N
-    inv_d, s_prev, s_sum, inv_n = _robin_sums(steps_meta)
+    inv_d, s_prev, s_sum, inv_n = _robin_sums(polys)
     robin_n = target.robin() * inv_n
     values, steps = np.zeros(pts.size), np.zeros(pts.size, np.int32)
     final_w = np.full(pts.size, complex(np.nan, np.nan))
@@ -874,7 +872,7 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
         chunk = slice(lo, lo + _CHUNK)
         vals, out, w_out, w = values[chunk], steps[chunk], final_w[chunk], pts[chunk].copy()
         idx, e, a = np.arange(w.size), np.zeros(w.size), np.abs(w)
-        for k, meta in enumerate(steps_meta, start=1):
+        for k, p in enumerate(polys, start=1):
             if idx.size == 0:
                 break
             go = _beyond(a, e, gate[k - 1], entry[k - 1])
@@ -885,7 +883,7 @@ def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 out[t[out[t] == 0]] = k  # |w| >= R and it grows at this step
                 keep = ~go
                 idx, w, e = idx[keep], w[keep], e[keep]
-            w, e, a = _advance(meta, w, e)
+            w, e, a = _advance(p, w, e)
             hit = idx[_beyond(a, e, escape_radius, log2_r)]
             out[hit[out[hit] == 0]] = k
             if trap is not None and k % seq.period == 0:

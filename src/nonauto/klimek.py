@@ -166,7 +166,7 @@ def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int]
     for n in ns:  # each depth's fields once; only depths n and n + 1 are kept
         fields = {k: fields.get(k) or _fields(seq, nets, k, escape_radius, target)
                   for k in (n, n + 1)}
-        _, _, s_n, inv_n = _robin_sums([seq.get(k).meta for k in range(1, n + 1)])
+        _, _, s_n, inv_n = _robin_sums([seq.get(k) for k in range(1, n + 1)])
         rows.append(TableRow(n, seq.ledger(n).log_d, _distance(nets, *fields.values()).lower,
                              capacity_of(s_n + target.robin() * inv_n)))
     return rows

@@ -3,8 +3,9 @@
 A polynomial is a tuple of complex coefficients in ascending powers plus an
 optional power-of-two scale, so generators can express leading factors far
 outside double range (think n**2**n) while every stored coefficient stays a
-finite double.  Its facts (the array engines' _StepMeta, parity, real, the
-Cauchy root bound, the deviation from c T_d) are computed once and kept on it.
+finite double.  Its facts (the coefficient array, valuation, lead_log, log_safe,
+binade, parity, real, the Cauchy root bound, the deviation from c T_d) are
+computed once and kept on it, and every engine steps by the polynomial itself.
 An orbit value of any size is carried as the vector engines' lanes carry it:
 the double itself inside the safe band, else a complex mantissa in [1,2) with
 an unbounded integer base-2 exponent.  _evaluate steps that carrier by the
@@ -65,9 +66,11 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     @cached_property
-    def meta(self) -> _StepMeta:
-        """The step facts the array engines read, built on first use and kept."""
-        return _StepMeta(self)
+    def array(self) -> np.ndarray:
+        """The coefficients as a read-only complex128 array, shared by every step by p; kept."""
+        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c.flags.writeable = False
+        return c
 
     @cached_property
     def parity(self) -> int | None:
@@ -87,6 +90,39 @@ class Polynomial:
         if self.degree < 1:
             raise ValueError("root bound needs degree >= 1")
         return 1.0 + max(modulus_ratios(self.coeffs[:-1], self.coeffs[-1]))
+
+    @cached_property
+    def _moduli(self) -> tuple[np.ndarray, np.ndarray]:
+        """_log2_moduli of the whole array, once: valuation, lead_log, log_safe and
+        Preimage._pullback read it."""
+        return _log2_moduli(self.array)
+
+    @cached_property
+    def valuation(self) -> int:
+        """Index of the lowest nonzero coefficient (0 for the zero polynomial); kept."""
+        j = self._moduli[0]
+        return int(j[0]) if j.size else 0
+
+    @cached_property
+    def lead_log(self) -> float:
+        """log|lead|, scale included, finite past 1.8e308; kept."""
+        return (float(self._moduli[1][-1]) + self.scale2) * LN2
+
+    @cached_property
+    def log_safe(self) -> float:
+        """log2|w| from which each term a_j w**j, j < d, is below 2**-53/d of a_d w**d,
+        and |p(w)| >= 2|w|: past it the engines drop the lower terms; kept."""
+        j, mag = self._moduli
+        d, lead2 = self.degree, float(mag[-1]) + self.scale2
+        drop = ((mag[:-1] - mag[-1] + math.log2(d) + 53) / (d - j[:-1])).max(initial=-math.inf)
+        grow = (1 - lead2) / (d - 1) if d > 1 else (-math.inf if lead2 >= 1 else math.inf)
+        return max(float(drop), grow)
+
+    @cached_property
+    def binade(self) -> int:
+        """s with the largest coefficient part in [2**(s-1), 2**s): every Horner that
+        overflows on coefficients near 1.8e308 reruns on them scaled by 2**-s; kept."""
+        return int(np.frexp(np.abs(self.array.view(np.float64)).max())[1])
 
     @cached_property
     def chebyshev_error(self) -> float:
@@ -160,7 +196,7 @@ class ScaledComplex:
     def to_complex(self) -> complex:
         if self.mantissa == 0:
             return 0j
-        if not -1074 < self.exponent < 1023:
+        if not -1075 < self.exponent < 1024:
             raise MagnitudeOverflow(f"2**{self.exponent} outside double range")
         return _ldexp_c(self.mantissa, self.exponent)
 
@@ -248,12 +284,12 @@ def _far(p: Polynomial, m: complex, e: int) -> tuple[complex, int, float]:
     by 2**-s, s the binade of the largest, and s joins the exponent.  No term
     is dropped unless it sits below the rounding of the kept ones."""
     big = e >= 0
-    k = p.degree if big else next((j for j, c in enumerate(p.coeffs) if c), 0)
+    k = p.degree if big else p.valuation
     coeffs, x = (p.coeffs[::-1], _ldexp_c(1 / m, -e)) if big else (p.coeffs[k:], _ldexp_c(m, e))
     h, s = _horner_abs(coeffs, x)
     shift = 0
     if not (_is_finite(h) and s < math.inf):
-        shift = _binade(coeffs)
+        shift = p.binade
         h, s = _horner_abs([_ldexp_c(c, -shift) for c in coeffs], x)
     # m**k as 2**(k log2|m|) at phase k arg(m), on the normalized value: nothing overflows
     lm = k * math.log2(abs(m))
@@ -262,12 +298,6 @@ def _far(p: Polynomial, m: complex, e: int) -> tuple[complex, int, float]:
     h, he = _split(h, e * k + ik + p.scale2 + shift)
     return (*_carry(h * cmath.rect(2.0 ** (lm - ik), k * cmath.phase(m)), he),
             s / a if a else math.inf)
-
-
-def _binade(coeffs) -> int:
-    """s with the largest coefficient part in [2**(s-1), 2**s): every Horner that
-    overflows on coefficients near 1.8e308 reruns on them scaled by 2**-s."""
-    return int(np.frexp(np.abs(np.asarray(coeffs, dtype=np.complex128).view(np.float64)).max())[1])
 
 
 def _ldexp_c(c: complex, s: int) -> complex:
@@ -303,37 +333,6 @@ def _log2_moduli(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     j = np.flatnonzero(c)
     m, ex = _normalize(c[j], 0.0)
     return j, np.log2(np.abs(m)) + ex
-
-
-class _StepMeta:
-    """What an array step reads of p: its coefficients as a read-only array,
-    degree, scale2, log|lead| (scale included), valuation, log_safe and the
-    parity split.  A pure function of p, kept on it as Polynomial.meta."""
-
-    __slots__ = ("coeffs", "degree", "scale2", "lead_log", "valuation", "log_safe",
-                 "parity_sub", "parity_rem")
-
-    def __init__(self, p: Polynomial):
-        c = np.asarray(p.coeffs, dtype=np.complex128)
-        c.flags.writeable = False  # shared by every call that steps by p
-        self.coeffs = c
-        self.degree = d = p.degree
-        self.scale2 = p.scale2
-        idx, mag = _log2_moduli(c)
-        self.valuation = int(idx[0]) if idx.size else 0
-        lead2 = float(mag[-1]) + p.scale2
-        self.lead_log = lead2 * LN2
-        # from |w| = 2**log_safe on, each dropped term a_j w**j is below
-        # 2**-53/d of a_d w**d, and |p(w)| >= 2|w|
-        drop = ((mag[:-1] - mag[-1] + math.log2(d) + 53) / (d - idx[:-1])).max(initial=-math.inf)
-        grow = (1 - lead2) / (d - 1) if d > 1 else (-math.inf if lead2 >= 1 else math.inf)
-        self.log_safe = max(float(drop), grow)
-        if d >= 4 and p.parity is not None:
-            self.parity_sub = c[p.parity::2]
-            self.parity_rem = p.parity
-        else:
-            self.parity_sub = None
-            self.parity_rem = 0
 
 
 # monic minimal polynomials on [-1,1]: t_0 := 1, t_1 = z,

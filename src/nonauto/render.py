@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import _CHUNK, ModelSet, Segment, UNIT_DISK, escape_steps, green_field
+from .green import _CHUNK, Segment, escape_steps, green_field
 from .sequences import PolySequence
 
 
@@ -101,10 +101,9 @@ def raster_membership(seq: PolySequence, spec: RasterSpec, threads: int = 1) -> 
     return Raster(spec, _by_rows(worker, spec, threads), "membership")
 
 
-def raster_green(seq: PolySequence, spec: RasterSpec, target: ModelSet = UNIT_DISK,
-                 threads: int = 1) -> Raster:
-    """Normalized potential of the sequence toward target per pixel (green_field)."""
-    worker = lambda g: green_field(seq, g, spec.n_steps, spec.escape_radius, target)[0]
+def raster_green(seq: PolySequence, spec: RasterSpec, threads: int = 1) -> Raster:
+    """Normalized potential of the sequence toward the unit disk per pixel (green_field)."""
+    worker = lambda g: green_field(seq, g, spec.n_steps, spec.escape_radius)[0]
     return Raster(spec, _by_rows(worker, spec, threads), "green")
 
 

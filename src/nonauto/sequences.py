@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import (LN2, Polynomial, _binade, _ldexp_arr, chebyshev_minimal, chebyshev_t,
+from .poly import (LN2, Polynomial, _ldexp_arr, chebyshev_minimal, chebyshev_t,
                    modulus_ratios, monomial, polynomial)
 
 _UINT64_MAX = 2**64 - 1
@@ -309,16 +309,15 @@ def log_abs_on(p: Polynomial, pts: np.ndarray) -> np.ndarray:
 def _finite_values(p: Polynomial, pts: np.ndarray) -> tuple[np.ndarray, int]:
     """(vals, scale2) with p = 2**scale2 * vals on pts, every value finite: if one of
     values_on's is not, all are evaluated again on the coefficients scaled by 2**-s,
-    s = poly._binade (the rescale rule of every Horner), else refused."""
+    s = p.binade (the rescale rule of every Horner), else refused."""
     vals = values_on(p, pts)
     if np.isfinite(vals).all():
         return vals, p.scale2
-    s = _binade(p.coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _horner(_ldexp_arr(np.array(p.coeffs), -s), pts)
+        vals = _horner(_ldexp_arr(p.array, -p.binade), pts)
     if not np.isfinite(vals).all():
         raise SequenceError("Horner values overflow doubles even on rescaled coefficients")
-    return vals, p.scale2 + s
+    return vals, p.scale2 + p.binade
 
 
 class _Circle:
@@ -392,6 +391,7 @@ def _chebyshev_floor(p: Polynomial, radius: float) -> float:
 # unamplified.  log(D / F) is within 1e-12 (d log(sigma/rho) within d 3 ulps), and with
 # D / F <= 1/2 log1p(-D / F) moves by at most twice that.  1e-9 covers the total twice.
 _FLOOR_MARGIN = 1e-9
+_RADIUS_CEILING = 2.0**20  # escape_radius_search gives up past it
 
 
 # --- checkers --------------------------------------------------------------
@@ -430,8 +430,7 @@ def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> Chec
     return CheckReport(True, (2, n_max), margin)
 
 
-def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
-                         ceiling: float = 2.0**20) -> float:
+def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512) -> float:
     """Smallest grid radius R with min |p_n| >= e*R on the circle and zeros inside,
     for every 2 <= n <= n_max (one period: n <= seq.last_distinct(n_max));
     beyond it each step grows moduli by a factor e.  A map is sampled only where its own
@@ -442,7 +441,7 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
     worst = 2
     radius = 17.0 / 16.0
     step = 2.0 ** (1.0 / 16.0)
-    while radius <= ceiling:
+    while radius <= _RADIUS_CEILING:
         ok = True
         target = 1.0 + math.log(radius)
         for n in range(2, seq.last_distinct(n_max) + 1):
@@ -456,7 +455,7 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512,
         if ok:
             return radius
         radius *= step
-    raise SequenceError(f"no escape radius below {ceiling:g}; p_{worst} keeps failing")
+    raise SequenceError(f"no escape radius below {_RADIUS_CEILING:g}; p_{worst} keeps failing")
 
 
 def check_P2(seq: PolySequence, A: float, n_max: int) -> CheckReport:

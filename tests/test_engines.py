@@ -322,7 +322,7 @@ class TestCycleTraps:
             e = np.zeros(w.size)
             for _ in range(50):
                 for k in range(1, seq.period + 1):
-                    w, e, a = green._advance(seq.get(k).meta, w, e)
+                    w, e, a = green._advance(seq.get(k), w, e)
                     assert not e.any() and (a < 2.0).all()
                 assert (np.abs(w[:, None] - centres) <= radii).any(axis=1).all()
 

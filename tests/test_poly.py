@@ -49,6 +49,21 @@ class TestConstruction:
         # every nonzero coefficient's index has the degree's parity, else None
         assert polynomial(*coeffs).parity == parity
 
+    @pytest.mark.parametrize("p, valuation, lead_log, log_safe", [
+        (monomial(2), 2, 0.0, 1.0),
+        (polynomial(-2, 0, 1), 0, 0.0, 27.5),
+        (monomial(3, 1.5, 2000), 3, 1386.6998262279988, -999.7924812503605),
+        (polynomial(0, 0, 3, 1), 2, 0.0, 56.16992500144231)],
+        ids=["monomial", "quadratic", "lead-past-double", "valuation-2"])
+    def test_step_facts(self, p, valuation, lead_log, log_safe):
+        # lead_log stays finite for a lead 1.5 * 2**2000, past 1.8e308
+        assert (p.valuation, p.lead_log, p.log_safe) == (valuation, lead_log, log_safe)
+
+    def test_array_kept_read_only(self):
+        p = polynomial(1, 2j, 3)
+        assert p.array is p.array and not p.array.flags.writeable
+        assert p.array.dtype == np.complex128 and p.array.tolist() == list(p.coeffs)
+
 
 class TestEvaluate:
     def test_chebyshev_at_zero(self):
@@ -197,6 +212,11 @@ class TestScaledComplex:
         zero = ScaledComplex.from_complex(0j, 7)
         assert zero == ScaledComplex(0j, 0)
         assert zero.to_complex() == 0j and zero.log_abs() == -math.inf
+
+    @pytest.mark.parametrize("exponent", [1023, -1074])
+    def test_double_range_edges(self, exponent):
+        # 1.5 * 2**1023 is 1.35e308; 1.5 * 2**-1074 rounds to the subnormal 1e-323
+        assert ScaledComplex(1.5, exponent).to_complex() == math.ldexp(1.5, exponent)
 
     @pytest.mark.parametrize("exponent", [1024, 5000, -1075, -5000])
     def test_out_of_double_range(self, exponent):

@@ -333,7 +333,7 @@ class TestNewtonNets:
 def pullback_by_rows(self, targets):
     """Preimage._pullback with one np.roots call per companion row: the
     reference the stacked eigvals solves must equal bit for bit."""
-    c = self.poly.meta.coeffs
+    c = self.poly.array
     d, s = self.poly.degree, self.poly.scale2
     j, mag = green._log2_moduli(c)
     lo = np.ceil((mag[:-1] - mag[-1] - 500) / (d - j[:-1])).max(initial=-math.inf)

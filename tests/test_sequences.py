@@ -261,8 +261,8 @@ class TestEscapeRadius:
         assert check_guided(min_cheb, min_cheb_radius, 40, m=4096).passed
 
     def test_unreachable_reports(self):
-        with pytest.raises(SequenceError):
-            escape_radius_search(builtin("two_pow_neg_n_sq"), 10, ceiling=4.0)
+        with pytest.raises(SequenceError, match=r"no escape radius below 1\.04858e\+06; p_19"):
+            escape_radius_search(builtin("two_pow_neg_n_sq"), 20)
 
 
 class TestPeriodicCheckers:
