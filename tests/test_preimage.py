@@ -5,9 +5,11 @@ finishes it like green_field, so f(z) of any size, and any scale2, gives
 (1/d) g_inner(f(z)) to within the rounding of one Horner pass.  Preimage
 nets are solved in a rescaled variable, so they exist for any scale2, by
 Newton continuation from companion roots; they equal the companion roots
-per target, as sets, wherever those are accurate.
+per target, as sets, wherever those are accurate.  A map stored as exactly
+c T_d takes the closed form instead, checked against 50-digit polyroots.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,14 +283,23 @@ METRIC_NETS = {
 }
 
 
+def nudged(f):
+    """f with its lead one ulp larger: chebyshev_error > 0, so its nets take the
+    general route (companion anchors, Newton continuation), not the closed form."""
+    g = polynomial(*f.coeffs[:-1], np.nextafter(f.coeffs[-1].real, math.inf), scale2=f.scale2)
+    assert g.chebyshev_error > 0
+    return g
+
+
 class TestNewtonNets:
     """Nets by Newton continuation equal the companion nets wherever those hold."""
 
     @pytest.mark.parametrize("config", sorted(METRIC_NETS))
     @pytest.mark.parametrize("m", [256, 1024])
     def test_metric_nets_match_companion_roots(self, config, m):
+        # the maps one ulp off c T_d: the exact ones take the closed form
         inner, maps = METRIC_NETS[config]
-        for f in maps:
+        for f in map(nudged, maps):
             pre = Preimage(inner, f)
             nets = [(inner.boundary_net(max(8, m // f.degree)), pre.boundary_net(m)),
                     (inner.interior_net(max(8, m // f.degree)), pre.interior_net(m))]
@@ -387,7 +398,7 @@ class TestStackedCompanionSolves:
     @pytest.mark.parametrize("m", [256, 1024])
     def test_metric_nets(self, monkeypatch, config, m):
         inner, maps = METRIC_NETS[config]
-        for f in maps:
+        for f in map(nudged, maps):  # one ulp off c T_d, as in TestNewtonNets
             self.assert_nets_equal(monkeypatch, Preimage(inner, f), m)
 
     @pytest.mark.parametrize("degree", range(1, 7))
@@ -401,7 +412,7 @@ class TestStackedCompanionSolves:
     def test_target_equal_to_constant_term(self, monkeypatch, n):
         # odd T_n has a_0 = 0, and the disk's interior net starts at its center
         # 0: that row's companion polynomial has the root 0, which np.roots strips
-        f = chebyshev_t(n)
+        f = nudged(chebyshev_t(n))
         assert f.coeffs[0] == 0 and UNIT_DISK.interior_net(64)[0] == 0
         calls, roots = [], np.roots
         with monkeypatch.context() as patch:
@@ -463,3 +474,119 @@ class TestNets:
         for K in (UNIT_DISK, Disk(0.5j, 2.0), Ellipse(1.5), Segment()):
             for k, net in zip((64, 256), K.nets((64, 256))):
                 assert np.array_equal(net, np.concatenate([K.boundary_net(k), K.interior_net(k)]))
+
+
+def polyroots(f, t):
+    """The d roots of f(z) = t, f's stored coefficients and scale2, by 50-digit
+    mpmath.polyroots.  It stops on an absolute step, so the roots are taken in
+    z = 2**k u with k from |t 2**-scale2 / lead|**(1/d), their size, and it
+    starts from np.roots of the same polynomial in doubles: an independent
+    start, since the iteration converges to the roots from any."""
+    d, s = f.degree, f.scale2
+    k = round((math.log2(abs(t)) - s - math.log2(abs(f.coeffs[-1]))) / d) if t else 0
+    shifts = [(j - d) * k for j in range(d, -1, -1)]  # sum a_j 2**((j-d)k) u**j = t 2**(-s-dk)
+    desc = np.array([math.ldexp(1.0, e) * c for e, c in zip(shifts, f.coeffs[::-1])])
+    if t:  # seeds: terms below 2**-1074 flush
+        desc[-1] -= complex(t) * math.ldexp(1.0, -s - d * k)
+    with mpmath.workdps(50):
+        cs = [mpmath.mpc(c) * mpmath.mpf(2) ** e for e, c in zip(shifts, f.coeffs[::-1])]
+        cs[-1] -= mpmath.mpc(complex(t)) * mpmath.mpf(2) ** (-s - d * k)
+        seeds = [mpmath.mpc(complex(r)) for r in np.roots(desc)]
+        seeds += [mpmath.mpc(0)] * (d - len(seeds))
+        roots, err = mpmath.polyroots(cs, maxsteps=100, extraprec=100, roots_init=seeds,
+                                      error=True)
+        assert err <= mpmath.mpf(10) ** -40
+        return np.array([complex(r * mpmath.mpf(2) ** k) for r in roots])
+
+
+class TestClosedFormNets:
+    """A map whose stored coefficients are exactly C T_d (chebyshev_error == 0) takes
+    its rows by the closed form: each row over a target other than t = +-C, T_d's
+    critical values, holds the stored map's 50-digit roots to 1e-13 of its largest."""
+
+    @staticmethod
+    def assert_rows_exact(pre, kind, m, rows=None):
+        f, d = pre.poly, pre.poly.degree
+        targets = getattr(pre.inner, kind)(max(8, m // d))
+        net = getattr(pre, kind)(m).reshape(-1, d)
+        assert net.shape == (targets.size, d) and f.chebyshev_error == 0
+        c = Fraction(f.coeffs[-1].real) * Fraction(2) ** (f.scale2 - d + 1)  # f = c T_d
+        for i in range(targets.size) if rows is None else rows:
+            t = complex(targets[i])
+            if t.imag or abs(Fraction(t.real)) != abs(c):  # critical rows: test_critical_rows
+                assert set_distance(net[i], polyroots(f, targets[i]), d) <= 1e-13, (f, i)
+
+    @pytest.mark.parametrize("config", sorted(METRIC_NETS))
+    def test_metric_nets(self, config):
+        # a few rows per map: one polyroots call takes about 0.2 s at degree 40
+        inner, maps = METRIC_NETS[config]
+        for f in maps:
+            pre = Preimage(inner, f)
+            self.assert_rows_exact(pre, "boundary_net", 8 * f.degree, [1])
+            if inner.interior_net(8).size:  # Segment has none
+                self.assert_rows_exact(pre, "interior_net", 8 * f.degree, [0, 2])
+
+    @pytest.mark.parametrize("pre", [
+        Preimage(Disk(0.3 - 0.2j, 1.5), chebyshev_t(5)),
+        Preimage(Preimage(UNIT_DISK, chebyshev_minimal(3)), chebyshev_t(4)),
+        Preimage(UNIT_DISK, polynomial(0, 2.5)),
+        # |tau| = 2**1000 |t| and 2**2000 |t|: log W is taken in log space past
+        # |tau| = 2**500, and past double range no scale2 overflows
+        Preimage(UNIT_DISK, polynomial(*chebyshev_t(8).coeffs, scale2=-1000)),
+        Preimage(UNIT_DISK, polynomial(*chebyshev_t(8).coeffs, scale2=-2000)),
+        Preimage(UNIT_DISK, polynomial(*(-c for c in chebyshev_t(8).coeffs), scale2=-2000)),
+    ], ids=["complex_centre", "nested", "degree_1", "scale2_-1000", "scale2_-2000",
+            "negative_lead"])
+    def test_every_row(self, pre):
+        for kind in ("boundary_net", "interior_net"):
+            self.assert_rows_exact(pre, kind, 16 * pre.poly.degree)
+
+    def test_critical_rows_take_companion_roots(self, monkeypatch):
+        # Segment's net holds t = +-1, T_8's critical values, where T_8 has double
+        # roots: those two rows, and only they, reach np.roots (t = a_0 = 1) and
+        # np.linalg.eigvals (t = -1), and keep np.roots's roots bit for bit
+        f = chebyshev_t(8)
+        solved, roots, eigvals = [], np.roots, np.linalg.eigvals
+        monkeypatch.setattr(np, "roots", lambda b: solved.append(b[-1] / b[0]) or roots(b))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: solved.extend(-a[:, 0, -1]) or eigvals(a))
+        net = Preimage(Segment(), f).boundary_net(1024).reshape(-1, 8)
+        targets = Segment().boundary_net(128)
+        assert len(solved) == 2 and set(solved) == {(f.coeffs[0] - t) / f.coeffs[-1]
+                                                     for t in (1.0, -1.0)}
+        monkeypatch.undo()
+        assert np.array_equal(net[[0, -1]].ravel(), companion_net(f, targets[[0, -1]]))
+
+    @staticmethod
+    def spy_closed_form(monkeypatch):
+        calls, closed = [], green._chebyshev_roots
+        monkeypatch.setattr(green, "_chebyshev_roots", lambda p, t: calls.append(t) or closed(p, t))
+        return calls
+
+    def test_inexact_map_takes_no_closed_form(self, monkeypatch):
+        f = chebyshev_minimal(81)  # its numerators pass 53 bits
+        assert f.chebyshev_error > 0
+        calls = self.spy_closed_form(monkeypatch)
+        assert np.isfinite(Preimage(UNIT_DISK, f).boundary_net(8 * 81)).all()
+        assert not calls
+
+    def test_custom_exact_map_takes_closed_form(self, monkeypatch):
+        f = polynomial(-0.5, 0, 1)  # T_2 / 2, from no maker
+        assert f.chebyshev_error == 0
+        calls, solved = self.spy_closed_form(monkeypatch), []
+        monkeypatch.setattr(np, "roots", solved.append)
+        monkeypatch.setattr(np.linalg, "eigvals", solved.append)
+        net = Preimage(UNIT_DISK, f).boundary_net(64)
+        assert len(calls) == 1 and not solved
+        w = np.sqrt(UNIT_DISK.boundary_net(32) + 0.5)
+        assert set_distance(net, np.column_stack([w, -w]).ravel(), 2) <= 1e-13
+
+    def test_classical_net_on_the_segment(self):
+        # companion and Newton roots of T_31 left the segment by up to 6.1e-10 over
+        # targets other than +-1, where Segment().green of them reached 4.0e-9
+        targets = Segment().boundary_net(1024 // 31)
+        net = Preimage(Segment(), chebyshev_t(31)).boundary_net(1024).reshape(-1, 31)
+        z = net[np.abs(targets) != 1].ravel()
+        assert z.size == 31 * 31
+        assert np.abs(z.imag).max() <= 2.3e-16 and np.abs(z.real).max() <= 1
+        assert Segment().green(z).max() == 0
