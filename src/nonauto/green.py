@@ -878,70 +878,98 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
 
 
 def _robin_sums(polys):
-    """(1/D_(k-1), S_(k-1) for k = 1..N; S_N; 1/D_N), S_k = sum_(j<=k) log|lead p_j|/D_j.
+    """The lists 1/D_k and S_k for k = 0..N, S_k = sum_(j<=k) log|lead p_j|/D_j.
     S_N + robin_E/D_N is the Robin constant of P_N^{-1}(E) (Ransford, Thm 5.3.1)."""
-    inv_d, s_prev = [], []
-    d_prod, s_sum = 1, 0.0
+    inv_d, s, d_prod = [1.0], [0.0], 1
     for p in polys:
-        inv_d.append(1 / d_prod)
-        s_prev.append(s_sum)
         d_prod *= p.degree
-        s_sum += p.lead_log * (1 / d_prod)
-    return inv_d, s_prev, s_sum, 1 / d_prod
+        inv_d.append(1 / d_prod)
+        s.append(s[-1] + p.lead_log * inv_d[-1])
+    return inv_d, s
+
+
+def _depth_fields(seq: PolySequence, pts: np.ndarray, depths, escape_radius: float,
+                  log2_r: float, target: ModelSet):
+    """Yield (lo, n, values, steps, final_w) for each _CHUNK run of the flat pts
+    from index lo and each of the increasing depths n, as the run's one orbit
+    passes n: green_field's values at depth n, and its steps and final_w at the
+    deepest (else None).  Depth n's log-mode gate before step k is the max of
+    max(log_safe, floor) over steps k..n; the gates nest, so a lane takes the
+    depths it gates for in order (nxt counts them) and leaves at the deepest."""
+    K, polys = len(depths), [seq.get(k) for k in range(1, depths[-1] + 1)]
+    trap = _trap(seq, escape_radius, target)
+    # log2|w| before step k from which depth n's log update and log|w_n| + robin are exact
+    floor = max(log2_r, target._asymptotic_log2)
+    safe, entry = [max(p.log_safe, floor) for p in polys], np.full((K, len(polys)), math.inf)
+    for row, n in zip(entry, depths):
+        row[:n] = np.maximum.accumulate(safe[n - 1::-1])[::-1]
+    gate = np.array([[2.0 ** x if x < 1024 else math.inf for x in row] for row in entry])
+    # a lane entering log mode before step k takes log|w|/D_(k-1) - S_(k-1) + S_n
+    inv_d, s = _robin_sums(polys)
+    inv_at, s_at = np.array(inv_d)[depths], np.array(s)[depths]
+    robin_at = target.robin() * inv_at
+    for lo in range(0, pts.size, _CHUNK):
+        w = pts[lo:lo + _CHUNK].copy()
+        vals, out = [np.zeros(w.size) for _ in depths], np.zeros(w.size, np.int32)
+        w_out = np.full(w.size, complex(np.nan, np.nan))
+        idx, e, a, nxt, shut = (np.arange(w.size), np.zeros(w.size), np.abs(w),
+                                np.zeros(w.size, np.min_scalar_type(K)), 0)
+        for k, p in enumerate(polys, start=1):
+            if idx.size == 0 and shut == K - 1:  # shallower depths still take their step
+                break
+            go = _beyond(a, e, gate[shut, k - 1], entry[shut, k - 1])  # the lowest open gate
+            if go.any():
+                t = np.flatnonzero(go)
+                glog = (np.log(a[t]) + e[t] * LN2) * inv_d[k - 1] - s[k - 1]
+                for i in range(shut, K):  # the gates nest: t passes every open one up to i
+                    if i > shut:
+                        on = _beyond(a[t], e[t], gate[i, k - 1], entry[i, k - 1])
+                        t, glog = t[on], glog[on]
+                    fresh = nxt[t] <= i
+                    vals[i][idx[t[fresh]]] = np.maximum(0.0, (glog[fresh] + s_at[i]) + robin_at[i])
+                    nxt[t[fresh]] = i + 1
+                at, keep = idx[nxt == K], nxt < K  # past the deepest gate: the lane leaves
+                out[at[out[at] == 0]] = k  # |w| >= R and it grows at this step
+                idx, w, e, nxt = idx[keep], w[keep], e[keep], nxt[keep]
+            w, e, a = _advance(p, w, e)
+            hit = idx[_beyond(a, e, escape_radius, log2_r)]
+            out[hit[out[hit] == 0]] = k
+            if trap is not None and k % seq.period == 0:
+                keep = ~_held(trap, w, e)
+                idx, w, e, a, nxt = idx[keep], w[keep], e[keep], a[keep], nxt[keep]
+            if shut < K - 1 and depths[shut] == k:  # the lanes not gated for it finish
+                t = np.flatnonzero(nxt <= shut)
+                vals[shut][idx[t]] = _finish(target, w[t], e[t], a[t], inv_at[shut], floor)[0]
+                nxt[t], shut = shut + 1, shut + 1
+                yield lo, k, vals[shut - 1], None, None
+        vals[-1][idx], w_out[idx], _ = _finish(target, w, e, a, inv_at[-1], floor)
+        yield lo, depths[-1], vals[-1], out, w_out
 
 
 def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 target: ModelSet = UNIT_DISK):
     """(values, escape_steps, final_w): normalized potential over a point set.
 
-    Every point steps by the rule of escape_steps, in the same fixed chunks,
-    after every step p_1..p_N has been built once.  With real coefficients
-    its results do not depend on the chunking or on thread bands.  With
-    complex ones a point alone in its chunk (a one-point call, or the last
-    of _CHUNK + 1) has its complex products rounded differently from a point
-    in a wider chunk: final_w then differs in the last bits and a value by at
-    most a few EPS (1 + value), inside green_nonauto's error bound.  An
-    escaped point leaves the orbit, and its value is written at once, once
-    the terms that the update log|w_k| = log|lead_k| + d_k log|w_(k-1)| drops
-    are below rounding for every remaining step: log|w|/D_(k-1), plus the
-    updates of steps k..N summed in advance, plus robin/D_N.  A lane held in
-    a trap where the Disk target's green is 0 (_trap, _held) leaves too, with
-    the bits the full loop gives: value +0.0 and its escape step; its final_w
-    is nan; other targets (Segment, say) retire no bounded lane.  final_w
-    holds the last complex orbit value where one exists.
+    The one-depth pass of _depth_fields: every point steps by the rule of
+    escape_steps, in the same fixed chunks, after every step p_1..p_N has been
+    built once.  With real coefficients its results do not depend on the
+    chunking or on thread bands.  With complex ones a point alone in its
+    chunk (a one-point call, or the last of _CHUNK + 1) has its complex
+    products rounded differently from a point in a wider chunk: final_w then
+    differs in the last bits and a value by at most a few EPS (1 + value),
+    inside green_nonauto's error bound.  An escaped point leaves the orbit,
+    and its value is written at once, once the terms that the update
+    log|w_k| = log|lead_k| + d_k log|w_(k-1)| drops are below rounding for
+    every remaining step: log|w|/D_(k-1), plus the updates of steps k..N
+    summed in advance, plus robin/D_N.  A lane held in a trap where the Disk
+    target's green is 0 (_trap, _held) leaves too, with the bits the full loop
+    gives: value +0.0 and its escape step; its final_w is nan; other targets
+    (Segment, say) retire no bounded lane.  final_w holds the last complex
+    orbit value where one exists.
     """
     pts, shape, log2_r = _engine_points(points, n_steps, escape_radius)
-    trap = _trap(seq, escape_radius, target)
-    polys = [seq.get(k) for k in range(1, n_steps + 1)]
-    # log2|w| before step k from which the log update and log|w_N| + robin are exact
-    floor = max(log2_r, target._asymptotic_log2)
-    entry = np.maximum.accumulate([max(p.log_safe, floor) for p in polys[::-1]])[::-1]
-    gate = [2.0 ** x if x < 1024 else math.inf for x in entry]
-    # a lane entering log mode before step k takes log|w|/D_(k-1) - S_(k-1) + S_N
-    inv_d, s_prev, s_sum, inv_n = _robin_sums(polys)
-    robin_n = target.robin() * inv_n
-    values, steps = np.zeros(pts.size), np.zeros(pts.size, np.int32)
-    final_w = np.full(pts.size, complex(np.nan, np.nan))
-    for lo in range(0, pts.size, _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        vals, out, w_out, w = values[chunk], steps[chunk], final_w[chunk], pts[chunk].copy()
-        idx, e, a = np.arange(w.size), np.zeros(w.size), np.abs(w)
-        for k, p in enumerate(polys, start=1):
-            if idx.size == 0:
-                break
-            go = _beyond(a, e, gate[k - 1], entry[k - 1])
-            if go.any():
-                t = idx[go]
-                glog = (np.log(a[go]) + e[go] * LN2) * inv_d[k - 1] - s_prev[k - 1]
-                vals[t] = np.maximum(0.0, (glog + s_sum) + robin_n)
-                out[t[out[t] == 0]] = k  # |w| >= R and it grows at this step
-                keep = ~go
-                idx, w, e = idx[keep], w[keep], e[keep]
-            w, e, a = _advance(p, w, e)
-            hit = idx[_beyond(a, e, escape_radius, log2_r)]
-            out[hit[out[hit] == 0]] = k
-            if trap is not None and k % seq.period == 0:
-                keep = ~_held(trap, w, e)
-                idx, w, e, a = idx[keep], w[keep], e[keep], a[keep]
-        vals[idx], w_out[idx], _ = _finish(target, w, e, a, inv_n, floor)
-    return values.reshape(shape), steps.reshape(shape), final_w.reshape(shape)
+    fields = np.zeros(pts.size), np.zeros(pts.size, np.int32), np.zeros(pts.size, complex)
+    for lo, _, *parts in _depth_fields(seq, pts, [n_steps], escape_radius, log2_r, target):
+        for field, part in zip(fields, parts):
+            field[lo:lo + part.size] = part
+    return tuple(field.reshape(shape) for field in fields)

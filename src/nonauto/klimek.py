@@ -8,8 +8,10 @@ bounds would need derivative information the closed forms do not expose
 uniformly.  gamma_models asks each set once for its nets at both sizes
 (ModelSet.nets), so a preimage set solves one pullback per level.  The
 convergence table's capacities are not sampled: each is the closed form
-exp(-robin) of the step-n preimage set's exact Robin constant; its
-distances build the two annulus nets once and each depth's fields once.
+exp(-robin) of the step-n preimage set's exact Robin constant.  Its distances,
+and gamma_nonauto's, take each depth's green_field values chunk by chunk from
+one orbit pass per annulus net (green._depth_fields) and reduce the sup of
+|G_n - G_m| as the chunks pass.
 """
 from __future__ import annotations
 
@@ -21,8 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .green import (ModelSet, Preimage, _engine_points, _robin_sums, capacity_of,
-                    green_field)
+from .green import ModelSet, Preimage, _depth_fields, _engine_points, _robin_sums, capacity_of
 from .poly import Polynomial
 from .sequences import PolySequence, circle_points, escape_radius_search
 
@@ -59,7 +60,7 @@ def gamma_models(E: ModelSet, F: ModelSet, m: int = 1024) -> KlimekEstimate:
     radius = max(E.enclosing_radius(), F.enclosing_radius())
     joint = [np.concatenate([e_net, f_net, _fill_net(radius, k)])
              for k, e_net, f_net in zip(sizes, E.nets(sizes), F.nets(sizes))]
-    return _distance(joint, [E.green(pts) for pts in joint], [F.green(pts) for pts in joint])
+    return _distance(joint, *(float(np.max(np.abs(E.green(pts) - F.green(pts)))) for pts in joint))
 
 
 def _annulus_net(radius: float, m: int) -> np.ndarray:
@@ -70,15 +71,29 @@ def _annulus_net(radius: float, m: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _fields(seq: PolySequence, nets, n: int, escape_radius: float, target: ModelSet):
-    """green_field's values at depth n on each net."""
-    return [green_field(seq, net, n, escape_radius, target)[0] for net in nets]
-
-
-def _distance(nets, at_n, at_m) -> KlimekEstimate:
-    """sup |G_n - G_m| on the base net, refined by the 4x net (gamma_models' rule too)."""
-    lo, hi = (float(np.max(np.abs(a - b))) for a, b in zip(at_n, at_m))
+def _distance(nets, lo: float, hi: float) -> KlimekEstimate:
+    """sup |G_n - G_m| on the base net (lo), refined by the 4x net (hi): gamma_models' rule too."""
     return KlimekEstimate(max(lo, hi), nets[1].size, abs(hi - lo))
+
+
+_PASS_DEPTHS = 16  # depths per orbit pass: a chunk's values take 256 KB per depth
+
+
+def _distances(seq: PolySequence, target: ModelSet, depths, escape_radius: float, samples: int):
+    """{n: _distance of G_n, G_m} for each of the increasing depths n but the last, m the
+    next, on annulus nets of samples and 4 samples points: one _depth_fields pass per
+    net and _PASS_DEPTHS depths, two depths' chunk values held at a time."""
+    nets = [_annulus_net(1.25 * escape_radius, k * samples) for k in (1, 4)]
+    sups = {n: ([], []) for n in depths[:-1]}
+    for j, net in enumerate(nets):
+        pts, _, log2_r = _engine_points(net, depths[0], escape_radius)
+        for lo in range(0, len(depths) - 1, _PASS_DEPTHS - 1):
+            part = depths[lo:lo + _PASS_DEPTHS]
+            for _, n, vals, _, _ in _depth_fields(seq, pts, part, escape_radius, log2_r, target):
+                if n != part[0]:
+                    sups[prev_n][j].append(np.max(np.abs(prev - vals)))
+                prev_n, prev = n, vals
+    return {n: _distance(nets, *(float(np.max(s)) for s in pair)) for n, pair in sups.items()}
 
 
 def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
@@ -86,7 +101,8 @@ def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
     """Sampled distance between the step-n and step-m preimage sets of `target`.
 
     Both potentials are the normalized escape rates of the same orbit, so the
-    net only needs to cover a disk containing both sets (the escape disk).
+    net only needs to cover a disk containing both sets (the escape disk), and
+    one orbit pass of m steps per net gives both (_distances).
     """
     if n > m:
         raise ValueError("need n <= m")
@@ -95,8 +111,7 @@ def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
     _engine_points(0j, n, escape_radius)  # the drivers' input check, n == m too
     if n == m:
         return KlimekEstimate(0.0, 0, 0.0)
-    nets = [_annulus_net(1.25 * escape_radius, k * samples) for k in (1, 4)]
-    return _distance(nets, *(_fields(seq, nets, k, escape_radius, target) for k in (n, m)))
+    return _distances(seq, target, [n, m], escape_radius, samples)[n]
 
 
 _TAIL_SAMPLES = 256  # the m of tail_constant's gamma_models nets
@@ -152,7 +167,8 @@ def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int]
                       escape_radius: float | None = None, samples: int = 1024) -> list[TableRow]:
     """Per-step diagnostics: degree ledger, successive distances, capacities.  cap is
     exp(-(S_n + robin_E / D_n)) from _robin_sums, the constant green_field adds.
-    gamma is gamma_nonauto(n, n + 1).lower, with each depth's fields computed once."""
+    gamma is gamma_nonauto(n, n + 1).lower, from one orbit pass per net through
+    every depth n and n + 1 (_distances), not one per depth."""
     ns = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be increasing")
@@ -161,15 +177,11 @@ def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int]
     if escape_radius is None:
         escape_radius = escape_radius_search(seq, max(ns) + 1)
     _engine_points(0j, ns[0], escape_radius)  # before any field, as gamma_nonauto
-    nets = [_annulus_net(1.25 * escape_radius, k * samples) for k in (1, 4)]
-    rows, fields = [], {}
-    for n in ns:  # each depth's fields once; only depths n and n + 1 are kept
-        fields = {k: fields.get(k) or _fields(seq, nets, k, escape_radius, target)
-                  for k in (n, n + 1)}
-        _, _, s_n, inv_n = _robin_sums([seq.get(k) for k in range(1, n + 1)])
-        rows.append(TableRow(n, seq.ledger(n).log_d, _distance(nets, *fields.values()).lower,
-                             capacity_of(s_n + target.robin() * inv_n)))
-    return rows
+    depths = sorted({k for n in ns for k in (n, n + 1)})
+    gaps = _distances(seq, target, depths, escape_radius, samples)
+    inv_d, s = _robin_sums([seq.get(k) for k in range(1, ns[-1] + 1)])
+    return [TableRow(n, seq.ledger(n).log_d, gaps[n].lower,
+                     capacity_of(s[n] + target.robin() * inv_d[n])) for n in ns]
 
 
 def table_to_csv(rows: Sequence[TableRow]) -> str:

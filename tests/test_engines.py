@@ -381,3 +381,70 @@ class TestCycleTraps:
         finally:
             sys.setswitchinterval(interval)
         assert (one == 0).any()
+
+
+def depth_fields(seq, pts, depths, radius, target=UNIT_DISK):
+    """{n: values} from one _depth_fields pass over pts, joined across chunks, and
+    the deepest depth's (steps, final_w)."""
+    flat, _, log2_r = green._engine_points(pts, depths[0], radius)
+    got, tail = {n: [] for n in depths}, ([], [])
+    for lo, n, values, steps, final_w in green._depth_fields(seq, flat, depths, radius,
+                                                              log2_r, target):
+        assert lo == sum(v.size for v in got[n])  # each depth's chunks in order
+        got[n].append(values.copy())
+        if steps is not None:
+            tail[0].append(steps)
+            tail[1].append(final_w)
+    return {n: np.concatenate(v) for n, v in got.items()}, tuple(map(np.concatenate, tail))
+
+
+class TestDepthFields:
+    """One orbit pass gives every requested depth's green_field values bit for
+    bit, and the deepest depth's escape steps and final_w."""
+
+    SEQS = {"minimal": lambda: builtin("minimal_chebyshev"),
+            "classical": lambda: builtin("classical_chebyshev"),
+            "base-cycle": lambda: custom_sequence(BASE_CYCLE),
+            "n_exp_z2": lambda: builtin("n_exp_z2")}
+
+    @pytest.mark.parametrize("depths", [list(range(1, 14)), [1, 4, 5, 9]], ids=["1-13", "1459"])
+    @pytest.mark.parametrize("target", [UNIT_DISK, Disk(0.3 + 0.1j, 0.5), Segment()],
+                             ids=["unit", "off-centre", "segment"])
+    @pytest.mark.parametrize("name", SEQS)
+    def test_every_depth_is_green_field(self, name, target, depths):
+        # 1000 points past _CHUNK: each depth crosses a chunk boundary; no chunk
+        # has one point, so complex maps need no allowance for lone-lane rounding
+        seq = self.SEQS[name]()
+        radius = escape_radius_search(seq, 14)
+        rng = np.random.default_rng(len(depths))
+        pts = 1.25 * radius * (rng.uniform(-1, 1, green._CHUNK + 1000)
+                               + 1j * rng.uniform(-1, 1, green._CHUNK + 1000))
+        pts[:4] = [0, 1e3, -0.5, 1e-300]
+        got, (steps, final_w) = depth_fields(seq, pts, depths, radius, target)
+        for n in depths:
+            want = green_field(seq, pts, n, radius, target)
+            assert np.array_equal(got[n].view(np.int64), want[0].view(np.int64)), n
+        assert same_field((got[depths[-1]], steps, final_w), want)
+        if name == "base-cycle" and target is UNIT_DISK:
+            assert green._trap(seq, radius, target) is not None and (want[1] == 0).any()
+
+    def test_depths_after_every_lane_left(self):
+        # every lane passes the deepest gate by step 4, so depths 5 and 9 come
+        # from the values written as the lanes left
+        seq = builtin("minimal_chebyshev")
+        radius = escape_radius_search(seq, 10)
+        pts = 1e3 * np.exp(2j * np.pi * np.arange(64) / 64)
+        got, (steps, _) = depth_fields(seq, pts, [1, 5, 9], radius)
+        for n in (1, 5, 9):
+            assert np.array_equal(got[n], green_field(seq, pts, n, radius)[0])
+        assert (got[9] > 0).all() and (steps == 1).all()
+
+    def test_zero_lane_takes_no_log(self):
+        # 0 stays 0 under z^2 while its chunk's other lanes pass every gate;
+        # filterwarnings makes a log(0) RuntimeWarning an error
+        seq = builtin("power", degrees=2)
+        pts = np.array([0, 3, 1e5, 1e200, 0.5j])
+        got, _ = depth_fields(seq, pts, [1, 2, 6, 7], 2.0)
+        for n in (1, 2, 6, 7):
+            assert np.array_equal(got[n], green_field(seq, pts, n, 2.0)[0])
+        assert got[7][0] == 0 and got[7][3] > 0

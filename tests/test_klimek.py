@@ -279,26 +279,43 @@ class TestConvergenceTable:
     @pytest.mark.parametrize("n_list", [range(1, 7), [1, 4, 5, 9]])
     @pytest.mark.parametrize("name", ["minimal_chebyshev", "base_cycle"])
     def test_rows_are_gamma_nonauto(self, monkeypatch, name, n_list):
-        # each depth's pair of fields once (depth n + 1 of one row is depth n
-        # of the next), and each row's gamma gamma_nonauto's bit for bit
+        # one orbit pass per net through every depth n and n + 1 (depth n + 1 of
+        # one row is depth n of the next), and each row's gamma gamma_nonauto's
+        # bit for bit
         seq = builtin(name) if name == "minimal_chebyshev" else custom_sequence(BASE_CYCLE)
         radius = escape_radius_search(seq, max(n_list) + 1)
-        depths, field = [], klimek.green_field
-        monkeypatch.setattr(klimek, "green_field", lambda *a: depths.append(a[2]) or field(*a))
+        passes, engine = [], klimek._depth_fields
+        monkeypatch.setattr(klimek, "_depth_fields",
+                            lambda *a: passes.append(list(a[2])) or engine(*a))
         rows = convergence_table(seq, UNIT_DISK, n_list, escape_radius=radius, samples=256)
         want = sorted({k for n in n_list for k in (n, n + 1)})
-        assert sorted(depths) == sorted(2 * want)
+        assert passes == [want, want]
         for row in rows:
             gam = gamma_nonauto(seq, UNIT_DISK, row.n, row.n + 1, radius, 256).lower
             assert row.gamma.hex() == gam.hex()
 
+    def test_long_depth_lists_run_overlapping_passes(self, monkeypatch, min_cheb,
+                                                     min_cheb_radius):
+        # 40 depths make three passes per net, each starting at the last one's
+        # deepest depth, so the rows across a pass boundary are gamma_nonauto's too
+        passes, engine = [], klimek._depth_fields
+        monkeypatch.setattr(klimek, "_depth_fields",
+                            lambda *a: passes.append(list(a[2])) or engine(*a))
+        n_list = range(1, 40, 2)
+        rows = convergence_table(min_cheb, UNIT_DISK, n_list, min_cheb_radius, samples=64)
+        bounds = [(p[0], p[-1]) for p in passes]
+        assert bounds == 2 * [(1, 16), (16, 31), (31, 40)]
+        for row in rows:
+            gam = gamma_nonauto(min_cheb, UNIT_DISK, row.n, row.n + 1, min_cheb_radius, 64)
+            assert row.gamma.hex() == gam.lower.hex()
+
     @pytest.mark.parametrize("n_list", [[0], [-1, 2]])
     def test_depth_below_one_before_any_field(self, monkeypatch, n_list):
-        depths = []
-        monkeypatch.setattr(klimek, "green_field", lambda *a: depths.append(a[2]))
+        passes = []
+        monkeypatch.setattr(klimek, "_depth_fields", lambda *a: passes.append(a[2]) or iter(()))
         with pytest.raises(ValueError, match="n_steps must be >= 1"):
             convergence_table(builtin("power", 2), UNIT_DISK, n_list, escape_radius=2.0)
-        assert depths == []
+        assert passes == []
 
     def test_validation(self, min_cheb, min_cheb_radius):
         with pytest.raises(ValueError):
