@@ -6,8 +6,10 @@ these).  The non-autonomous potential of a sequence is the normalized escape
 rate (1/(d_1...d_N)) log+ |p_N o ... o p_1|.  The four orbit drivers share one
 input check (_engine_points) and the lanes' rules: one value carrier (the
 double in the safe double band, else a mantissa and an exponent), one step
-(double Horner in the band, else the same Horner on a rescaled variable), one
-escape test (_beyond's) and one finishing step (_finish).  orbit_bounded and green_nonauto step one point in Python
+(double Horner in the band; off it the lowest term alone below
+Polynomial.log_tiny, the lead alone from log_safe on, else the same Horner on
+a rescaled variable), one escape test (_beyond's) and one finishing step
+(_finish).  orbit_bounded and green_nonauto step one point in Python
 (poly._evaluate), the tests' reference; escape_steps and green_field step
 arrays (_advance), and Preimage.green runs one step and _finish.  Preimage nets
 of an exact Chebyshev map (Polynomial.chebyshev_error == 0) are its closed-form
@@ -636,6 +638,7 @@ def green_nonauto(seq: PolySequence, z, n_steps: int, escape_radius: float,
 # the whole point set through memory once per coefficient.
 
 _CHUNK = 32_768  # points per chunk: 512 KB per complex128 array
+_SQUARE_LOW = 2.0**-511  # below it w*w is subnormal or 0
 
 
 def _far_horner(coeffs: np.ndarray, valuation: int, x: np.ndarray, big: np.ndarray) -> np.ndarray:
@@ -647,31 +650,44 @@ def _far_horner(coeffs: np.ndarray, valuation: int, x: np.ndarray, big: np.ndarr
 
 
 def _far_step(p: Polynomial, m: np.ndarray, e: np.ndarray):
-    """poly._far over arrays: p(m * 2**e) off the band, as (mantissa, exponent)."""
-    big = e >= 0
+    """poly._far over arrays, lane by lane: p(m * 2**e) off the band, as (mantissa,
+    exponent).  A lane below log2|w| = p.log_tiny keeps a_v w**v alone, one from
+    p.log_safe on a_d w**d alone, and the rest run the Horner on |x| <= 1."""
+    lg = np.log2(np.abs(m))
+    lw = np.clip(e, -4096, 4096) + lg
+    tiny, lead = lw < p.log_tiny, lw >= p.log_safe
+    big = ~tiny & (lead | (e >= 0))  # the lanes whose power is the degree
     k = np.where(big, float(p.degree), float(p.valuation))
+    h, mid = np.where(big, p.array[-1], p.array[p.valuation]), ~(tiny | lead)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.where(big, _ldexp_arr(1 / m, -e), _ldexp_arr(m, e))  # |x| <= 1
-        h = _far_horner(p.array, p.valuation, x, big)
+        x = np.where(big, _ldexp_arr(1 / m, -e), _ldexp_arr(m, e))  # |x| <= 1 on mid lanes
+        h[mid] = _far_horner(p.array, p.valuation, x[mid], big[mid])
     shift = np.zeros(m.size)
-    bad = ~np.isfinite(h)
+    bad = ~np.isfinite(h)  # one-term lanes hold a finite coefficient
     if bad.any():  # coefficients near 1.8e308 overflowed: rerun them scaled by 2**-s
         h[bad] = _far_horner(_ldexp_arr(p.array, -p.binade), p.valuation, x[bad], big[bad])
         shift[bad] = p.binade
-    lm = k * np.log2(np.abs(m))
+    lm = k * lg
     ik = np.floor(lm)
     h, ex = _normalize(h, np.where(k > 0, e * k, 0.0) + ik + p.scale2 + shift)
     return _normalize(h * np.exp2(lm - ik) * np.exp(1j * k * np.angle(m)), ex)
 
 
-def _advance(p: Polynomial, w: np.ndarray, e: np.ndarray):
-    """One step by p of poly._evaluate's rule over lanes; returns (w, e, |w|).  From
-    degree 4 on, a p of one parity runs its Horner on every other coefficient in w*w."""
+def _advance(p: Polynomial, w: np.ndarray, e: np.ndarray, a: np.ndarray):
+    """One step by p of poly._evaluate's rule over lanes with moduli a (the last
+    step's |w|); returns (w, e, |w|).  From degree 4 on, a p of one parity runs its
+    Horner on every other coefficient in w*w, except on lanes with 0 < |w| < 2**-511,
+    where w*w loses bits to underflow: they rerun the full Horner, lane by lane, so
+    no result depends on the chunk."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow sends a lane off-band
         if p.degree < 4 or p.parity is None:
             return _settle(p, _horner(p.array, w), w, e)
         u = _horner(p.array[p.parity::2], w * w)
-        return _settle(p, u * w if p.parity else u, w, e)
+        u = u * w if p.parity else u
+        if a.min(initial=1.0) < _SQUARE_LOW:  # off-band lanes hold a mantissa's, >= 1
+            low = np.flatnonzero((a < _SQUARE_LOW) & (a > 0))
+            u[low] = _horner(p.array, w[low])
+        return _settle(p, u, w, e)
 
 
 def _settle(p: Polynomial, u: np.ndarray, w: np.ndarray, e: np.ndarray):
@@ -862,18 +878,18 @@ def escape_steps(seq: PolySequence, points, n_steps: int, escape_radius: float) 
     steps = np.zeros(pts.size, np.int32)
     for lo in range(0, pts.size, _CHUNK):
         out, w = steps[lo:lo + _CHUNK], pts[lo:lo + _CHUNK].copy()
-        idx, e = np.arange(w.size), np.zeros(w.size)
+        idx, e, a = np.arange(w.size), np.zeros(w.size), np.abs(w)
         for k in range(1, n_steps + 1):
             if idx.size == 0:
                 break
-            w, e, a = _advance(seq.get(k), w, e)
+            w, e, a = _advance(seq.get(k), w, e, a)
             esc = drop = _beyond(a, e, escape_radius, log2_r)
             if trap is not None and k % seq.period == 0:
                 drop = esc | _held(trap, w, e)
             if drop.any():
                 out[idx[esc]] = k
                 keep = ~drop
-                idx, w, e = idx[keep], w[keep], e[keep]
+                idx, w, e, a = idx[keep], w[keep], e[keep], a[keep]
     return steps.reshape(shape)
 
 
@@ -930,8 +946,8 @@ def _depth_fields(seq: PolySequence, pts: np.ndarray, depths, escape_radius: flo
                     nxt[t[fresh]] = i + 1
                 at, keep = idx[nxt == K], nxt < K  # past the deepest gate: the lane leaves
                 out[at[out[at] == 0]] = k  # |w| >= R and it grows at this step
-                idx, w, e, nxt = idx[keep], w[keep], e[keep], nxt[keep]
-            w, e, a = _advance(p, w, e)
+                idx, w, e, a, nxt = idx[keep], w[keep], e[keep], a[keep], nxt[keep]
+            w, e, a = _advance(p, w, e, a)
             hit = idx[_beyond(a, e, escape_radius, log2_r)]
             out[hit[out[hit] == 0]] = k
             if trap is not None and k % seq.period == 0:

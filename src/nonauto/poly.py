@@ -3,13 +3,15 @@
 A polynomial is a tuple of complex coefficients in ascending powers plus an
 optional power-of-two scale, so generators can express leading factors far
 outside double range (think n**2**n) while every stored coefficient stays a
-finite double.  Its facts (the coefficient array, valuation, lead_log, log_safe,
-binade, parity, real, the Cauchy root bound, the deviation from c T_d) are
-computed once and kept on it, and every engine steps by the polynomial itself.
+finite double.  Its facts (the coefficient array, valuation, lead_log, log_tiny,
+log_safe, binade, parity, real, the Cauchy root bound, the deviation from c T_d)
+are computed once and kept on it, and every engine steps by the polynomial itself.
 An orbit value of any size is carried as the vector engines' lanes carry it:
 the double itself inside the safe band, else a complex mantissa in [1,2) with
 an unbounded integer base-2 exponent.  _evaluate steps that carrier by the
-rule every orbit engine shares; evaluate is its one step from a double to a
+rule every orbit engine shares: a double Horner in the band; off it (_far) the
+lowest term alone below log_tiny, the lead alone from log_safe on, else a
+Horner on a rescaled variable.  evaluate is its one step from a double to a
 double, and evaluate_scaled from ScaledComplex to ScaledComplex.  The module
 builds and evaluates polynomials; it does not compose them.  The array
 carrier helpers (_ldexp_arr, _normalize) sit beside _ldexp_c and _split.
@@ -93,8 +95,8 @@ class Polynomial:
 
     @cached_property
     def _moduli(self) -> tuple[np.ndarray, np.ndarray]:
-        """_log2_moduli of the whole array, once: valuation, lead_log, log_safe and
-        Preimage._pullback read it."""
+        """_log2_moduli of the whole array, once: valuation, lead_log, log_tiny, log_safe
+        and Preimage._pullback read it."""
         return _log2_moduli(self.array)
 
     @cached_property
@@ -109,9 +111,22 @@ class Polynomial:
         return (float(self._moduli[1][-1]) + self.scale2) * LN2
 
     @cached_property
+    def log_tiny(self) -> float:
+        """log2|w| below which each term a_j w**j, j > v, is below 2**-53/d of a_v w**v,
+        v the valuation: there the engines drop the higher terms (inf with fewer than two
+        nonzero terms); log_safe's mirror, from the same pass; kept."""
+        j, mag = self._moduli
+        if j.size < 2:
+            return math.inf
+        return float(((mag[0] - mag[1:] - math.log2(self.degree) - 53) / (j[1:] - j[0])).min())
+
+    @cached_property
     def log_safe(self) -> float:
         """log2|w| from which each term a_j w**j, j < d, is below 2**-53/d of a_d w**d,
-        and |p(w)| >= 2|w|: past it the engines drop the lower terms; kept."""
+        and |p(w)| >= 2|w|: past it the engines drop the lower terms (inf for constants,
+        which never grow); kept."""
+        if self.degree < 1:
+            return math.inf
         j, mag = self._moduli
         d, lead2 = self.degree, float(mag[-1]) + self.scale2
         drop = ((mag[:-1] - mag[-1] + math.log2(d) + 53) / (d - j[:-1])).max(initial=-math.inf)
@@ -277,27 +292,36 @@ def _evaluate(p: Polynomial, w: complex, e: int) -> tuple[complex, int, float]:
 
 
 def _far(p: Polynomial, m: complex, e: int) -> tuple[complex, int, float]:
-    """_evaluate at w = m * 2**e, |m| in [1, 2), by a Horner on |x| <= 1: for
-    e >= 0, p(w) = w**d * sum a_j w**(j-d) over the ascending coefficients at
-    x = 1/w; for e < 0, p(w) = w**v q(w), v the valuation of p, at x = w.  Where
-    coefficients near 1.8e308 overflow that Horner, it reruns on them scaled
-    by 2**-s, s the binade of the largest, and s joins the exponent.  No term
-    is dropped unless it sits below the rounding of the kept ones."""
-    big = e >= 0
-    k = p.degree if big else p.valuation
-    coeffs, x = (p.coeffs[::-1], _ldexp_c(1 / m, -e)) if big else (p.coeffs[k:], _ldexp_c(m, e))
-    h, s = _horner_abs(coeffs, x)
+    """_evaluate at w = m * 2**e, |m| in [1, 2), v the valuation of p.  Below
+    log2|w| = p.log_tiny only a_v w**v is above rounding, and from p.log_safe
+    on only a_d w**d: the step keeps that one term, with mu = 1.  In between
+    it runs a Horner on |x| <= 1: for e >= 0, p(w) = w**d * sum a_j w**(j-d)
+    over the ascending coefficients at x = 1/w; for e < 0, p(w) = w**v q(w) at
+    x = w.  Where coefficients near 1.8e308 overflow that Horner, it reruns on
+    them scaled by 2**-s, s the binade of the largest, and s joins the
+    exponent.  No term is dropped unless it sits below the rounding of the
+    kept ones: the dropped ones sum to under 2**-53 of the kept one."""
+    lg = math.log2(abs(m))
+    lw = min(max(e, -4096), 4096) + lg  # clamped as _escaped does: a float, same outcome
     shift = 0
-    if not (_is_finite(h) and s < math.inf):
-        shift = p.binade
-        h, s = _horner_abs([_ldexp_c(c, -shift) for c in coeffs], x)
+    if lw < p.log_tiny or lw >= p.log_safe:
+        k = p.valuation if lw < p.log_tiny else p.degree
+        h, mu = p.coeffs[k], 1.0
+    else:
+        big = e >= 0
+        k = p.degree if big else p.valuation
+        coeffs, x = (p.coeffs[::-1], _ldexp_c(1 / m, -e)) if big else (p.coeffs[k:], _ldexp_c(m, e))
+        h, s = _horner_abs(coeffs, x)
+        if not (_is_finite(h) and s < math.inf):
+            shift = p.binade
+            h, s = _horner_abs([_ldexp_c(c, -shift) for c in coeffs], x)
+        a = math.hypot(h.real, h.imag)
+        mu = s / a if a else math.inf
     # m**k as 2**(k log2|m|) at phase k arg(m), on the normalized value: nothing overflows
-    lm = k * math.log2(abs(m))
+    lm = k * lg
     ik = math.floor(lm)
-    a = math.hypot(h.real, h.imag)
     h, he = _split(h, e * k + ik + p.scale2 + shift)
-    return (*_carry(h * cmath.rect(2.0 ** (lm - ik), k * cmath.phase(m)), he),
-            s / a if a else math.inf)
+    return (*_carry(h * cmath.rect(2.0 ** (lm - ik), k * cmath.phase(m)), he), mu)
 
 
 def _ldexp_c(c: complex, s: int) -> complex:

@@ -19,7 +19,7 @@ import pytest
 from nonauto import builtin, custom_sequence, green, polynomial
 from nonauto.green import (UNIT_DISK, Disk, Ellipse, Segment, escape_steps, green_field,
                            green_nonauto, orbit_bounded)
-from nonauto.poly import EPS, ScaledComplex, evaluate_scaled, monomial
+from nonauto.poly import EPS, ScaledComplex, _far, chebyshev_minimal, evaluate_scaled, monomial
 from nonauto.klimek import convergence_table
 from nonauto.render import RasterSpec, raster_membership, raster_rect_target
 from nonauto.sequences import escape_radius_search
@@ -208,6 +208,120 @@ class TestDegreeAboveDoubleExponentRange:
             assert abs(v - gv.value) <= gv.error_bound
 
 
+def exact_step(p, m, e):
+    """p(m * 2**e) at 60 digits, scale included."""
+    x = mpmath.mpc(m) * mpmath.mpf(2) ** e
+    acc = mpmath.mpc(p.coeffs[-1])
+    for c in p.coeffs[-2::-1]:
+        acc = acc * x + mpmath.mpc(c)
+    return acc * mpmath.mpf(2) ** p.scale2
+
+
+class TestOneTermSteps:
+    """Off the band a step keeps a_v w**v alone below log2|w| = Polynomial.log_tiny
+    and a_d w**d alone from log_safe on (v the valuation), in both engines: the
+    scalar poly._far and the vector green._far_step."""
+
+    MAPS = {
+        "minimal-chebyshev-601": lambda: chebyshev_minimal(601),
+        "complex-scaled": lambda: polynomial(0, 0, 1.5 - 0.5j, 0.25j, 0, 2 + 1j, scale2=-37),
+        "huge-coefficients": lambda: polynomial(1e300, 3e307j, 0, 1e-200, scale2=900),
+    }
+    MANTISSAS = [1.0, 1.3 + 0.4j, -0.2 - 1.9j]
+
+    @staticmethod
+    def sides(p):
+        """Exponents with every mantissa below log_tiny, then from log_safe on."""
+        lo, hi = math.floor(p.log_tiny) - 2, math.ceil(p.log_safe) + 1
+        return [(lo, "tiny"), (lo - 3000, "tiny"), (hi, "lead"), (hi + 3000, "lead")]
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_both_engines_match_mpmath(self, name):
+        p = self.MAPS[name]()
+        d, ms, es = p.degree, [], []
+        for e, side in self.sides(p):
+            for m in self.MANTISSAS:
+                m = complex(m) / abs(m) * (1 + 0.5 * abs(m.imag))  # |m| in [1, 2)
+                ms.append(m)
+                es.append(e)
+                assert _far(p, m, e)[2] == 1.0, (e, side)  # the one-term branch: mu = 1
+        vm, ve = green._far_step(p, np.array(ms), np.array(es, dtype=float))
+        with mpmath.workdps(60):
+            for m, e, got_m, got_e in zip(ms, es, vm, ve):
+                want = exact_step(p, m, e)
+                for mant, ex in (_far(p, m, e)[:2], (complex(got_m), int(got_e))):
+                    got = mpmath.mpc(mant) * mpmath.mpf(2) ** ex
+                    assert abs(got - want) <= 16 * (d + 1) * EPS * abs(want), (m, e)
+
+    @pytest.mark.parametrize("e", [10**400, -10**400, 5000, -5000],
+                             ids=["1e400", "-1e400", "5000", "-5000"])
+    def test_exponents_past_float_range(self, e):
+        # the compare clamps e as _escaped does: float(10**400) would overflow
+        p = self.MAPS["complex-scaled"]()
+        m = 1.3 + 0.4j
+        mant, ex, mu = _far(p, m, e)
+        k = p.degree if e > 0 else p.valuation
+        assert mu == 1.0 and abs(ex - (e * k + p.scale2)) <= 2 * k + 2
+        with mpmath.workdps(60):
+            want = exact_step(p, m, e)
+            got = mpmath.mpc(mant) * mpmath.mpf(2) ** ex
+            assert abs(got - want) <= 16 * (p.degree + 1) * EPS * abs(want)
+
+    # 2**5 (2**-1000 + w) and 2**3 (2**1000 + 2 w): log_tiny = -1053, log_safe = 1052
+    TINY, LEAD = polynomial(2.0**-1000, 1, scale2=5), polynomial(2.0**1000, 2, scale2=3)
+
+    @pytest.mark.parametrize("p, e, want", [
+        (TINY, -1052, (1 + 2.0**-52, -995)), (TINY, -1054, (1.0, -995)),
+        (LEAD, 1051, (1 + 2.0**-52, 1055)), (LEAD, 1053, (1.0, 1057))],
+        ids=["tiny-kept", "tiny-dropped", "lead-kept", "lead-dropped"])
+    def test_terms_above_rounding_are_kept(self, p, e, want):
+        # at w = 2**e one binade inside the threshold the other term is 2**-52 of the
+        # kept one, above the 2**-53 that a one-term step drops, and moves the last
+        # bit; one binade past it, 2**-54, it rounds away: each is p(w) rounded
+        assert (self.TINY.log_tiny, self.LEAD.log_safe) == (-1053.0, 1052.0)
+        assert _far(p, 1 + 0j, e)[:2] == want
+        m, ex = green._far_step(p, np.array([1 + 0j]), np.array([float(e)]))
+        assert (complex(m[0]), int(ex[0])) == want
+
+    @pytest.mark.parametrize("seq, n, pts", [
+        # interior orbits of the paper's t_n: the odd steps past n = 450 leave the band
+        (builtin("minimal_chebyshev"), 600, [0.3, -0.61, 0.05 + 0.01j]),
+        (builtin("n_exp_z2"), 60, [1e-5, 1e-40, 1e-300j, 0.1]),
+        # complex maps starting below the band, and far above it
+        (custom_sequence([polynomial(0, 0.6 + 0.6j, 0, 1.5j, 0, 0.5),
+                          polynomial(0, 0.5 - 0.7j, 0.3j, 1)]), 30,
+         [1e-300, 1e-280j, 3e-250 * (1 + 1j), 1e200, 1e150 - 1e150j, 0.4 + 0.1j])],
+        ids=["minimal-chebyshev", "n_exp_z2", "complex-cycle"])
+    def test_scalar_and_vector_agree_off_the_band(self, seq, n, pts):
+        radius = escape_radius_search(seq, n)
+        pts = np.array(pts, dtype=complex)
+        vec_steps = escape_steps(seq, pts, n, radius)
+        field, field_steps, _ = green_field(seq, pts, n, radius)
+        for i, z in enumerate(pts):
+            gv = green_nonauto(seq, complex(z), n, radius)
+            assert orbit_bounded(seq, complex(z), n, radius)[1] == gv.escaped_at
+            assert int(vec_steps[i]) == int(field_steps[i]) == (gv.escaped_at or 0), z
+            assert abs(field[i] - gv.value) <= gv.error_bound, (z, field[i], gv)
+
+    def test_parity_split_where_w_squared_underflows(self):
+        # w*w = 2**-1200 flushes to 0: the split Horner gave 2**-800 for
+        # p(w) = 2**-800 + 2**-203, and escape_steps kept a point that escapes at 2
+        seq = custom_sequence([polynomial(2.0**-800, 0, 2.0**997, 0, 1),
+                               polynomial(0, 0, 2.0**410)], repeat="none")
+        z = 2.0**-600
+        assert orbit_bounded(seq, z, 2, 4.0) == (False, 2)
+        gv = green_nonauto(seq, z, 2, 4.0)
+        assert escape_steps(seq, np.array([z]), 2, 4.0).tolist() == [2]
+        # the lane alone and in a chunk of wider lanes: the rerun is per lane
+        pts = np.array([z, 0.5, 2.0**-520 * (1 + 1j), 0.0])
+        values, steps, _ = green_field(seq, pts, 2, 4.0)
+        assert steps.tolist() == [2, 1, 2, 0]
+        assert abs(values[0] - gv.value) <= gv.error_bound
+        assert values[0] == green_field(seq, pts[:1], 2, 4.0)[0][0]
+        w = green._advance(seq.get(1), pts.copy(), np.zeros(4), np.abs(pts))[0]
+        assert w[0] == 2.0**-800 + 2.0**-203
+
+
 # The bench's cli_custom cycle: z^2 + c1, z^3 + b z + c2, z^4 + a z^2 + c3
 BASE_CYCLE = [polynomial(-0.12 + 0.35j, 0, 1),
               polynomial(0.05 - 0.2j, 0.15 + 0.1j, 0, 1),
@@ -319,10 +433,10 @@ class TestCycleTraps:
         for c, r in zip(centres, radii):
             w = c + r * np.sqrt(rng.uniform(0, 1, 4000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4000))
             w[:8] = c + r * np.exp(2j * np.pi * np.arange(8) / 8)
-            e = np.zeros(w.size)
+            e, a = np.zeros(w.size), np.abs(w)
             for _ in range(50):
                 for k in range(1, seq.period + 1):
-                    w, e, a = green._advance(seq.get(k), w, e)
+                    w, e, a = green._advance(seq.get(k), w, e, a)
                     assert not e.any() and (a < 2.0).all()
                 assert (np.abs(w[:, None] - centres) <= radii).any(axis=1).all()
 

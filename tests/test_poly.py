@@ -49,15 +49,27 @@ class TestConstruction:
         # every nonzero coefficient's index has the degree's parity, else None
         assert polynomial(*coeffs).parity == parity
 
-    @pytest.mark.parametrize("p, valuation, lead_log, log_safe", [
-        (monomial(2), 2, 0.0, 1.0),
-        (polynomial(-2, 0, 1), 0, 0.0, 27.5),
-        (monomial(3, 1.5, 2000), 3, 1386.6998262279988, -999.7924812503605),
-        (polynomial(0, 0, 3, 1), 2, 0.0, 56.16992500144231)],
+    @pytest.mark.parametrize("p, valuation, lead_log, log_safe, log_tiny", [
+        (monomial(2), 2, 0.0, 1.0, math.inf),
+        (polynomial(-2, 0, 1), 0, 0.0, 27.5, -26.5),
+        (monomial(3, 1.5, 2000), 3, 1386.6998262279988, -999.7924812503605, math.inf),
+        (polynomial(0, 0, 3, 1), 2, 0.0, 56.16992500144231, -53.0)],
         ids=["monomial", "quadratic", "lead-past-double", "valuation-2"])
-    def test_step_facts(self, p, valuation, lead_log, log_safe):
-        # lead_log stays finite for a lead 1.5 * 2**2000, past 1.8e308
-        assert (p.valuation, p.lead_log, p.log_safe) == (valuation, lead_log, log_safe)
+    def test_step_facts(self, p, valuation, lead_log, log_safe, log_tiny):
+        # lead_log stays finite for a lead 1.5 * 2**2000, past 1.8e308; log_tiny is
+        # log_safe's mirror: -26.5 puts |-2| 2**-53 / 2 above |w**2|
+        assert (p.valuation, p.lead_log, p.log_safe, p.log_tiny) == (
+            valuation, lead_log, log_safe, log_tiny)
+
+    @pytest.mark.parametrize("p", [polynomial(0), polynomial(5)], ids=["zero", "constant"])
+    def test_constants_have_no_term_to_drop(self, p):
+        # an empty _moduli (the zero polynomial) or one term: both thresholds are inf
+        # (log_safe raised IndexError and ValueError here), and evaluate_scaled keeps
+        # that term at any exponent
+        assert p.log_tiny == p.log_safe == math.inf
+        for e in (-10**400, -3000, 3000, 10**400):
+            assert evaluate_scaled(p, ScaledComplex(1.5 + 0j, e)) == ScaledComplex.from_complex(
+                p.coeffs[0])
 
     def test_array_kept_read_only(self):
         p = polynomial(1, 2j, 3)
