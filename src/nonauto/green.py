@@ -8,10 +8,12 @@ input check (_engine_points) and the lanes' rules: one value carrier (the
 double in the safe double band, else a mantissa and an exponent), one step
 (double Horner in the band; off it the lowest term alone below
 Polynomial.log_tiny, the lead alone from log_safe on, else the same Horner on
-a rescaled variable), one escape test (_beyond's) and one finishing step
-(_finish).  orbit_bounded and green_nonauto step one point in Python
-(poly._evaluate), the tests' reference; escape_steps and green_field step
-arrays (_advance), and Preimage.green runs one step and _finish.  Preimage nets
+a rescaled variable; poly._evaluate skips a band Horner it predicts to land
+below the band, and _advance keeps it, since lanes almost never do), one
+escape test (_beyond's) and one finishing step (_finish).  orbit_bounded and
+green_nonauto step one point in Python (poly._evaluate), the tests' reference;
+escape_steps and green_field step arrays (_advance), and Preimage.green runs
+one step and _finish.  Preimage nets
 of an exact Chebyshev map (Polynomial.chebyshev_error == 0) are its closed-form
 roots (_chebyshev_roots), except over T_d's critical values, where companion
 roots keep the rounding the benchmark's reference records; other maps' nets
@@ -678,7 +680,10 @@ def _advance(p: Polynomial, w: np.ndarray, e: np.ndarray, a: np.ndarray):
     step's |w|); returns (w, e, |w|).  From degree 4 on, a p of one parity runs its
     Horner on every other coefficient in w*w, except on lanes with 0 < |w| < 2**-511,
     where w*w loses bits to underflow: they rerun the full Horner, lane by lane, so
-    no result depends on the chunk."""
+    no result depends on the chunk.  Unlike poly._evaluate it does not predict the
+    band lanes that land below the band: too few pay for the test.  In one pass each
+    of the bench's figures, metric_table and cli_custom workloads, 0 of 58.3M, 16 of
+    1.21M and 0 of 2.80M lane steps that start in the band land there."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow sends a lane off-band
         if p.degree < 4 or p.parity is None:
             return _settle(p, _horner(p.array, w), w, e)

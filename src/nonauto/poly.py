@@ -11,9 +11,11 @@ the double itself inside the safe band, else a complex mantissa in [1,2) with
 an unbounded integer base-2 exponent.  _evaluate steps that carrier by the
 rule every orbit engine shares: a double Horner in the band; off it (_far) the
 lowest term alone below log_tiny, the lead alone from log_safe on, else a
-Horner on a rescaled variable.  evaluate is its one step from a double to a
-double, and evaluate_scaled from ScaledComplex to ScaledComplex.  The module
-builds and evaluates polynomials; it does not compose them.  The array
+Horner on a rescaled variable.  A band step whose Horner would land below
+the band (_below_band, read off log_tiny and the lowest term before it runs)
+goes to _far at once, with the same bits.  evaluate is its one step from a
+double to a double, and evaluate_scaled from ScaledComplex to ScaledComplex.
+The module builds and evaluates polynomials; it does not compose them.  The array
 carrier helpers (_ldexp_arr, _normalize) sit beside _ldexp_c and _split.
 """
 from __future__ import annotations
@@ -95,9 +97,10 @@ class Polynomial:
 
     @cached_property
     def _moduli(self) -> tuple[np.ndarray, np.ndarray]:
-        """_log2_moduli of the whole array, once: valuation, lead_log, log_tiny, log_safe
-        and Preimage._pullback read it."""
-        return _log2_moduli(self.array)
+        """_log2_moduli of the whole coefficient tuple, once: valuation, lead_log, log_tiny,
+        log_safe, _below_band and Preimage._pullback read it.  It does not build array, which
+        a map that only the scalar step reaches never needs."""
+        return _log2_moduli(np.asarray(self.coeffs, dtype=np.complex128))
 
     @cached_property
     def valuation(self) -> int:
@@ -143,7 +146,7 @@ class Polynomial:
     def chebyshev_error(self) -> float:
         """Least g with |coeffs_j - c a_j| <= g |c a_j| for every j, where T_d = sum a_j z**j
         and c a_d is the lead: how far each stored coefficient is from the exact c T_d, for
-        the radius search's Chebyshev floor; kept.  Exact integer quotients, rounded up, below
+        the circles' Chebyshev floor; kept.  Exact integer quotients, rounded up, below
         1/2; inf once one reaches 1/2, for a term c T_d lacks (imaginary or of the wrong
         parity) and past degree _CHEBYSHEV_CAP, the premise of the floor's margin."""
         d = self.degree
@@ -268,6 +271,23 @@ def _horner_abs(coeffs, x: complex) -> tuple[complex, float]:
     return acc, s
 
 
+def _below_band(p: Polynomial, w: complex) -> bool:
+    """Does p's double Horner at a double w != 0 land below BAND_LOW?  Read off
+    p's unscaled moduli before it runs: yes where log2|w| < p.log_tiny and
+    log2|a_v w**v| < BAND_MIN_EXP - 2, v the valuation (log2|a_v| = -inf for
+    the zero polynomial).  The test is conservative.  Below log_tiny the other
+    terms sum to under 2**-53 of a_v w**v; the Horner's rounding adds at most
+    gamma_2d sum |a_j| |w|**j (Higham 5.1) and its subnormal partial sums at
+    most 2d 2**-1074, so the computed |p(w)| stays under 2**(BAND_MIN_EXP - 1);
+    the log2s round far inside the margin of 2 in the exponent.  (A Horner
+    that overflows lands off the band too.)"""
+    lw = math.log2(math.hypot(w.real, w.imag))
+    if not lw < p.log_tiny:
+        return False
+    j, mag = p._moduli
+    return not j.size or mag[0] + j[0] * lw < BAND_MIN_EXP - 2
+
+
 def _evaluate(p: Polynomial, w: complex, e: int) -> tuple[complex, int, float]:
     """One step of the orbit engines' rule: (w, e) in, (w', e', mu) out.
 
@@ -275,12 +295,16 @@ def _evaluate(p: Polynomial, w: complex, e: int) -> tuple[complex, int, float]:
     (2**BAND_MIN_EXP <= |w| < 2**1024) the double itself with e = 0, else a
     mantissa |w| in [1, 2) and an unbounded integer exponent.  With e = 0 the
     double Horner is kept when its modulus is in the band too (or w = 0,
-    where it is a_0 exactly); the rest runs _far.  mu = sum |a_j w**j| /
-    |p(w)| from the same pass (inf at a computed zero away from 0) bounds the
-    relative error by about 2 deg(p) eps mu (Higham, Accuracy and Stability
-    of Numerical Algorithms, 5.1).
+    where it is a_0 exactly); the rest runs _far.  A step _below_band
+    predicts goes to _far before the Horner, which would have landed below
+    the band and been thrown away: _far gets the same (m, e) and returns the
+    same bits.  mu = sum |a_j w**j| / |p(w)| from the same pass (inf at a
+    computed zero away from 0) bounds the relative error by about
+    2 deg(p) eps mu (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).
     """
     if not e:
+        if w and _below_band(p, w):
+            return _far(p, *_split(w, 0))
         h, s = _horner_abs(p.coeffs, w)
         a = math.hypot(h.real, h.imag)
         band = BAND_LOW <= a < math.inf

@@ -11,8 +11,10 @@ Polynomial.parity) is evaluated only on the first quarter arc, and its minimum
 and winding are read off that arc.  The radius search bounds the circle minimum
 of each map within its own stored deviation (Polynomial.chebyshev_error) of c T_d, as
 every map of the two Chebyshev kinds is, in closed form, and samples only the maps that
-bound does not clear; check_guided samples every map.  Leading factors past double range,
-such as n**(2**n), are built in exact integers cut to 96 bits and kept as a power-of-two scale.
+bound does not clear.  check_guided samples every map's minimum, but a circle on which
+that floor is finite counts no winding: by Rouche the zeros are inside.  Leading factors
+past double range, such as n**(2**n), are built in exact integers cut to 96 bits and kept
+as a power-of-two scale.
 """
 from __future__ import annotations
 
@@ -325,19 +327,20 @@ class _Circle:
 
     min_log and min_point give min log|p| over M = max(m, 8d) equally spaced
     samples.  zeros_contained() tells whether every zero lies in the closed
-    disk: the Cauchy bound when it suffices, else the argument principle.
+    disk: by Cauchy's bound or by Rouche where p's Chebyshev floor on the
+    circle is finite (_chebyshev_floor), else by the argument principle.
     Then p is sampled on 2M points instead (at least 16 per degree): the
     winding count runs over all of them, and the minimum over every other
     one, which is bit for bit the M-point circle.  When p is real and of one
     parity and 4 | n for the n samples, only points 0..n/4 are evaluated:
     |p| takes its minimum there first, and each quarter turn winds as far.
-    The Cauchy bound and the real and parity facts are read from p, which
-    keeps them, so no circle scans the coefficients.
+    The Cauchy bound, the deviation from c T_d and the real and parity facts
+    are read from p, which keeps them, so no circle scans the coefficients.
     """
 
     def __init__(self, p: Polynomial, radius: float, m: int):
         self.p = p
-        shortcut = p.root_bound <= radius
+        shortcut = p.root_bound <= radius or _chebyshev_floor(p, radius) > -math.inf
         n = max(m, 8 * p.degree) * (1 if shortcut else 2)
         self.quarter = n % 4 == 0 and p.parity is not None and p.real
         pts = circle_points(radius, n)[:n // 4 + 1 if self.quarter else n]
@@ -435,7 +438,8 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512) -> float:
     for every 2 <= n <= n_max (one period: n <= seq.last_distinct(n_max));
     beyond it each step grows moduli by a factor e.  A map is sampled only where its own
     _chebyshev_floor does not clear log(e*R) by _FLOOR_MARGIN, so a map near c T_d costs
-    O(1) and any other leaves the floor at once; check_guided samples every map."""
+    O(1) and any other leaves the floor at once.  A sampled map whose floor is finite but
+    short of the target counts no winding (_Circle), as in check_guided."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     worst = 2

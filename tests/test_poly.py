@@ -1,15 +1,18 @@
 import hashlib
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonauto.poly import (EPS, MagnitudeOverflow, Polynomial, ScaledComplex,
-                          chebyshev_minimal, chebyshev_t, evaluate, evaluate_scaled,
-                          monomial, polynomial)
+from nonauto import green, poly
+from nonauto.poly import (BAND_LOW, BAND_MIN_EXP, EPS, MagnitudeOverflow, Polynomial,
+                          ScaledComplex, _below_band, _evaluate, chebyshev_minimal, chebyshev_t,
+                          evaluate, evaluate_scaled, monomial, polynomial)
+from nonauto.sequences import escape_radius_search
 
 finite_coeff = st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False)
 
@@ -367,3 +370,148 @@ class TestCauchyBound:
         assert np.all(np.abs(zeros) <= bound)
         vals = [evaluate(t, complex(z)) for z in zeros]
         assert max(abs(v) for v in vals) < 1e-12
+
+
+def _parent_step(p, w, e):
+    """poly._evaluate's rule with the band Horner always run first: off the band its
+    value is thrown away for _far's."""
+    if not e:
+        h, s = poly._horner_abs(p.coeffs, w)
+        a = math.hypot(h.real, h.imag)
+        band = BAND_LOW <= a < math.inf
+        if band or w == 0:
+            mu = 1.0 if w == 0 else s / a if s < math.inf else poly._far(p, *poly._split(w, 0))[2]
+            return (h, 0, mu) if band and not p.scale2 else (*poly._carry(h, p.scale2), mu)
+        w, e = poly._split(w, 0)
+    return poly._far(p, w, e)
+
+
+def _same_step(p, w):
+    """_evaluate and _parent_step give the same bits at (w, 0): repr tells -0.0 from 0.0
+    and matches nan to nan."""
+    got, want = _evaluate(p, w, 0), _parent_step(p, w, 0)
+    return repr(got) == repr(want), (got, want)
+
+
+def _scaled(c: complex, k: int) -> complex:
+    return complex(math.ldexp(c.real, k), math.ldexp(c.imag, k))  # keeps subnormals
+
+
+def _switch(p, x):
+    """Adjacent positive doubles lo < hi near x with _below_band(p, lo) and not at hi."""
+    lo, hi = (np.float64(x * f).view(np.int64) for f in (1 - 2.0**-20, 1 + 2.0**-20))
+    assert _below_band(p, complex(lo.view(np.float64)))
+    assert not _below_band(p, complex(hi.view(np.float64)))
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
+        if _below_band(p, complex(mid.view(np.float64))):
+            lo = mid
+        else:
+            hi = mid
+    return float(lo.view(np.float64)), float(hi.view(np.float64))
+
+
+class TestPredictedExit:
+    """A band step whose Horner would land below the band goes to _far first, with
+    the same (m, e), so it returns the bits of the rule that ran the Horner first."""
+
+    unit_part = st.floats(-1.99, 1.99)
+    unit = st.builds(complex, unit_part, unit_part)
+
+    @given(st.lists(st.one_of(st.just(0j), st.builds(_scaled, unit, st.integers(-1100, 1000))),
+                    min_size=1, max_size=9),
+           st.integers(-2000, 2000),
+           st.one_of(st.just(0j), st.builds(_scaled, unit, st.integers(-1080, 1023))))
+    @settings(max_examples=400)
+    @example([2.0**-950, 0, 1], 7, 2.0**-600)
+    @example([0, 2.0**-600, 0, 1], 0, 2.0**-400 * (1 + 1j))
+    @example([0], 0, 5e-324)
+    def test_same_bits_as_the_horner_first(self, coeffs, scale2, w):
+        ok, detail = _same_step(polynomial(*coeffs, scale2=scale2), w)
+        assert ok, detail
+
+    # (map, threshold) pairs where the other condition holds: log2|w| = log_tiny, where
+    # the higher terms drop, or log2|a_v w**v| = BAND_MIN_EXP - 2, where the kept term leaves
+    THRESHOLDS = {
+        "minimal-chebyshev-601": (lambda: chebyshev_minimal(601), "band"),
+        "complex-scaled": (lambda: polynomial(0, 0, 1.5 - 0.5j, 0.25j, 0, 2 + 1j, scale2=-37),
+                           "band"),
+        "monomial": (lambda: monomial(3, 0.75 - 0.5j, scale2=-4), "band"),
+        "square-plus-tiny": (lambda: polynomial(2.0**-950, 0, 1, scale2=7), "tiny"),
+        "complex-tiny": (lambda: polynomial(2.0**-960 * (1 + 1j), 0, 0.5j, 0, 1, scale2=-3),
+                         "tiny"),
+        "subnormal-w": (lambda: polynomial(2.0**-1000, 1, scale2=5), "tiny"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(THRESHOLDS))
+    def test_last_bit_on_each_side(self, name):
+        make, side = self.THRESHOLDS[name]
+        p = make()
+        if side == "tiny":
+            x = 2.0**p.log_tiny
+        else:
+            j, mag = p._moduli
+            x = 2.0 ** ((BAND_MIN_EXP - 2 - float(mag[0])) / int(j[0]))
+        lo, hi = _switch(p, x)
+        if name == "subnormal-w":
+            assert hi < 2.0**-1022
+        # the margin: where the exit is predicted the Horner lands below the band
+        assert abs(poly._horner_abs(p.coeffs, lo)[0]) < BAND_LOW / 2
+        for w in (lo, hi):
+            for z in (complex(w), complex(-w), complex(0.0, w)):  # the same modulus
+                ok, detail = _same_step(p, z)
+                assert ok, (z, detail)
+
+    @pytest.mark.parametrize("p", [polynomial(0), polynomial(2.0**-1000), polynomial(1.0),
+                                   monomial(0, 1e-300j), monomial(2), monomial(700, 2.0**-900)],
+                             ids=["zero", "tiny-constant", "one", "tiny-complex-constant",
+                                  "square", "deep-monomial"])
+    def test_constants_and_monomials(self, p):
+        # log_tiny is inf with fewer than two nonzero terms; the zero polynomial has no
+        # moduli at all, and its exit is always predicted
+        assert p.log_tiny == math.inf
+        for w in (5e-324, 2.0**-1000 * (1 - 1j), 2.0**-600, 0.3j, 1.0, 1e300,
+                  1.5e308 * (1 + 1j)):
+            ok, detail = _same_step(p, w)
+            assert ok, (w, detail)
+        assert _below_band(polynomial(0), 0.3j)
+
+    def test_interior_orbits_discard_no_band_horner(self, monkeypatch, min_cheb):
+        # the bench's deep_orbits interior starts (seed 1): the odd steps of t_n past
+        # n = 450 land below the band, where a Horner run first was thrown away
+        radius = escape_radius_search(min_cheb, 600)
+        events, steps = [], Counter()
+        horner, far, below, step = poly._horner_abs, poly._far, poly._below_band, green._evaluate
+
+        def spied_horner(coeffs, x):
+            events.append("horner")
+            return horner(coeffs, x)
+
+        def spied_far(p, m, e):
+            events.append("far")
+            return far(p, m, e)
+
+        def spied_below(p, w):
+            out = below(p, w)
+            events.append(out and "exit")
+            return out
+
+        def spied_step(p, w, e):
+            events.clear()
+            out = step(p, w, e)
+            if not e:
+                steps["exits"] += "exit" in events
+                if "horner" == next(ev for ev in events if ev):
+                    steps["horners"] += 1
+                    steps["discarded"] += "far" in events
+            return out
+
+        monkeypatch.setattr(poly, "_horner_abs", spied_horner)
+        monkeypatch.setattr(poly, "_far", spied_far)
+        monkeypatch.setattr(poly, "_below_band", spied_below)
+        monkeypatch.setattr(green, "_evaluate", spied_step)
+        for x in (-0.55, 0.85, -0.75, -0.15):
+            green.orbit_bounded(min_cheb, x, 600, radius)
+            green.green_nonauto(min_cheb, x, 600, radius)
+        assert steps["discarded"] == 0
+        assert (steps["horners"], steps["exits"]) == (3648, 576)

@@ -418,6 +418,14 @@ class TestOnePassCircle:
         assert repr(got.margin) == repr(want.margin)
 
 
+    @pytest.mark.parametrize("m", [64, 1024])
+    def test_same_report_where_the_floor_certifies(self, m):
+        # _chebyshev_floor certifies t_2..t_270 on |z| = 2, so none of them counts windings
+        seq = builtin("minimal_chebyshev")
+        got = check_guided(seq, 2.0, 270, m=m)
+        assert got == _two_pass_check_guided(seq, 2.0, 270, m)
+        assert got.passed and repr(got.margin) == "0.7500000000000002"
+
     def test_minimum_beyond_double_range_is_not_a_crash(self):
         # min |p_n| on |z| = 2 passes 1e308 near n = 10 for n_exp_z2
         rep = check_guided(builtin("n_exp_z2"), 2.0, 60)
@@ -668,8 +676,25 @@ class TestCircleValues:
 
         monkeypatch.setattr(sequences, "values_on", counted)
         _Circle(p, radius, 64)
-        m = max(64, 8 * p.degree) * (1 if p.root_bound <= radius else 2)
+        # M samples where Cauchy's bound or the Chebyshev floor holds, else 2M
+        one_pass = p.root_bound <= radius or _chebyshev_floor(p, radius) > -math.inf
+        m = max(64, 8 * p.degree) * (1 if one_pass else 2)
         assert sizes == [arc(m)]
+
+    @pytest.mark.parametrize("kind", ["minimal_chebyshev", "classical_chebyshev"])
+    @pytest.mark.parametrize("radius", [1.3, 2.0, 3.005203820042822])
+    def test_a_finite_floor_counts_no_winding(self, kind, radius):
+        # Rouche on the floor's margin puts all d zeros inside: no 2M circle, no count
+        seq, floored = builtin(kind), 0
+        for n in (2, 3, 8, 9, 64, 65, 108, 109, 110, 269, 270, 271, 299, 598, 599, 600):
+            p = seq.get(n)
+            circle = _Circle(p, radius, 1024)
+            if _chebyshev_floor(p, radius) > -math.inf:
+                floored += 1
+                assert circle.vals is None and circle.zeros_contained(), n
+            elif p.root_bound > radius:
+                assert circle.vals is not None, n
+        assert floored >= 5
 
     def test_each_map_scans_its_coefficients_once(self, monkeypatch):
         # the Cauchy bound and the real-coefficient fact are kept on the polynomial:
