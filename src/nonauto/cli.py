@@ -61,6 +61,8 @@ def parse_model(text: str) -> ModelSet:
 
 def parse_z(text: str) -> complex:
     parts = [float(p) for p in text.split(",")]
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"point must be finite, got {text!r}")
     if len(parts) == 1:
         return complex(parts[0], 0.0)
     if len(parts) == 2:

@@ -17,7 +17,7 @@ one step and _finish.  Preimage nets
 of an exact Chebyshev map (Polynomial.chebyshev_error == 0) are its closed-form
 roots (_chebyshev_roots), except over T_d's critical values, where companion
 roots keep the rounding the benchmark's reference records; other maps' nets
-are companion roots and Newton continuation (_newton).  The vector
+are companion roots, np.roots's bit for bit.  The vector
 engines carry their points through every step in fixed chunks that fit a
 core's L2 cache.  For a periodic sequence both retire a lane found after a
 whole period in disks certified about an attracting cycle of the period map
@@ -134,8 +134,8 @@ _JOUKOWSKI_SAFE = 1e100   # beyond this |z|, z*z nears overflow; switch branch
 
 
 def _clamp_green(g):
-    # on the set itself the formula rounds to +-1ulp around zero; snap it
-    return np.where(g > _GREEN_FLOOR, g, 0.0)
+    # on the set itself the formula rounds to +-1ulp around zero; snap it (nan stays nan)
+    return np.where(g <= _GREEN_FLOOR, 0.0, g)
 
 
 def _log_joukowski_abs(arr):
@@ -260,10 +260,8 @@ class Segment(Ellipse):
     interior_net = ModelSet.interior_net
 
 
-_ANCHORS = 4             # companion-solved targets per _pullback call, up to twice as many
 _NEWTON_STEPS = 10
-_STEP_TOL = 1e-12        # last Newton step, relative to the branch
-_SEP_TOL = 1e-6          # least distance between branches, relative to the largest
+_STEP_TOL = 1e-12        # last Newton step, relative to the root
 _U_NORMAL = 2.0**-1022   # below this a root in u has lost bits to underflow
 
 
@@ -276,36 +274,21 @@ def _unit_scaled(coeffs: np.ndarray, rhs: np.ndarray):
 
 
 def _newton(coeffs: np.ndarray, tau: np.ndarray, u: np.ndarray):
-    """Newton for sum coeffs[j] x**j = tau[i] from the starts u[i] (a row per
-    target, a column per branch); returns (x, ok), ok for rows now certified.
-
-    A row is accepted once every branch's last step is at most _STEP_TOL of
-    its own modulus and its branches lie pairwise more than _SEP_TOL of the
-    largest apart.  A degree-d polynomial has a root within d |step| of the
-    point a Newton step is taken from, so the disks of radius (d+1) |step|
-    about the new points each hold a root; they are disjoint (d < 5e5), so
-    the row holds every root, each once.  Rows that do not converge within
-    _NEWTON_STEPS steps, or converge onto each other, are not accepted.
-    """
+    """Newton for sum coeffs[j] x**j = tau[i] from the start u[i], each on its own;
+    returns (x, ok), ok where the last of at most _NEWTON_STEPS steps is at most
+    _STEP_TOL of the new point's modulus."""
     slope = coeffs[1:] * np.arange(1, coeffs.size)
-    live = np.arange(u.shape[0])
-    out, ok = u.copy(), np.zeros(u.shape[0], dtype=bool)
+    live = np.arange(u.size)
+    out, ok = u.copy(), np.zeros(u.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            step = (_horner(coeffs, u) - tau[:, None]) / _horner(slope, u)
+            step = (_horner(coeffs, u) - tau) / _horner(slope, u)
             u = u - step
-            done = (np.abs(step) <= _STEP_TOL * np.abs(u)).all(axis=1)
-            if done.any():
-                out[live[done]], ok[live[done]] = u[done], True
-                u, tau, live = u[~done], tau[~done], live[~done]
-                if not live.size:
-                    break
-        got = np.flatnonzero(ok)
-        v = out[got]
-        sep = np.full(got.size, np.inf)
-        for gap in range(1, v.shape[1]):
-            sep = np.minimum(sep, np.abs(v[:, gap:] - v[:, :-gap]).min(axis=1))
-        ok[got[~(sep > _SEP_TOL * np.abs(v).max(axis=1, initial=0.0))]] = False
+            done = np.abs(step) <= _STEP_TOL * np.abs(u)
+            out[live[done]], ok[live[done]] = u[done], True
+            u, tau, live = u[~done], tau[~done], live[~done]
+            if not live.size:
+                break
     return out, ok
 
 
@@ -406,13 +389,12 @@ class Preimage(ModelSet):
 
         An exact Chebyshev map, f = C T_d (f.chebyshev_error == 0), takes each row by
         _chebyshev_roots' closed form, to rounding, but a row over a critical value
-        (t = +-C, T_d's double roots) goes to _solve.  Up to 7 such rows in a call
-        (the metric layer's nets have at most 4) are all anchors there, so they
-        take companion roots, np.roots's bit for bit.  bench/reference.json
-        records the smoke classical tail as 1.68e-9, the rounding of companion-split
-        double roots (the exact value is 0), and checks it to 1e-9, which exact
-        roots there would miss (4.2e-9); the rule goes with that record.  Other
-        maps: _solve.
+        (t = +-C, T_d's double roots) takes companion roots (_solve), np.roots's bit
+        for bit.  bench/reference.json records the smoke classical tail as 1.68e-9,
+        the rounding of companion-split double roots (the exact value is 0), and
+        checks it to 1e-9, which exact roots there would miss (4.2e-9); the rule
+        goes with that record.  Other maps: _solve.  Either way a row depends on
+        its own target alone.
         """
         targets = np.asarray(targets, np.complex128)
         if self.poly.chebyshev_error != 0:
@@ -423,16 +405,12 @@ class Preimage(ModelSet):
         return z.ravel()
 
     def _solve(self, targets: np.ndarray) -> np.ndarray:
-        """f(z) = t for each target t by companion roots and Newton continuation.
+        """f(z) = t for each target t by companion roots.
 
         f = 2**s sum a_j z**j is solved in z = 2**k u, sum a_j 2**((j-d)k) u**j
         = t 2**(-s-dk), with k = -s/d rounded (raised until no a_j 2**((j-d)k)
         passes 2**500 |a_d|), so any s works; underflowing terms are negligible.
-        Targets a stride apart in net order (the largest power of two at most
-        n/_ANCHORS) take companion roots.  Then, halving the stride, each
-        target starts from the roots of the solved target one stride back, and
-        _newton refines all of a stride's targets at once; a target it does not
-        accept takes companion roots: np.roots's matrices, a level's stacked in
+        Each target takes np.roots's companion matrix, stacked in
         np.linalg.eigvals calls of at most _CHUNK entries (one matrix past it),
         so np.roots's roots bit for bit.  A target equal to a_0 in u keeps
         np.roots, which strips the root 0; its roots are f's zeros, free of s,
@@ -452,33 +430,22 @@ class Preimage(ModelSet):
         n = taus.size
         roots = np.empty((n, d), dtype=np.complex128)
         exact = {}  # z-roots of the rows solved in 2**h v
-
-        def companion(rows):
-            step = max(1, _CHUNK // (d * d))  # matrices per eigvals call
-            for at in np.split(rows, range(step, rows.size, step)):
-                b = np.tile(scaled[::-1], (at.size, 1))
-                b[:, -1] -= taus[at]
-                held = b[:, -1] == 0  # t = a_0: np.roots strips the root 0
-                for i in at[held]:
-                    lt = _log2_moduli(targets[i:i + 1])[1].max(initial=-math.inf) - s - mag[-1]
-                    h = k0 if lt - d * k0 < 1000 else round(lt / d)  # t 2**-s a double there
-                    cv, tv = _unit_scaled(_ldexp_arr(c, (np.arange(d + 1) - d) * h),
-                                          _ldexp_arr(targets[i:i + 1], -s - d * h))
-                    v = np.roots(np.append(cv[:0:-1], cv[0] - tv[0])).astype(complex)
-                    roots[i], exact[i] = _ldexp_arr(v, h - k), _ldexp_arr(v, h)
-                a = np.zeros((at.size, d, d), dtype=b.dtype)  # np.roots's matrices
-                a[:, 0, :] = -b[:, 1:] / b[:, :1]
-                a[:, np.arange(1, d), np.arange(d - 1)] = 1
-                roots[at[~held]] = np.linalg.eigvals(a[~held])
-
-        stride = 1 << max(0, (n // _ANCHORS).bit_length() - 1)
-        companion(np.arange(0, n, stride))
-        while stride > 1:
-            stride //= 2
-            rows = np.arange(stride, n, 2 * stride)
-            u, ok = _newton(scaled, taus[rows], roots[rows - stride])
-            roots[rows[ok]] = u[ok]
-            companion(rows[~ok])
+        step = max(1, _CHUNK // (d * d))  # matrices per eigvals call
+        for at in np.split(np.arange(n), range(step, n, step)):
+            b = np.tile(scaled[::-1], (at.size, 1))
+            b[:, -1] -= taus[at]
+            held = b[:, -1] == 0  # t = a_0: np.roots strips the root 0
+            for i in at[held]:
+                lt = _log2_moduli(targets[i:i + 1])[1].max(initial=-math.inf) - s - mag[-1]
+                h = k0 if lt - d * k0 < 1000 else round(lt / d)  # t 2**-s a double there
+                cv, tv = _unit_scaled(_ldexp_arr(c, (np.arange(d + 1) - d) * h),
+                                      _ldexp_arr(targets[i:i + 1], -s - d * h))
+                v = np.roots(np.append(cv[:0:-1], cv[0] - tv[0])).astype(complex)
+                roots[i], exact[i] = _ldexp_arr(v, h - k), _ldexp_arr(v, h)
+            a = np.zeros((at.size, d, d), dtype=b.dtype)  # np.roots's matrices
+            a[:, 0, :] = -b[:, 1:] / b[:, :1]
+            a[:, np.arange(1, d), np.arange(d - 1)] = 1
+            roots[at[~held]] = np.linalg.eigvals(a[~held])
         z = _ldexp_arr(roots, k)
         z[list(exact)] = np.reshape([*exact.values()], (-1, d))
         z, tiny = z.ravel(), np.abs(roots) < _U_NORMAL
@@ -489,8 +456,8 @@ class Preimage(ModelSet):
                 z[i * d + np.flatnonzero(tiny[i])] = low._pullback(targets[i:i + 1])
         tiny = np.flatnonzero(tiny)
         if tiny.size:
-            w, ok = _newton(*_unit_scaled(c, _ldexp_arr(targets[tiny // d], -s)), z[tiny, None])
-            z[tiny[ok]] = w[ok, 0]
+            w, ok = _newton(*_unit_scaled(c, _ldexp_arr(targets[tiny // d], -s)), z[tiny])
+            z[tiny[ok]] = w[ok]
         return z
 
 

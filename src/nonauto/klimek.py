@@ -56,6 +56,8 @@ def gamma_models(E: ModelSet, F: ModelSet, m: int = 1024) -> KlimekEstimate:
     per Preimage level); each size's sup runs over E's points, F's points
     and the fill net of the enclosing disk.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     sizes = (m, 4 * m)
     radius = max(E.enclosing_radius(), F.enclosing_radius())
     joint = [np.concatenate([e_net, f_net, _fill_net(radius, k)])

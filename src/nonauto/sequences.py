@@ -407,8 +407,8 @@ def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> Chec
     min over n of (min circle modulus) / R - 1.  Only n <= seq.last_distinct
     (n_max) are certified, one period: the report is the same.
     """
-    if R <= 1:
-        raise ValueError("R must exceed 1")
+    if not 1 < R < math.inf:
+        raise ValueError("R must exceed 1 and be finite")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if m < 64:
@@ -464,8 +464,8 @@ def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512) -> float:
 
 def check_P2(seq: PolySequence, A: float, n_max: int) -> CheckReport:
     """Uniform coefficient bound |a_j| <= A |a_lead| over all p_n, n <= n_max."""
-    if A < 0:
-        raise ValueError("A must be >= 0")
+    if not 0 <= A < math.inf:
+        raise ValueError("A must be >= 0 and finite")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     worst_ratio, worst_n = 0.0, 1
@@ -496,8 +496,8 @@ def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: floa
     its max may pass the earlier max by _GROWTH times what log n growth adds
     there, log(n_max / cut), so a bounded family still rising to its limit passes.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("disk radius must be positive and finite")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     side = max(3, int(math.isqrt(m)))

@@ -410,7 +410,8 @@ class TestMalformedInput:
 
 
 class TestNonFiniteInput:
-    """Non-finite model parameters, escape radii and tail bounds exit 2 with a message."""
+    """Non-finite points, model parameters, escape radii, tail bounds and checker
+    bounds, and sizes below 1, exit 2 with a message."""
 
     @pytest.mark.parametrize("argv, word", [
         (("table", "--seq", "power", "--E", "disk:nan,1", "--n-list", "1"), "disk center"),
@@ -426,6 +427,27 @@ class TestNonFiniteInput:
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "nan"), "tail bound"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "-1"), "tail bound"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--tail-bound", "inf"), "tail bound"),
+        # printed 0.000000 and exited 0: a nan point read as a point of the segment
+        (("green", "--model", "segment", "--z", "nan"), "point must be finite"),
+        (("green", "--model", "ellipse:2", "--z", "0,nan"), "point must be finite"),
+        (("green", "--seq", "power", "--z", "inf", "--n", "3"), "point must be finite"),
+        (("check", "--seq", "power", "--which", "finite", "--center", "nan", "--n-max", "3"),
+         "point must be finite"),
+        # exited 2, blaming a Horner overflow
+        (("check", "--seq", "power", "--which", "guided", "--R", "nan", "--n-max", "3"),
+         "R must exceed 1 and be finite"),
+        (("check", "--seq", "power", "--which", "guided", "--R", "inf", "--n-max", "3"),
+         "R must exceed 1 and be finite"),
+        # printed "margin": NaN or Infinity, not JSON, and exited 3
+        (("check", "--seq", "power", "--which", "p2", "--A", "nan", "--n-max", "3"),
+         "A must be >= 0 and finite"),
+        (("check", "--seq", "power", "--which", "p2", "--A", "inf", "--n-max", "3"),
+         "A must be >= 0 and finite"),
+        # exited 2 with numpy's zero-size reduction message
+        (("check", "--seq", "power", "--which", "finite", "--disk-radius", "nan", "--n-max", "3"),
+         "disk radius must be positive and finite"),
+        # printed 0.149036, where m = 1024 gives log 1.25 = 0.223144
+        (("gamma", "--a", "disk:0,1", "--b", "ellipse:2", "--m", "-5"), "m must be >= 1"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exits_2_with_a_message(self, capsys, argv, word):
         code, out, err = run(capsys, *argv)

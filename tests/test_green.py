@@ -42,6 +42,11 @@ class TestClosedForms:
         assert SEG.green(0.5) == 0.0
         assert Ellipse(3.0).green(0.2j) == 0.0
 
+    def test_nan_is_not_a_point_of_the_set(self):
+        # the rounding snap mapped nan to 0, so a nan point read as on the set
+        for K in (Disk(), Ellipse(2.0), SEG):
+            assert np.isnan(K.green(math.nan)) and np.isnan(K.green(complex(0.0, math.nan)))
+
     def test_segment_is_the_unit_ellipse(self):
         # the r = 1 ellipse, with r fixed and out of repr, equality and hash
         assert isinstance(SEG, Ellipse) and SEG.r == 1.0

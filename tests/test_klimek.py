@@ -32,6 +32,12 @@ class TestGammaModels:
         a, b = Disk(0.2 + 0.1j, 1.5), Ellipse(3.0)
         assert gamma_models(a, b).lower == gamma_models(b, a).lower
 
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_sizes_below_one_are_refused(self, m):
+        # m = -5 gave 0.149036 from nets of 8 points, against log 1.25 = 0.223144
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            gamma_models(UNIT_DISK, Ellipse(2.0), m=m)
+
     def test_triangle_inequality_on_disks(self):
         disks = [Disk(0j, 1.0), Disk(0j, 3.0), Disk(0.5, 2.0)]
         g01 = gamma_models(disks[0], disks[1]).lower

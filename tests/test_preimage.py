@@ -4,9 +4,9 @@ Preimage.green takes f(z) by one step of the vector engine's rule and
 finishes it like green_field, so f(z) of any size, and any scale2, gives
 (1/d) g_inner(f(z)) to within the rounding of one Horner pass.  Preimage
 nets are solved in a rescaled variable, so they exist for any scale2, by
-Newton continuation from companion roots; they equal the companion roots
-per target, as sets, wherever those are accurate.  A map stored as exactly
-c T_d takes the closed form instead, checked against 50-digit polyroots.
+companion roots: np.roots's per target, bit for bit, so a row depends on its
+own target alone.  A map stored as exactly c T_d takes the closed form
+instead, checked against 50-digit polyroots.
 """
 import math
 from fractions import Fraction
@@ -284,61 +284,11 @@ METRIC_NETS = {
 
 
 def nudged(f):
-    """f with its lead one ulp larger: chebyshev_error > 0, so its nets take the
-    general route (companion anchors, Newton continuation), not the closed form."""
+    """f with its lead one ulp larger: chebyshev_error > 0, so its nets take
+    companion roots, not the closed form."""
     g = polynomial(*f.coeffs[:-1], np.nextafter(f.coeffs[-1].real, math.inf), scale2=f.scale2)
     assert g.chebyshev_error > 0
     return g
-
-
-class TestNewtonNets:
-    """Nets by Newton continuation equal the companion nets wherever those hold."""
-
-    @pytest.mark.parametrize("config", sorted(METRIC_NETS))
-    @pytest.mark.parametrize("m", [256, 1024])
-    def test_metric_nets_match_companion_roots(self, config, m):
-        # the maps one ulp off c T_d: the exact ones take the closed form
-        inner, maps = METRIC_NETS[config]
-        for f in map(nudged, maps):
-            pre = Preimage(inner, f)
-            nets = [(inner.boundary_net(max(8, m // f.degree)), pre.boundary_net(m)),
-                    (inner.interior_net(max(8, m // f.degree)), pre.interior_net(m))]
-            for targets, net in nets:
-                assert net.size == targets.size * f.degree
-                if targets.size:
-                    assert set_distance(net, companion_net(f, targets), f.degree) <= 1e-10, f
-
-    @pytest.mark.parametrize("inner,m,t", [(UNIT_DISK, 80, -1.0), (Segment(), 1024, 1.0)])
-    def test_double_roots_take_companion_roots(self, monkeypatch, inner, m, t):
-        # T_8(z) = +-1 has double roots; the target sits between anchors, so
-        # Newton reaches it first, cannot separate its branches and hands it on
-        f = chebyshev_t(8)
-        targets = inner.boundary_net(m // 8)
-        at = int(np.abs(targets - t).argmin())
-        assert abs(targets[at] - t) <= 1e-15 and at % 2 == 1
-        # companion rows go to np.linalg.eigvals as stacked matrices whose first
-        # row is -b[1:] / b[0]; a target t = a_0 (Segment's t = 1 here) to np.roots
-        solved, roots, eigvals = [], np.roots, np.linalg.eigvals
-        monkeypatch.setattr(np, "roots", lambda b: solved.append(b[-1] / b[0]) or roots(b))
-        monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda a: solved.extend(-a[:, 0, -1]) or eigvals(a))
-        net = Preimage(inner, f).boundary_net(m)
-        assert net.size == 8 * targets.size and np.isfinite(net).all()
-        assert (f.coeffs[0] - targets[at]) / f.coeffs[-1] in solved
-        assert set_distance(net, companion_net(f, targets), 8) <= 1e-10
-
-    def test_nested_preimage_nets(self):
-        # the targets of the outer pullback are the inner net, branch after
-        # branch, not a curve in order: Newton from the previous target often
-        # fails there, and those targets take companion roots
-        inner = Preimage(UNIT_DISK, polynomial(0.3j, 0, -0.5, 1))
-        g = polynomial(-0.2, 0.1 + 0.4j, 0, 1)
-        pre = Preimage(inner, g)
-        for targets, net in ((inner.boundary_net(64 // 3), pre.boundary_net(64)),
-                             (inner.interior_net(64 // 3), pre.interior_net(64))):
-            assert net.size == 3 * targets.size and np.isfinite(net).all()
-            assert set_distance(net, companion_net(g, targets), 3) <= 1e-10
-            assert_newton_steps_small(g, targets, net)
 
 
 def pullback_by_rows(self, targets):
@@ -352,29 +302,17 @@ def pullback_by_rows(self, targets):
     targets = np.asarray(targets, np.complex128)
     scaled, taus = green._unit_scaled(green._ldexp_arr(c, (np.arange(d + 1) - d) * k),
                                       green._ldexp_arr(targets, -s - d * k))
-    n = taus.size
-    roots = np.empty((n, d), dtype=np.complex128)
-
-    def companion(rows):
-        for i in rows:
-            b = scaled[::-1].copy()
-            b[-1] -= taus[i]
-            roots[i] = np.roots(b)
-
-    stride = 1 << max(0, (n // green._ANCHORS).bit_length() - 1)
-    companion(range(0, n, stride))
-    while stride > 1:
-        stride //= 2
-        rows = np.arange(stride, n, 2 * stride)
-        u, ok = green._newton(scaled, taus[rows], roots[rows - stride])
-        roots[rows[ok]] = u[ok]
-        companion(rows[~ok])
+    roots = np.empty((taus.size, d), dtype=np.complex128)
+    for i, tau in enumerate(taus):
+        b = scaled[::-1].copy()
+        b[-1] -= tau
+        roots[i] = np.roots(b)
     z = green._ldexp_arr(roots.ravel(), k)
     tiny = np.flatnonzero(np.abs(roots.ravel()) < green._U_NORMAL)
     if tiny.size:
         w, ok = green._newton(*green._unit_scaled(c, green._ldexp_arr(targets[tiny // d], -s)),
-                              z[tiny, None])
-        z[tiny[ok]] = w[ok, 0]
+                              z[tiny])
+        z[tiny[ok]] = w[ok]
     return z
 
 
@@ -393,13 +331,52 @@ class TestStackedCompanionSolves:
             want = [pre.boundary_net(m), pre.interior_net(m)]
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), pre
+        return got
 
     @pytest.mark.parametrize("config", sorted(METRIC_NETS))
     @pytest.mark.parametrize("m", [256, 1024])
     def test_metric_nets(self, monkeypatch, config, m):
         inner, maps = METRIC_NETS[config]
-        for f in map(nudged, maps):  # one ulp off c T_d, as in TestNewtonNets
-            self.assert_nets_equal(monkeypatch, Preimage(inner, f), m)
+        for f in map(nudged, maps):  # one ulp off c T_d: the exact maps take the closed form
+            nets = self.assert_nets_equal(monkeypatch, Preimage(inner, f), m)
+            for kind, net in zip(("boundary_net", "interior_net"), nets):
+                targets = getattr(inner, kind)(max(8, m // f.degree))
+                assert net.size == targets.size * f.degree
+                if targets.size:
+                    assert np.array_equal(net, companion_net(f, targets)), f
+
+    @pytest.mark.parametrize("inner,m,t", [(UNIT_DISK, 80, -1.0), (Segment(), 1024, 1.0)])
+    def test_double_roots_take_companion_roots(self, monkeypatch, inner, m, t):
+        # T_8(z) = +-1 has double roots: T_8 takes the closed form, but that row
+        # goes to _solve and takes companion roots
+        f = chebyshev_t(8)
+        targets = inner.boundary_net(m // 8)
+        at = int(np.abs(targets - t).argmin())
+        assert abs(targets[at] - t) <= 1e-15
+        # companion rows go to np.linalg.eigvals as stacked matrices whose first
+        # row is -b[1:] / b[0]; a target t = a_0 (Segment's t = 1 here) to np.roots
+        solved, roots, eigvals = [], np.roots, np.linalg.eigvals
+        monkeypatch.setattr(np, "roots", lambda b: solved.append(b[-1] / b[0]) or roots(b))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: solved.extend(-a[:, 0, -1]) or eigvals(a))
+        net = Preimage(inner, f).boundary_net(m)
+        assert net.size == 8 * targets.size and np.isfinite(net).all()
+        assert (f.coeffs[0] - targets[at]) / f.coeffs[-1] in solved
+        monkeypatch.undo()
+        assert set_distance(net, companion_net(f, targets), 8) <= 1e-10
+        assert np.array_equal(net.reshape(-1, 8)[at], companion_net(f, targets[at:at + 1]))
+
+    def test_nested_preimage_nets(self):
+        # the targets of the outer pullback are the inner net, branch after
+        # branch, not a curve in order; each row is still np.roots's
+        inner = Preimage(UNIT_DISK, polynomial(0.3j, 0, -0.5, 1))
+        g = polynomial(-0.2, 0.1 + 0.4j, 0, 1)
+        pre = Preimage(inner, g)
+        for targets, net in ((inner.boundary_net(64 // 3), pre.boundary_net(64)),
+                             (inner.interior_net(64 // 3), pre.interior_net(64))):
+            assert net.size == 3 * targets.size and np.isfinite(net).all()
+            assert np.array_equal(net, companion_net(g, targets))
+            assert_newton_steps_small(g, targets, net)
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_random_complex_maps(self, monkeypatch, degree):
@@ -438,18 +415,15 @@ class TestStackedCompanionSolves:
 
 
 class TestNets:
-    """Preimage.nets((m, 4m)) holds boundary_net + interior_net at each size."""
+    """Preimage.nets((m, 4m)) is boundary_net + interior_net at each size, bit for bit."""
 
     @staticmethod
-    def assert_nets_match(pre, m, whole=False):
-        # whole: branches over one target may come in another order, so the
-        # targets of an outer pullback do too; compare the nets as point sets
+    def assert_nets_match(pre, m):
         nets = pre.nets((m, 4 * m))
         assert len(nets) == 2
         for k, net in zip((m, 4 * m), nets):
             want = np.concatenate([pre.boundary_net(k), pre.interior_net(k)])
-            assert net.size == want.size and net.dtype == want.dtype
-            assert set_distance(net, want, want.size if whole else pre.poly.degree) <= 1e-10, pre
+            assert net.dtype == want.dtype and np.array_equal(net, want), pre
 
     @pytest.mark.parametrize("config", sorted(METRIC_NETS))
     @pytest.mark.parametrize("m", [256, 1024])
@@ -467,8 +441,20 @@ class TestNets:
 
     def test_nested_preimage(self):
         inner = Preimage(UNIT_DISK, polynomial(0.3j, 0, -0.5, 1))
-        self.assert_nets_match(Preimage(inner, polynomial(-0.2, 0.1 + 0.4j, 0, 1)), 64,
-                               whole=True)
+        self.assert_nets_match(Preimage(inner, polynomial(-0.2, 0.1 + 0.4j, 0, 1)), 64)
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_rows_depend_on_their_own_target(self, degree):
+        # a row's roots come from its own target alone: nets, the two nets apart
+        # and one _pullback per target agree bit for bit
+        rng = np.random.default_rng(200 + degree)
+        for inner in (UNIT_DISK, Disk(0.3 - 0.2j, 1.5), Ellipse(2.0), Segment()):
+            pre = Preimage(inner, random_map(rng, degree))
+            for k, net in zip((32, 128), pre.nets((32, 128))):
+                targets = inner.nets([max(8, k // degree)])[0]
+                rows = [pre._pullback(targets[i:i + 1]) for i in range(targets.size)]
+                want = np.concatenate([pre.boundary_net(k), pre.interior_net(k)])
+                assert np.array_equal(net, want) and np.array_equal(net, np.concatenate(rows))
 
     def test_model_sets_join_their_nets(self):
         for K in (UNIT_DISK, Disk(0.5j, 2.0), Ellipse(1.5), Segment()):

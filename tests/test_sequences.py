@@ -759,7 +759,15 @@ class TestInputChecks:
         (lambda s: check_P2(s, 1.0, 0), "n_max must be >= 1"),
         (lambda s: check_finite_condition(s, 0j, 0.0, 10), "radius must be positive"),
         (lambda s: check_finite_condition(s, 0j, -1.0, 10), "radius must be positive"),
-    ], ids=["guided-m", "escape-n_max", "p2-A", "p2-n_max", "finite-zero", "finite-negative"])
+        # nan R overflowed the Horner, nan A gave a NaN margin, nan radius an empty grid
+        (lambda s: check_guided(s, math.nan, 10), "R must exceed 1 and be finite"),
+        (lambda s: check_guided(s, math.inf, 10), "R must exceed 1 and be finite"),
+        (lambda s: check_P2(s, math.nan, 10), "A must be >= 0 and finite"),
+        (lambda s: check_P2(s, math.inf, 10), "A must be >= 0 and finite"),
+        (lambda s: check_finite_condition(s, 0j, math.nan, 10), "radius must be positive and finite"),
+        (lambda s: check_finite_condition(s, 0j, math.inf, 10), "radius must be positive and finite"),
+    ], ids=["guided-m", "escape-n_max", "p2-A", "p2-n_max", "finite-zero", "finite-negative",
+            "guided-nan", "guided-inf", "p2-nan", "p2-inf", "finite-nan", "finite-inf"])
     def test_checkers(self, call, message):
         with pytest.raises(ValueError, match=message):
             call(builtin("power", degrees=2))
