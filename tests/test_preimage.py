@@ -331,19 +331,13 @@ class TestStackedCompanionSolves:
             want = [pre.boundary_net(m), pre.interior_net(m)]
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), pre
-        return got
 
     @pytest.mark.parametrize("config", sorted(METRIC_NETS))
     @pytest.mark.parametrize("m", [256, 1024])
     def test_metric_nets(self, monkeypatch, config, m):
         inner, maps = METRIC_NETS[config]
         for f in map(nudged, maps):  # one ulp off c T_d: the exact maps take the closed form
-            nets = self.assert_nets_equal(monkeypatch, Preimage(inner, f), m)
-            for kind, net in zip(("boundary_net", "interior_net"), nets):
-                targets = getattr(inner, kind)(max(8, m // f.degree))
-                assert net.size == targets.size * f.degree
-                if targets.size:
-                    assert np.array_equal(net, companion_net(f, targets)), f
+            self.assert_nets_equal(monkeypatch, Preimage(inner, f), m)
 
     @pytest.mark.parametrize("inner,m,t", [(UNIT_DISK, 80, -1.0), (Segment(), 1024, 1.0)])
     def test_double_roots_take_companion_roots(self, monkeypatch, inner, m, t):
@@ -412,6 +406,24 @@ class TestStackedCompanionSolves:
         assert max(shape[0] for shape in sizes) == most
         assert all(shape[0] * degree**2 <= max(green._CHUNK, degree**2) for shape in sizes)
         self.assert_nets_equal(monkeypatch, pre, 64 * degree)
+
+
+class TestNewtonNets:
+    """The metric maps' nets are the companion nets, Newton-polished where a
+    root is subnormal, bit for bit."""
+
+    @pytest.mark.parametrize("config", sorted(METRIC_NETS))
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_metric_nets_match_companion_roots(self, config, m):
+        inner, maps = METRIC_NETS[config]
+        for f in map(nudged, maps):  # one ulp off c T_d: the exact maps take the closed form
+            pre = Preimage(inner, f)
+            for kind in ("boundary_net", "interior_net"):
+                targets = getattr(inner, kind)(max(8, m // f.degree))
+                net = getattr(pre, kind)(m)
+                assert net.size == targets.size * f.degree
+                if targets.size:
+                    assert np.array_equal(net, companion_net(f, targets)), f
 
 
 class TestNets:
