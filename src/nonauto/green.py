@@ -193,8 +193,8 @@ class Disk(ModelSet):
         return self.center + circle_points(self.radius, m)
 
     def interior_net(self, m):
-        rings = [self.center + circle_points(f * self.radius, max(8, m // 4))
-                 for f in (0.25, 0.5, 0.75)]
+        unit = circle_points(1.0, max(8, m // 4))
+        rings = [self.center + (f * self.radius) * unit for f in (0.25, 0.5, 0.75)]
         return np.concatenate([np.array([complex(self.center)]), *rings])
 
 
@@ -236,10 +236,9 @@ class Ellipse(ModelSet):
         return 0.5 * (w + 1.0 / w)
 
     def interior_net(self, m):
-        nets = []
+        nets, unit = [], circle_points(1.0, max(8, m // 4))
         for f in (0.25, 0.5, 0.75):
-            rho = 1.0 + f * (self.r - 1.0)
-            w = circle_points(rho, max(8, m // 4))
+            w = (1.0 + f * (self.r - 1.0)) * unit
             nets.append(0.5 * (w + 1.0 / w))
         return np.concatenate(nets)
 
@@ -394,14 +393,18 @@ class Preimage(ModelSet):
         the rounding of companion-split double roots (the exact value is 0), and
         checks it to 1e-9, which exact roots there would miss (4.2e-9); the rule
         goes with that record.  Other maps: _solve.  Either way a row depends on
-        its own target alone.
+        its own target alone, so each distinct target (by bit pattern: +0.0 and
+        -0.0 apart) goes to _solve once and its row is copied to every repeat,
+        such as the t = +-1 that both of Segment's net sizes hold.
         """
         targets = np.asarray(targets, np.complex128)
-        if self.poly.chebyshev_error != 0:
-            return self._solve(targets)
-        z, crit = _chebyshev_roots(self.poly, targets)
-        if crit.size:
-            z[crit] = self._solve(targets[crit]).reshape(crit.size, -1)
+        z, rows = (_chebyshev_roots(self.poly, targets) if self.poly.chebyshev_error == 0 else
+                   (np.empty((targets.size, self.poly.degree), complex), np.arange(targets.size)))
+        if rows.size:
+            t = targets[rows]
+            _, first, back = np.unique(t.view(np.int64).reshape(-1, 2), axis=0,
+                                       return_index=True, return_inverse=True)
+            z[rows] = self._solve(t[first]).reshape(first.size, -1)[back.ravel()]
         return z.ravel()
 
     def _solve(self, targets: np.ndarray) -> np.ndarray:
@@ -419,7 +422,9 @@ class Preimage(ModelSet):
         Roots that underflow in u are polished by _newton in z, each from its
         own start: r > 1 of a row (r < d, z**r not dividing f - t) start from
         the pullback of t under a_0 + ... + a_r z**r, whose roots they are to
-        within the dropped terms; the others start from 0.
+        within the dropped terms; the others start from 0.  An exact root 0 of
+        f - t with f'(0) = 0 (a held row that z**2 divides) skips _newton: each
+        of its steps there is 0/0, so none would be accepted.
         """
         c, (j, mag) = self.poly.array, self.poly._moduli
         d, s = self.poly.degree, self.poly.scale2
@@ -456,7 +461,11 @@ class Preimage(ModelSet):
                 z[i * d + np.flatnonzero(tiny[i])] = low._pullback(targets[i:i + 1])
         tiny = np.flatnonzero(tiny)
         if tiny.size:
-            w, ok = _newton(*_unit_scaled(c, _ldexp_arr(targets[tiny // d], -s)), z[tiny])
+            cs, ts = _unit_scaled(c, _ldexp_arr(targets[tiny // d], -s))
+            go = (z[tiny] != 0) | (ts != cs[0]) | (cs[1] != 0)  # else every step is 0/0
+            tiny, ts = tiny[go], ts[go]
+        if tiny.size:
+            w, ok = _newton(cs, ts, z[tiny])
             z[tiny[ok]] = w[ok]
         return z
 

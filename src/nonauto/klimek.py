@@ -6,7 +6,8 @@ interiors, and a rectangular fill of the enclosing disk) with the change
 under a 4x refinement reported as the resolution diagnostic; certified upper
 bounds would need derivative information the closed forms do not expose
 uniformly.  gamma_models asks each set once for its nets at both sizes
-(ModelSet.nets), so a preimage set solves one pullback per level.  The
+(ModelSet.nets), so a preimage set solves one pullback per level;
+tail_constant builds the target's nets once for every n.  The
 convergence table's capacities are not sampled: each is the closed form
 exp(-robin) of the step-n preimage set's exact Robin constant.  Its distances,
 and gamma_nonauto's, take each depth's green_field values chunk by chunk from
@@ -42,8 +43,7 @@ class KlimekEstimate:
 def _fill_net(radius: float, m: int) -> np.ndarray:
     side = max(4, int(math.isqrt(max(16, m // 2))))
     xs = np.linspace(-radius, radius, side)
-    gx, gy = np.meshgrid(xs, xs)
-    return (gx + 1j * gy).ravel()
+    return (xs + 1j * xs[:, None]).ravel()
 
 
 def gamma_models(E: ModelSet, F: ModelSet, m: int = 1024) -> KlimekEstimate:
@@ -58,17 +58,23 @@ def gamma_models(E: ModelSet, F: ModelSet, m: int = 1024) -> KlimekEstimate:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    return _gamma(E, F, m, E.nets((m, 4 * m)))
+
+
+def _gamma(E: ModelSet, F: ModelSet, m: int, e_nets) -> KlimekEstimate:
+    """gamma_models with E's nets at sizes m and 4m given: tail_constant builds them once."""
     sizes = (m, 4 * m)
     radius = max(E.enclosing_radius(), F.enclosing_radius())
     joint = [np.concatenate([e_net, f_net, _fill_net(radius, k)])
-             for k, e_net, f_net in zip(sizes, E.nets(sizes), F.nets(sizes))]
+             for k, e_net, f_net in zip(sizes, e_nets, F.nets(sizes))]
     return _distance(joint, *(float(np.max(np.abs(E.green(pts) - F.green(pts)))) for pts in joint))
 
 
 def _annulus_net(radius: float, m: int) -> np.ndarray:
     rings = max(4, int(math.isqrt(m // 2)))
     per_ring = max(16, m // rings)
-    parts = [circle_points(rho, per_ring) for rho in np.linspace(radius / rings, radius, rings)]
+    unit = circle_points(1.0, per_ring)
+    parts = [rho * unit for rho in np.linspace(radius / rings, radius, rings)]
     parts.append(_fill_net(radius, m))
     return np.concatenate(parts)
 
@@ -120,18 +126,18 @@ _TAIL_SAMPLES = 256  # the m of tail_constant's gamma_models nets
 
 
 def tail_constant(seq: PolySequence, target: ModelSet, n_max: int) -> float:
-    """max over 1 <= n <= n_max of the sampled distance between target and its
-    pullback under p_{n+1}; feeds the truncation term of green_nonauto.
+    """max over 1 <= n <= n_max of gamma_models(target, its pullback under p_{n+1}),
+    with target's nets built once for every n; feeds green_nonauto's truncation term.
 
     A sampled lower bound on the tail constant, not an upper bound: a
     truncation term built on it rests on a sampled estimate.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    worst = 0.0
+    nets, worst = target.nets((_TAIL_SAMPLES, 4 * _TAIL_SAMPLES)), 0.0
     for n in range(1, n_max + 1):
         pre = Preimage(target, seq.get(n + 1))
-        worst = max(worst, gamma_models(target, pre, _TAIL_SAMPLES).lower)
+        worst = max(worst, _gamma(target, pre, _TAIL_SAMPLES, nets).lower)
     return worst
 
 
@@ -172,6 +178,8 @@ def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int]
     gamma is gamma_nonauto(n, n + 1).lower, from one orbit pass per net through
     every depth n and n + 1 (_distances), not one per depth."""
     ns = [int(n) for n in n_list]
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be increasing")
     if not ns:

@@ -448,6 +448,10 @@ class TestNonFiniteInput:
          "disk radius must be positive and finite"),
         # printed 0.149036, where m = 1024 gives log 1.25 = 0.223144
         (("gamma", "--a", "disk:0,1", "--b", "ellipse:2", "--m", "-5"), "m must be >= 1"),
+        # printed a row with gamma 0.0 and exited 0
+        (("table", "--seq", "power", "--n-list", "1", "--samples", "0"), "samples must be >= 1"),
+        # exited 2 with "isqrt() argument must be nonnegative"
+        (("table", "--seq", "power", "--n-list", "1", "--samples", "-5"), "samples must be >= 1"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exits_2_with_a_message(self, capsys, argv, word):
         code, out, err = run(capsys, *argv)

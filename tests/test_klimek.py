@@ -111,6 +111,19 @@ class TestOnePullbackPerSet:
         tail_constant(min_cheb, UNIT_DISK, 6)
         assert [pre.poly for pre in calls] == [min_cheb.get(n) for n in range(2, 8)]
 
+    @pytest.mark.parametrize("target", [UNIT_DISK, Segment()], ids=["disk", "segment"])
+    def test_tail_constant_builds_target_nets_once(self, monkeypatch, min_cheb, target):
+        # the target's own nets at (256, 1024), not once per depth; a Preimage
+        # asks its inner set for nets at m // deg f instead
+        asked, nets = [], type(target).nets
+        monkeypatch.setattr(type(target), "nets",
+                            lambda self, ms: asked.append(tuple(ms)) or nets(self, ms))
+        got = tail_constant(min_cheb, target, 6)
+        assert asked.count((256, 1024)) == 1 and len(asked) == 7
+        monkeypatch.undo()
+        assert got == max(gamma_models(target, Preimage(target, min_cheb.get(n + 1)), 256).lower
+                          for n in range(1, 7))
+
 
 class TestContraction:
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -321,6 +334,16 @@ class TestConvergenceTable:
         monkeypatch.setattr(klimek, "_depth_fields", lambda *a: passes.append(a[2]) or iter(()))
         with pytest.raises(ValueError, match="n_steps must be >= 1"):
             convergence_table(builtin("power", 2), UNIT_DISK, n_list, escape_radius=2.0)
+        assert passes == []
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_are_refused(self, monkeypatch, samples):
+        # samples = 0 gave a row with gamma 0.0; -5 failed in math.isqrt
+        passes = []
+        monkeypatch.setattr(klimek, "_depth_fields", lambda *a: passes.append(a[2]) or iter(()))
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            convergence_table(builtin("power", 2), UNIT_DISK, [1], escape_radius=2.0,
+                              samples=samples)
         assert passes == []
 
     def test_validation(self, min_cheb, min_cheb_radius):

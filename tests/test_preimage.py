@@ -324,8 +324,9 @@ class TestStackedCompanionSolves:
     """Companion rows solved in stacked eigvals calls are np.roots's roots bit for bit."""
 
     @staticmethod
-    def assert_nets_equal(monkeypatch, pre, m):
-        got = [pre.boundary_net(m), pre.interior_net(m)]
+    def assert_nets_equal(monkeypatch, pre, m, boundary=None):
+        # boundary: pre.boundary_net(m) if the caller has solved it already
+        got = [pre.boundary_net(m) if boundary is None else boundary, pre.interior_net(m)]
         with monkeypatch.context() as patch:
             patch.setattr(Preimage, "_pullback", pullback_by_rows)
             want = [pre.boundary_net(m), pre.interior_net(m)]
@@ -400,12 +401,38 @@ class TestStackedCompanionSolves:
         sizes, eigvals = [], np.linalg.eigvals
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvals", lambda a: sizes.append(a.shape) or eigvals(a))
-            pre.boundary_net(64 * degree)
+            boundary = pre.boundary_net(64 * degree)
         assert sizes and all(shape[1:] == (degree, degree) for shape in sizes)
         most = max(1, green._CHUNK // degree**2)
         assert max(shape[0] for shape in sizes) == most
         assert all(shape[0] * degree**2 <= max(green._CHUNK, degree**2) for shape in sizes)
-        self.assert_nets_equal(monkeypatch, pre, 64 * degree)
+        self.assert_nets_equal(monkeypatch, pre, 64 * degree, boundary)
+
+    def test_held_zero_roots_skip_newton(self, monkeypatch):
+        # nudged T_8 over Segment: t = 1 = a_0 is a held row, and z**2 divides
+        # f - 1, so its two roots 0 have f'(0) = 0 and every Newton step there is
+        # 0/0; they skip _newton and keep the 0 that per-row Newton leaves them
+        f = nudged(chebyshev_t(8))
+        pre, starts, newton = Preimage(Segment(), f), [], green._newton
+        with monkeypatch.context() as patch:
+            patch.setattr(green, "_newton", lambda c, t, u: starts.extend(u) or newton(c, t, u))
+            net = pre.boundary_net(256).reshape(-1, 8)
+        assert f.coeffs[0] == 1 and f.coeffs[1] == 0 and f.coeffs[2] != 0
+        assert np.count_nonzero(net[-1] == 0) == 2 and 0 not in starts
+        self.assert_nets_equal(monkeypatch, pre, 256)
+
+    def test_signed_zero_targets_are_solved_apart(self, monkeypatch):
+        # distinct targets go to _solve once each, distinct by bit pattern
+        pre = Preimage(UNIT_DISK, polynomial(0.1 + 0.2j, -0.3, 0.05j, 1))
+        targets = np.array([0.0, -0.0, 0.0, 0.5j, -0.0])
+        solved, solve = [], Preimage._solve
+        monkeypatch.setattr(Preimage, "_solve",
+                            lambda self, t: solved.append(t.copy()) or solve(self, t))
+        net = pre._pullback(targets)
+        assert len(solved) == 1 and solved[0].size == 3
+        assert sorted(np.signbit(solved[0][solved[0] == 0].real)) == [False, True]
+        rows = [pre._pullback(targets[i:i + 1]) for i in range(targets.size)]
+        assert np.array_equal(net, np.concatenate(rows))
 
 
 class TestNewtonNets:
@@ -554,6 +581,23 @@ class TestClosedFormNets:
                                                      for t in (1.0, -1.0)}
         monkeypatch.undo()
         assert np.array_equal(net[[0, -1]].ravel(), companion_net(f, targets[[0, -1]]))
+
+    def test_critical_targets_solved_once(self, monkeypatch):
+        # both of Segment's net sizes hold t = +-1: each is solved once, its row
+        # copied to the other size, and the nets are one _pullback per target's
+        pre = Preimage(Segment(), chebyshev_t(8))
+        solved, roots, eigvals = [], np.roots, np.linalg.eigvals
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "roots", lambda b: solved.append(b[-1] / b[0]) or roots(b))
+            patch.setattr(np.linalg, "eigvals",
+                          lambda a: solved.extend(-a[:, 0, -1]) or eigvals(a))
+            nets = pre.nets((256, 1024))
+        f = pre.poly
+        assert len(solved) == 2 and set(solved) == {(f.coeffs[0] - t) / f.coeffs[-1]
+                                                     for t in (1.0, -1.0)}
+        for net, targets in zip(nets, Segment().nets((32, 128))):
+            rows = [pre._pullback(targets[i:i + 1]) for i in range(targets.size)]
+            assert np.array_equal(net, np.concatenate(rows))
 
     @staticmethod
     def spy_closed_form(monkeypatch):
