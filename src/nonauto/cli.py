@@ -102,10 +102,16 @@ def _report_json(report: CheckReport, extra: dict) -> str:
 
 def cmd_render(args) -> int:
     seq = parse_sequence(args.seq)
-    x0, x1, y0, y1 = (float(v) for v in args.window.split(","))
-    w, _, h = args.size.partition("x")
+    try:
+        x0, x1, y0, y1 = (float(v) for v in args.window.split(","))
+    except ValueError:
+        raise ValueError("window syntax: x0,x1,y0,y1") from None
+    try:
+        w, h = (int(v) for v in args.size.split("x"))
+    except ValueError:
+        raise ValueError("size syntax: WIDTHxHEIGHT") from None
     radius = _resolve_radius(seq, args.radius, args.n)
-    spec = render.RasterSpec(x0, x1, y0, y1, int(w), int(h), args.n, radius)
+    spec = render.RasterSpec(x0, x1, y0, y1, w, h, args.n, radius)
     threads = args.threads
     if args.mode == "membership":
         raster = render.raster_membership(seq, spec, threads=threads)
@@ -122,7 +128,7 @@ def cmd_render(args) -> int:
 
 # check's per-checker flags: (default, the --which choices that read it)
 _CHECK_FLAGS = {"R": (2.0, ("guided",)), "A": (1.0, ("p2",)), "center": ("0", ("finite",)),
-                "disk_radius": (2.0, ("finite",)), "m": (1024, ("guided", "finite", "escape"))}
+                "disk_radius": (2.0, ("finite",))}
 
 
 def cmd_check(args) -> int:
@@ -134,15 +140,15 @@ def cmd_check(args) -> int:
     seq = parse_sequence(args.seq)
     extra = {"sequence": args.seq, "which": args.which}
     if args.which == "guided":
-        report = check_guided(seq, opt["R"], args.n_max, m=opt["m"])
+        report = check_guided(seq, opt["R"], args.n_max)
     elif args.which == "p2":
         report = check_P2(seq, opt["A"], args.n_max)
     elif args.which == "finite":
         center = parse_z(opt["center"])
-        report = check_finite_condition(seq, center, opt["disk_radius"], args.n_max, m=opt["m"])
+        report = check_finite_condition(seq, center, opt["disk_radius"], args.n_max)
     else:  # escape
         try:
-            radius = escape_radius_search(seq, args.n_max, m=opt["m"])
+            radius = escape_radius_search(seq, args.n_max)
         except SequenceError as exc:
             print(json.dumps({"passed": False, "which": "escape", "error": str(exc)},
                              sort_keys=True))
@@ -258,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", help="disk center for finite (default 0)")
     p.add_argument("--disk-radius", type=float, help="disk radius for finite (default 2)")
     p.add_argument("--n-max", type=int, default=100)
-    p.add_argument("--m", type=int, help="samples per circle or grid, not for p2 (default 1024)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("table", help="convergence table (CSV: n,logD,gamma,cap)")

@@ -65,6 +65,8 @@ def _gamma(E: ModelSet, F: ModelSet, m: int, e_nets) -> KlimekEstimate:
     """gamma_models with E's nets at sizes m and 4m given: tail_constant builds them once."""
     sizes = (m, 4 * m)
     radius = max(E.enclosing_radius(), F.enclosing_radius())
+    if not math.isfinite(2.0 * radius):
+        raise ValueError(f"enclosing radius {radius!r} is too large for the fill net")
     joint = [np.concatenate([e_net, f_net, _fill_net(radius, k)])
              for k, e_net, f_net in zip(sizes, e_nets, F.nets(sizes))]
     return _distance(joint, *(float(np.max(np.abs(E.green(pts) - F.green(pts)))) for pts in joint))

@@ -5,16 +5,12 @@ deg p_n >= 2 for n >= 2 (only the head may be affine).  The checkers sample
 circles and grids: guidedness is tested through the finitely checkable
 characterization "the closed disk of radius R pulls back into itself under
 every p_n", certified per n by min |p_n| >= R on the circle plus an
-argument-principle count showing all zeros lie inside it.  Circle points are
-exactly symmetric, so a p_n with real coefficients and one parity (its
-Polynomial.parity) is evaluated only on the first quarter arc, and its minimum
-and winding are read off that arc.  The radius search bounds the circle minimum
-of each map within its own stored deviation (Polynomial.chebyshev_error) of c T_d, as
-every map of the two Chebyshev kinds is, in closed form, and samples only the maps that
-bound does not clear.  check_guided samples every map's minimum, but a circle on which
-that floor is finite counts no winding: by Rouche the zeros are inside.  Leading factors
-past double range, such as n**(2**n), are built in exact integers cut to 96 bits and kept
-as a power-of-two scale.
+argument-principle count showing all zeros lie inside it.  check_guided and the radius
+search certify a circle by one rule (_circle): a map within its own stored deviation
+(Polynomial.chebyshev_error) of c T_d, as every map of the two Chebyshev kinds is, takes
+its closed-form floor where that clears the target, and any other map is sampled.  Leading
+factors past double range, such as n**(2**n), are built in exact integers cut to 96 bits
+and kept as a power-of-two scale.
 """
 from __future__ import annotations
 
@@ -322,46 +318,6 @@ def _finite_values(p: Polynomial, pts: np.ndarray) -> tuple[np.ndarray, int]:
     return vals, p.scale2 + p.binade
 
 
-class _Circle:
-    """p_n sampled once on the circle |z| = radius, for the pull-back certificate.
-
-    min_log and min_point give min log|p| over M = max(m, 8d) equally spaced
-    samples.  zeros_contained() tells whether every zero lies in the closed
-    disk: by Cauchy's bound or by Rouche where p's Chebyshev floor on the
-    circle is finite (_chebyshev_floor), else by the argument principle.
-    Then p is sampled on 2M points instead (at least 16 per degree): the
-    winding count runs over all of them, and the minimum over every other
-    one, which is bit for bit the M-point circle.  When p is real and of one
-    parity and 4 | n for the n samples, only points 0..n/4 are evaluated:
-    |p| takes its minimum there first, and each quarter turn winds as far.
-    The Cauchy bound, the deviation from c T_d and the real and parity facts
-    are read from p, which keeps them, so no circle scans the coefficients.
-    """
-
-    def __init__(self, p: Polynomial, radius: float, m: int):
-        self.p = p
-        shortcut = p.root_bound <= radius or _chebyshev_floor(p, radius) > -math.inf
-        n = max(m, 8 * p.degree) * (1 if shortcut else 2)
-        self.quarter = n % 4 == 0 and p.parity is not None and p.real
-        pts = circle_points(radius, n)[:n // 4 + 1 if self.quarter else n]
-        vals, scale2 = _finite_values(p, pts)
-        self.vals = None if shortcut else vals
-        if not shortcut:
-            # contiguous, so abs and log run the loops they run on the M-point circle
-            pts, vals = pts[::2], vals[::2].copy()
-        logs = _log_abs(vals, scale2)
-        i = int(np.argmin(logs))
-        self.min_log = float(logs[i])
-        self.min_point = complex(pts[i])
-
-    def zeros_contained(self) -> bool:
-        if self.vals is None:
-            return True
-        arc = self.vals if self.quarter else np.append(self.vals, self.vals[0])  # closed
-        inc = (np.diff(np.angle(arc)) + np.pi) % (2.0 * np.pi) - np.pi
-        return round(float(inc.sum()) * (4 if self.quarter else 1) / (2.0 * np.pi)) == self.p.degree
-
-
 def _chebyshev_floor(p: Polynomial, radius: float) -> float:
     """log min |p| over |z| = radius > 1 from below, for p near c T_d; -inf when the
     bound does not hold.  With z = (w + 1/w)/2, T_d = (w**d + w**-d)/2, and the circle
@@ -390,42 +346,79 @@ def _chebyshev_floor(p: Polynomial, radius: float) -> float:
 # map whose floor is near the target, |term| <= 1 + |target| + d |log(rho/2)|: 1.4e4 for
 # R <= 2**20, so |scale2| <= 2.2e4 and (LN2 within 2.4e-17 of ln 2) the term is within 2.5e-12,
 # and within 1.4e-10 for any finite rho.  The three later sums add 1.5 ulps of 7.1e5, 1.8e-10.
-# Near log(e*R) > 1, rho**d > 2e: log1p's argument is below 0.04 and passes on its 2d ulps
-# unamplified.  log(D / F) is within 1e-12 (d log(sigma/rho) within d 3 ulps), and with
-# D / F <= 1/2 log1p(-D / F) moves by at most twice that.  1e-9 covers the total twice.
+# Near a target above 0 with |c| <= 1 (the makers' maps), rho**d > 4: log1p's argument is below
+# 1/16 and passes on its 2d ulps unamplified.  log(D / F) is within 1e-12 (d log(sigma/rho) within
+# d 3 ulps), and with D / F <= 1/2 log1p(-D / F) moves by at most twice that.  1e-9 covers it twice.
 _FLOOR_MARGIN = 1e-9
 _RADIUS_CEILING = 2.0**20  # escape_radius_search gives up past it
+_CIRCLE_SAMPLES = 1024  # a sampled circle takes max(_CIRCLE_SAMPLES, 8d) points
+
+
+def _circle(p: Polynomial, radius: float, target: float) -> tuple[float, complex | None, bool]:
+    """(min_log, point, holds), p's pull-back certificate on |z| = radius against target,
+    a log modulus: holds is min_log >= target with every zero in the closed disk, and
+    zeros are counted only then.  The floor comes first: where _chebyshev_floor clears
+    target by _FLOOR_MARGIN, min_log is the floor less that margin, point is None, Rouche
+    puts the zeros inside, and nothing is sampled.  Else min_log is the minimum over
+    M = max(_CIRCLE_SAMPLES, 8d) samples, at point.  The zeros are inside by Cauchy's
+    bound, or by Rouche where the floor is finite, else by a winding count over 2M
+    samples, every other one of which is bit for bit the M-point circle.  Every count is a
+    multiple of 4, so a real p of one parity is evaluated on the first quarter arc only:
+    |p| takes its minimum there first, and each quarter turn winds as far.  The Cauchy
+    bound, the deviation from c T_d and the real and parity facts are read from p, which
+    keeps them, so no circle scans the coefficients."""
+    floor = _chebyshev_floor(p, radius)
+    if floor >= target + _FLOOR_MARGIN:
+        return floor - _FLOOR_MARGIN, None, True
+    shortcut = p.root_bound <= radius or floor > -math.inf
+    n = max(_CIRCLE_SAMPLES, 8 * p.degree) * (1 if shortcut else 2)
+    quarter = p.parity is not None and p.real
+    pts = circle_points(radius, n)[:n // 4 + 1 if quarter else n]
+    vals, scale2 = _finite_values(p, pts)
+    wind = vals
+    if not shortcut:
+        # contiguous, so abs and log run the loops they run on the M-point circle
+        pts, vals = pts[::2], vals[::2].copy()
+    logs = _log_abs(vals, scale2)
+    i = int(np.argmin(logs))
+    min_log, point = float(logs[i]), complex(pts[i])
+    if min_log < target or shortcut:
+        return min_log, point, min_log >= target
+    arc = wind if quarter else np.append(wind, wind[0])  # closed
+    inc = (np.diff(np.angle(arc)) + np.pi) % (2.0 * np.pi) - np.pi
+    return min_log, point, round(float(inc.sum()) * (4 if quarter else 1) / (2.0 * np.pi)) == p.degree
 
 
 # --- checkers --------------------------------------------------------------
 
-def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> CheckReport:
+def check_guided(seq: PolySequence, R: float, n_max: int) -> CheckReport:
     """Does every p_n (2 <= n <= n_max) pull the closed R-disk into itself?
 
     Sufficient per n: all zeros inside the circle and min |p_n| >= R on it
-    (the minimum principle extends the bound to |z| >= R).  margin is
-    min over n of (min circle modulus) / R - 1.  Only n <= seq.last_distinct
-    (n_max) are certified, one period: the report is the same.
+    (the minimum principle extends the bound to |z| >= R), by _circle against
+    log R: a map whose Chebyshev floor clears log R takes the floor, as in the
+    radius search, and any other is sampled.  margin is min over n of (circle
+    minimum) / R - 1.  Only n <= seq.last_distinct(n_max) are certified, one
+    period: the report is the same.
     """
     if not 1 < R < math.inf:
         raise ValueError("R must exceed 1 and be finite")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if m < 64:
-        raise ValueError("need at least 64 samples per circle")
+    log_r = math.log(R)
     margin = math.inf
     for n in range(2, seq.last_distinct(n_max) + 1):
         p = seq.get(n)
-        circle = _Circle(p, R, m)
+        min_log, point, holds = _circle(p, R, log_r)
         try:
-            min_ratio = math.exp(circle.min_log - math.log(R))
+            min_ratio = math.exp(min_log - log_r)
         except OverflowError:  # the circle minimum is beyond double range
             min_ratio = math.inf
-        if min_ratio < 1.0:
+        if min_log < log_r:
             return CheckReport(False, (2, n_max), min_ratio - 1.0,
-                               Witness(n, circle.min_point, min_ratio * R),
+                               Witness(n, point, min_ratio * R),
                                note="circle minimum below R")
-        if not circle.zeros_contained():
+        if not holds:
             return CheckReport(False, (2, n_max), min_ratio - 1.0,
                                Witness(n, None, p.root_bound),
                                note="zeros not contained in the disk")
@@ -433,30 +426,24 @@ def check_guided(seq: PolySequence, R: float, n_max: int, m: int = 1024) -> Chec
     return CheckReport(True, (2, n_max), margin)
 
 
-def escape_radius_search(seq: PolySequence, n_max: int, m: int = 512) -> float:
+def escape_radius_search(seq: PolySequence, n_max: int) -> float:
     """Smallest grid radius R with min |p_n| >= e*R on the circle and zeros inside,
     for every 2 <= n <= n_max (one period: n <= seq.last_distinct(n_max));
-    beyond it each step grows moduli by a factor e.  A map is sampled only where its own
-    _chebyshev_floor does not clear log(e*R) by _FLOOR_MARGIN, so a map near c T_d costs
-    O(1) and any other leaves the floor at once.  A sampled map whose floor is finite but
-    short of the target counts no winding (_Circle), as in check_guided."""
+    beyond it each step grows moduli by a factor e.  Each circle is _circle against
+    log(e*R), as in check_guided: a map near c T_d takes its floor at O(1) cost, and
+    any other leaves the floor at once and is sampled."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     worst = 2
     radius = 17.0 / 16.0
     step = 2.0 ** (1.0 / 16.0)
     while radius <= _RADIUS_CEILING:
-        ok = True
         target = 1.0 + math.log(radius)
         for n in range(2, seq.last_distinct(n_max) + 1):
-            p = seq.get(n)
-            if _chebyshev_floor(p, radius) >= target + _FLOOR_MARGIN:
-                continue
-            circle = _Circle(p, radius, m)
-            if circle.min_log < target or not circle.zeros_contained():
-                ok, worst = False, n
+            if not _circle(seq.get(n), radius, target)[2]:
+                worst = n
                 break
-        if ok:
+        else:
             return radius
         radius *= step
     raise SequenceError(f"no escape radius below {_RADIUS_CEILING:g}; p_{worst} keeps failing")
@@ -482,14 +469,14 @@ def check_P2(seq: PolySequence, A: float, n_max: int) -> CheckReport:
 
 
 _SUP_THRESHOLD = 50.0  # check_finite_condition's bound on the sampled sup
-# and growth factor: on its default grid, rise / log(n_max / cut) is at most 0.58 for bounded
+# and growth factor: on its 64 x 64 grid, rise / log(n_max / cut) is at most 0.58 for bounded
 # builtins (classical, n_max = 2) and at least 1 for unbounded ones (n_pow_n), n_max 2..40, 64, 100
 _GROWTH = 0.75
 
 
 def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: float = 2.0,
-                           n_max: int = 100, m: int = 4096) -> CheckReport:
-    """Sample sup_n (1/deg p_n) log+ |p_n| over a disk grid.
+                           n_max: int = 100) -> CheckReport:
+    """Sample sup_n (1/deg p_n) log+ |p_n| over a 64 x 64 grid cut to the disk.
 
     passed needs the sampled sup below _SUP_THRESHOLD and no growth across the
     last decade of n (a heuristic flag for an unbounded normalized family):
@@ -500,8 +487,7 @@ def check_finite_condition(seq: PolySequence, center: complex = 0j, radius: floa
         raise ValueError("disk radius must be positive and finite")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    side = max(3, int(math.isqrt(m)))
-    xs = np.linspace(-radius, radius, side)
+    xs = np.linspace(-radius, radius, 64)
     gx, gy = np.meshgrid(xs, xs)
     pts = (gx + 1j * gy).ravel()
     pts = pts[np.abs(pts) <= radius] + complex(center)

@@ -5,8 +5,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from nonauto import cli
 from nonauto.cli import main, parse_model, parse_sequence, parse_z
 from nonauto.green import Disk, Ellipse, Segment
+from nonauto.sequences import check_finite_condition, escape_radius_search, load_sequence_file
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "check_report.schema.json").read_text())
 
@@ -205,7 +207,7 @@ class TestCheckCommand:
         ("guided", ("--A", "2")),
         ("guided", ("--center", "1")),
         ("finite", ("--R", "3")),
-        ("p2", ("--m", "64")),
+        ("p2", ("--disk-radius", "2")),
         ("escape", ("--A", "1", "--center", "0")),
     ])
     def test_flags_the_checker_does_not_read_exit_2(self, capsys, which, flags):
@@ -216,14 +218,48 @@ class TestCheckCommand:
         assert err == f"error: --which {which} does not take {', '.join(flags[::2])}\n"
 
     @pytest.mark.parametrize("which, defaults", [
-        ("guided", ("--R", "2", "--m", "1024")),
+        ("guided", ("--R", "2")),
         ("p2", ("--A", "1")),
-        ("finite", ("--center", "0", "--disk-radius", "2", "--m", "1024")),
-        ("escape", ("--m", "1024")),
+        ("finite", ("--center", "0", "--disk-radius", "2")),
     ])
     def test_defaults_given_explicitly_change_nothing(self, capsys, which, defaults):
         argv = ("check", "--seq", "power:3", "--which", which, "--n-max", "5")
         assert run(capsys, *argv, *defaults) == run(capsys, *argv)
+
+    @pytest.mark.parametrize("which", ["guided", "p2", "finite", "escape"])
+    def test_m_is_not_an_option(self, capsys, which):
+        # --m set the circle or grid samples; every checker now takes one count
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--seq", "power", "--which", which, "--m", "64", "--n-max", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --m 64" in capsys.readouterr().err
+
+    def test_escape_prints_the_radius_render_uses(self, capsys, tmp_path):
+        # check --which escape sampled 1024 points a circle and render's search 512
+        spec = tmp_path / "cycle.json"
+        spec.write_text(json.dumps({"polynomials": [
+            [[-0.12, 0.35], [0, 0], [1, 0]], [[0.05, -0.2], [0.15, 0.1], [0, 0], [1, 0]],
+            [[0.1, 0.1], [0, 0], [-0.2, 0.05], [0, 0], [1, 0]]], "repeat": "cycle"}))
+        code, out, _ = run(capsys, "check", "--seq", f"custom:{spec}", "--which", "escape",
+                           "--n-max", "1000")
+        seq = load_sequence_file(spec)
+        assert code == 0
+        assert json.loads(out)["radius"] == escape_radius_search(seq, 1000) == \
+            cli._resolve_radius(seq, None, 1000)
+
+    @pytest.mark.parametrize("seq, n_max, sup", [("classical-chebyshev", 2, 1.0903080525782654),
+                                                 ("n-pow-n", 16, None)])
+    def test_finite_prints_the_table_warning_report(self, capsys, seq, n_max, sup):
+        # check --which finite sampled a 32 x 32 grid (classical n_max = 2: sup 1.0711),
+        # table's warning the 64 x 64 grid that _GROWTH was set on
+        code, out, _ = run(capsys, "check", "--seq", seq, "--which", "finite",
+                           "--n-max", str(n_max))
+        report = check_finite_condition(parse_sequence(seq), 0j, 2.0, n_max)
+        doc = json.loads(out)
+        assert code == (0 if report.passed else 3)
+        assert (doc["passed"], doc["margin"], doc["sup"], doc["note"]) == (
+            report.passed, report.margin, report.sup, report.note)
+        assert sup is None or doc["sup"] == sup
 
     def test_fixed_kind_with_degrees_exits_2(self, capsys):
         # n-exp-z2 has no degree 7; the argument was echoed and ignored
@@ -402,6 +438,11 @@ class TestMalformedInput:
         (("gamma", "--a", "ellipse", "--b", "segment"), "ellipse syntax"),
         (("green", "--model", "segment", "--z", "1,2,3"), "point syntax"),
         (("green", "--seq", "power", "--z", "0.1,0.2,0.3", "--n", "3"), "point syntax"),
+        # exited 2 with "not enough values to unpack (expected 4, got 3)"
+        (("render", "--seq", "power", "--window", "1,2,3", "--size", "4x4"),
+         "window syntax: x0,x1,y0,y1"),
+        # exited 2 with "invalid literal for int() with base 10: ''"
+        (("render", "--seq", "power", "--size", "10x"), "size syntax: WIDTHxHEIGHT"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exits_2_with_a_message(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -411,7 +452,7 @@ class TestMalformedInput:
 
 class TestNonFiniteInput:
     """Non-finite points, model parameters, escape radii, tail bounds and checker
-    bounds, and sizes below 1, exit 2 with a message."""
+    bounds, model sets too large for a net, and sizes below 1, exit 2 with a message."""
 
     @pytest.mark.parametrize("argv, word", [
         (("table", "--seq", "power", "--E", "disk:nan,1", "--n-list", "1"), "disk center"),
@@ -421,6 +462,8 @@ class TestNonFiniteInput:
         (("green", "--model", "disk:0,inf", "--z", "2"), "disk radius"),
         (("green", "--model", "disk:1.5e308,1.5e308,1", "--z", "1.5e154"), "disk center"),
         (("gamma", "--a", "disk:nan,1", "--b", "segment"), "disk center"),
+        # printed {"lower": NaN, ...}, not JSON, and exited 0: the fill net overflowed
+        (("gamma", "--a", "disk:0,1", "--b", "disk:0,9e307", "--json"), "enclosing radius"),
         (("green", "--seq", "power", "--z", "2", "--n", "3", "--radius", "nan"), "escape radius"),
         (("green", "--seq", "power", "--z", "1", "--n", "3", "--radius", "inf", "--json"),
          "escape radius"),

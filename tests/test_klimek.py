@@ -38,6 +38,13 @@ class TestGammaModels:
         with pytest.raises(ValueError, match="m must be >= 1"):
             gamma_models(UNIT_DISK, Ellipse(2.0), m=m)
 
+    def test_sets_past_half_the_double_range_are_refused(self):
+        # the fill net spans [-r, r]: at r = 9e307, 2 r overflowed and the sup read NaN
+        with pytest.raises(ValueError, match="enclosing radius"):
+            gamma_models(UNIT_DISK, Disk(0j, 9e307))
+        assert gamma_models(UNIT_DISK, Disk(0j, 8e307)).lower == pytest.approx(
+            math.log(8e307), rel=1e-15)
+
     def test_triangle_inequality_on_disks(self):
         disks = [Disk(0j, 1.0), Disk(0j, 3.0), Disk(0.5, 2.0)]
         g01 = gamma_models(disks[0], disks[1]).lower

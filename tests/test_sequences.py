@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from nonauto import poly, sequences
 from nonauto.poly import (LN2, Polynomial, chebyshev_minimal, chebyshev_t, evaluate, monomial,
                           polynomial)
-from nonauto.sequences import (_FLOOR_MARGIN, CheckReport, SequenceError, Witness, _chebyshev_floor,
-                               _Circle, builtin, check_finite_condition, check_guided, check_P2,
+from nonauto.sequences import (_CIRCLE_SAMPLES, _FLOOR_MARGIN, CheckReport, SequenceError, Witness,
+                               _chebyshev_floor, _circle, builtin, check_finite_condition,
+                               check_guided, check_P2,
                                circle_points, custom_sequence, escape_radius_search,
                                load_sequence_file, log_abs_on, values_on)
 
@@ -251,14 +252,13 @@ class TestEscapeRadius:
         assert r >= 2.0
 
     def test_sampling_robustness(self, min_cheb, min_cheb_radius):
-        # the search lands on the same radius at 4x the sampling density, on the same
-        # maps as a custom sequence, which is sampled, not bounded in closed form;
-        # and the radius keeps verifying as a guided-disk certificate
-        sampled = custom_sequence([min_cheb.get(n) for n in range(1, 41)], repeat="none")
-        assert escape_radius_search(sampled, 40, m=2048) == pytest.approx(
-            escape_radius_search(sampled, 40), abs=0.0)
-        assert escape_radius_search(sampled, 40) == escape_radius_search(min_cheb, 40)
-        assert check_guided(min_cheb, min_cheb_radius, 40, m=4096).passed
+        # the search lands on the radius that sampling every map at twice its density
+        # gives, on the same maps as a custom sequence; and the radius keeps verifying
+        # as a guided-disk certificate
+        custom = custom_sequence([min_cheb.get(n) for n in range(1, 41)], repeat="none")
+        assert escape_radius_search(custom, 40) == _two_pass_radius(custom, 40, 2 * _CIRCLE_SAMPLES)
+        assert escape_radius_search(custom, 40) == escape_radius_search(min_cheb, 40)
+        assert check_guided(min_cheb, min_cheb_radius, 40).passed
 
     def test_unreachable_reports(self):
         with pytest.raises(SequenceError, match=r"no escape radius below 1\.04858e\+06; p_19"):
@@ -313,7 +313,13 @@ class TestPeriodicCheckers:
         assert str(cycled.value) == str(flat.value)
 
 
-def _two_pass_circle(p, radius, m):
+def _samples(monkeypatch, m):
+    """Every circle from here on takes max(m, 8d) samples: the certificate is exact at
+    any count that is a multiple of 4, not only at _CIRCLE_SAMPLES."""
+    monkeypatch.setattr(sequences, "_CIRCLE_SAMPLES", m)
+
+
+def _two_pass_circle(p, radius, m=_CIRCLE_SAMPLES):
     """(min log|p| on max(m, 8d) samples, its point, zeros-contained thunk),
     sampling the winding count separately on max(m, 16d, 64) points."""
     pts = circle_points(radius, max(m, 8 * p.degree))
@@ -333,11 +339,20 @@ def _two_pass_circle(p, radius, m):
     return float(logs[i]), complex(pts[i]), zeros_contained
 
 
-def _two_pass_check_guided(seq, R, n_max, m):
+def _floor_first(p, radius, target, m=_CIRCLE_SAMPLES):
+    """_two_pass_circle behind the floor-first rule, as (min_log, point, zeros-contained
+    thunk): a floor that clears target by _FLOOR_MARGIN is the minimum, less that margin."""
+    floor = _chebyshev_floor(p, radius)
+    if floor >= target + _FLOOR_MARGIN:
+        return floor - _FLOOR_MARGIN, None, lambda: True
+    return _two_pass_circle(p, radius, m)
+
+
+def _two_pass_check_guided(seq, R, n_max, m=_CIRCLE_SAMPLES):
     margin = math.inf
     for n in range(2, n_max + 1):
         p = seq.get(n)
-        min_log, point, zeros_contained = _two_pass_circle(p, R, m)
+        min_log, point, zeros_contained = _floor_first(p, R, math.log(R), m)
         try:
             min_ratio = math.exp(min_log - math.log(R))
         except OverflowError:
@@ -353,7 +368,7 @@ def _two_pass_check_guided(seq, R, n_max, m):
     return CheckReport(True, (2, n_max), margin)
 
 
-def _two_pass_radius(seq, n_max, m):
+def _two_pass_radius(seq, n_max, m=_CIRCLE_SAMPLES):
     radius = 17.0 / 16.0
     while radius <= 2.0**20:
         for n in range(2, n_max + 1):
@@ -373,7 +388,8 @@ def _complex_cycle():
 
 
 class TestOnePassCircle:
-    """The one-sampling circle certificate reproduces the two-sampling one exactly."""
+    """The one-sampling circle certificate reproduces the two-sampling one exactly, at the
+    circle's sample count and at others."""
 
     @pytest.mark.parametrize("make, n_max, m", [
         (lambda: builtin("minimal_chebyshev"), 150, 512),
@@ -384,22 +400,20 @@ class TestOnePassCircle:
         (_complex_cycle, 60, 512),
         (_complex_cycle, 30, 64),
     ])
-    def test_same_radius(self, make, n_max, m):
+    def test_same_radius(self, monkeypatch, make, n_max, m):
         seq = make()
-        assert escape_radius_search(seq, n_max, m=m) == _two_pass_radius(seq, n_max, m)
+        _samples(monkeypatch, m)
+        assert escape_radius_search(seq, n_max) == _two_pass_radius(seq, n_max, m)
 
     @pytest.mark.parametrize("make", [
         lambda: builtin("minimal_chebyshev"), lambda: builtin("classical_chebyshev"),
         _complex_cycle])
     @pytest.mark.parametrize("radius, m", [(1.3, 64), (2.0, 64), (3.0, 512), (3.0, 1024)])
-    def test_same_circle_per_step(self, make, radius, m):
+    def test_same_circle_per_step(self, monkeypatch, make, radius, m):
         seq = make()
+        _samples(monkeypatch, m)
         for n in (2, 3, 7, 8, 9, 16, 40, 64, 65, 70, 128, 150):
-            p = seq.get(n)
-            circle = _Circle(p, radius, m)
-            min_log, point, zeros_contained = _two_pass_circle(p, radius, m)
-            assert (circle.min_log, circle.min_point) == (min_log, point), n
-            assert circle.zeros_contained() == zeros_contained(), n
+            _assert_same_circle(seq.get(n), radius, m)
 
     @pytest.mark.parametrize("make, n_max", [
         (lambda: builtin("minimal_chebyshev"), 150),
@@ -410,21 +424,37 @@ class TestOnePassCircle:
     ])
     @pytest.mark.parametrize("R", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("m", [64, 1024])
-    def test_same_report(self, make, n_max, R, m):
+    def test_same_report(self, monkeypatch, make, n_max, R, m):
         seq = make()
-        got = check_guided(seq, R, n_max, m=m)
+        _samples(monkeypatch, m)
+        got = check_guided(seq, R, n_max)
         want = _two_pass_check_guided(seq, R, n_max, m)
         assert got == want
         assert repr(got.margin) == repr(want.margin)
 
-
     @pytest.mark.parametrize("m", [64, 1024])
-    def test_same_report_where_the_floor_certifies(self, m):
-        # _chebyshev_floor certifies t_2..t_270 on |z| = 2, so none of them counts windings
+    def test_same_report_where_the_floor_certifies(self, monkeypatch, m):
+        # _chebyshev_floor clears log 2 for t_2..t_270 on |z| = 2, so none of them is
+        # sampled.  The margin is t_2's floor less _FLOOR_MARGIN: |t_2| >= 2 sqrt 3 by
+        # the ellipse bound, so sqrt 3 e**-1e-9 - 1, where the sampled minimum
+        # |4 - 1/2| gave 0.7500000000000002
         seq = builtin("minimal_chebyshev")
-        got = check_guided(seq, 2.0, 270, m=m)
-        assert got == _two_pass_check_guided(seq, 2.0, 270, m)
-        assert got.passed and repr(got.margin) == "0.7500000000000002"
+        _samples(monkeypatch, m)
+        built = _spy_circles(monkeypatch)
+        got = check_guided(seq, 2.0, 270)
+        assert got == _two_pass_check_guided(seq, 2.0, 270, m) and built == []
+        assert got.passed and repr(got.margin) == "0.7320508058368265"
+        assert got.margin == pytest.approx(math.sqrt(3.0) * math.exp(-_FLOOR_MARGIN) - 1.0,
+                                           rel=1e-15)
+
+    @pytest.mark.parametrize("kind, margin", [("minimal_chebyshev", 6.937253925256524),
+                                              ("classical_chebyshev", 14.87450785051305)])
+    def test_chebyshev_kinds_pass_at_eight_to_depth_600(self, monkeypatch, kind, margin):
+        # sampling t_2..t_600 on |z| = 8 overflowed doubles (SequenceError); the floor
+        # clears log 8 for every one of them, as it does in the radius search
+        built = _spy_circles(monkeypatch)
+        rep = check_guided(builtin(kind), 8.0, 600)
+        assert rep.passed and rep.margin == margin and built == []
 
     def test_minimum_beyond_double_range_is_not_a_crash(self):
         # min |p_n| on |z| = 2 passes 1e308 near n = 10 for n_exp_z2
@@ -433,11 +463,27 @@ class TestOnePassCircle:
 
 
 def _spy_circles(monkeypatch):
-    """The (degree, radius) of every _Circle the checkers build from here on."""
-    built, circle = [], sequences._Circle
-    monkeypatch.setattr(sequences, "_Circle",
-                        lambda p, radius, m: built.append((p.degree, radius)) or circle(p, radius, m))
+    """The (degree, radius) of every circle the checkers sample from here on: the
+    _circle calls that return a sample point, not the floor."""
+    built, circle = [], sequences._circle
+
+    def spy(p, radius, target):
+        got = circle(p, radius, target)
+        if got[1] is not None:
+            built.append((p.degree, radius))
+        return got
+
+    monkeypatch.setattr(sequences, "_circle", spy)
     return built
+
+
+def _assert_same_circle(p, radius, m=_CIRCLE_SAMPLES):
+    """_circle equals the floor-first two-pass reference against check_guided's target,
+    the radius search's, and the sampled minimum itself."""
+    for target in (math.log(radius), 1.0 + math.log(radius), _two_pass_circle(p, radius, m)[0]):
+        min_log, point, zeros_contained = _floor_first(p, radius, target, m)
+        want = (min_log, point, min_log >= target and zeros_contained())
+        assert _circle(p, radius, target) == want, (p.degree, m, target)
 
 
 def _p2_at_the_failing_radii():
@@ -534,7 +580,7 @@ class TestChebyshevFloor:
         built = _spy_circles(monkeypatch)
         radius = escape_radius_search(named, 40)
         assert built[-39:] == [(n, radius) for n in range(2, 41)]
-        assert radius == _two_pass_radius(named, 40, 512)
+        assert radius == _two_pass_radius(named, 40)
 
     def test_custom_list_of_stored_maps_takes_the_floor(self, monkeypatch):
         # the stored t_1..t_60 as a custom list: the search samples p_2 at the radii it
@@ -558,7 +604,7 @@ class TestChebyshevFloor:
         assert escape_radius_search(seq, 40) == radius
         if excess < 1:
             assert built[-39:] == [(n, radius) for n in range(2, 41)]
-            assert radius == _two_pass_radius(seq, 40, 512)
+            assert radius == _two_pass_radius(seq, 40)
         else:
             assert built == []
 
@@ -575,7 +621,7 @@ class TestChebyshevFloor:
     def test_same_radius_as_sampling(self, make, n_maxes):
         seq = make()
         for n_max in n_maxes:
-            assert escape_radius_search(seq, n_max) == _two_pass_radius(seq, n_max, 512), n_max
+            assert escape_radius_search(seq, n_max) == _two_pass_radius(seq, n_max), n_max
 
     @pytest.mark.parametrize("kind, n_max, radius", [
         ("minimal_chebyshev", 600, 3.005203820042822),
@@ -653,13 +699,11 @@ class TestCircleValues:
     ], ids=["minimal_chebyshev", "classical_chebyshev", "n_exp_z2", "power",
             "complex_cycle", "real"])
     @pytest.mark.parametrize("radius", [1.3, 2.0, 3.005203820042822])
-    def test_equals_values_on_the_whole_circle(self, polys, radius):
+    def test_equals_values_on_the_whole_circle(self, monkeypatch, polys, radius):
         for p in polys():
-            for m in (64, 66, 67, 100, 512, 1024, 16 * p.degree):
-                circle = _Circle(p, radius, m)
-                min_log, point, zeros_contained = _two_pass_circle(p, radius, m)
-                assert (circle.min_log, circle.min_point) == (min_log, point), (p.degree, m)
-                assert circle.zeros_contained() == zeros_contained(), (p.degree, m)
+            for m in (64, 100, 512, 1024, 16 * p.degree):
+                _samples(monkeypatch, m)
+                _assert_same_circle(p, radius, m)
 
     @pytest.mark.parametrize("p, arc", [
         (chebyshev_minimal(9), lambda m: m // 4 + 1),
@@ -675,7 +719,8 @@ class TestCircleValues:
             return values_on(p, pts)
 
         monkeypatch.setattr(sequences, "values_on", counted)
-        _Circle(p, radius, 64)
+        _samples(monkeypatch, 64)
+        _circle(p, radius, math.inf)  # a target no floor clears: the circle is sampled
         # M samples where Cauchy's bound or the Chebyshev floor holds, else 2M
         one_pass = p.root_bound <= radius or _chebyshev_floor(p, radius) > -math.inf
         m = max(64, 8 * p.degree) * (1 if one_pass else 2)
@@ -683,31 +728,46 @@ class TestCircleValues:
 
     @pytest.mark.parametrize("kind", ["minimal_chebyshev", "classical_chebyshev"])
     @pytest.mark.parametrize("radius", [1.3, 2.0, 3.005203820042822])
-    def test_a_finite_floor_counts_no_winding(self, kind, radius):
-        # Rouche on the floor's margin puts all d zeros inside: no 2M circle, no count
+    def test_a_finite_floor_counts_no_winding(self, monkeypatch, kind, radius):
+        # Rouche on the floor's margin puts all d zeros inside: no 2M circle, no count.
+        # A target no floor clears samples every map; against its own sampled minimum
+        # a floored map holds, by the floor or by Rouche
+        sizes = []
+
+        def counted(p, pts):
+            sizes.append(pts.size)
+            return values_on(p, pts)
+
+        monkeypatch.setattr(sequences, "values_on", counted)
         seq, floored = builtin(kind), 0
         for n in (2, 3, 8, 9, 64, 65, 108, 109, 110, 269, 270, 271, 299, 598, 599, 600):
             p = seq.get(n)
-            circle = _Circle(p, radius, 1024)
+            sizes.clear()
+            min_log = _circle(p, radius, math.inf)[0]
+            m = max(_CIRCLE_SAMPLES, 8 * p.degree)  # t_d is real, of one parity: a quarter arc
             if _chebyshev_floor(p, radius) > -math.inf:
                 floored += 1
-                assert circle.vals is None and circle.zeros_contained(), n
+                assert sizes == [m // 4 + 1] and _circle(p, radius, min_log)[2], n
             elif p.root_bound > radius:
-                assert circle.vals is not None, n
+                assert sizes == [2 * m // 4 + 1], n
         assert floored >= 5
 
     def test_each_map_scans_its_coefficients_once(self, monkeypatch):
         # the Cauchy bound and the real-coefficient fact are kept on the polynomial:
         # a radius search and check_guided draw many circles per map, and compute
-        # each map's modulus ratios once between them
+        # each map's modulus ratios once between them.  The floor decides t_3..t_40
+        # without the Cauchy bound; t_2, sampled where the search fails, reads it once
         seen, ratios = [], poly.modulus_ratios
         monkeypatch.setattr(poly, "modulus_ratios",
                             lambda values, lead: seen.append(tuple(values)) or ratios(values, lead))
-        maps = [Polynomial(chebyshev_minimal(n).coeffs) for n in range(1, 41)]  # none kept yet
-        seq = custom_sequence(maps, repeat="none")
-        escape_radius_search(seq, 40)
-        assert check_guided(seq, 2.0, 40).passed
-        assert Counter(seen) == Counter(p.coeffs[:-1] for p in maps[1:])
+        cheb = [Polynomial(chebyshev_minimal(n).coeffs) for n in range(1, 41)]  # none kept yet
+        cycle = [Polynomial(_complex_cycle().get(n).coeffs) for n in range(1, 41)]
+        for maps, scanned in ((cheb, cheb[1:2]), (cycle, cycle[1:])):
+            seen.clear()
+            seq = custom_sequence(maps, repeat="none")
+            escape_radius_search(seq, 40)
+            assert check_guided(seq, 2.0, 40).passed
+            assert Counter(seen) == Counter(p.coeffs[:-1] for p in scanned)
 
     def test_radius_to_depth_600(self, min_cheb):
         assert escape_radius_search(min_cheb, 600) == 3.005203820042822
@@ -724,9 +784,9 @@ class TestCircleValues:
     def test_coefficients_past_double_range_are_rescaled(self):
         # 1.5e308 (1 + 1j) z**2 overflows on the circle; on 2**-1024 times it, it does not
         p = polynomial(0, 0, 1.5e308 * (1 + 1j))
-        circle = _Circle(p, 2.0, 64)
+        min_log, _, holds = _circle(p, 2.0, math.log(2.0))
         want = math.log(1.5e308) + math.log(4 * math.sqrt(2))
-        assert circle.min_log == pytest.approx(want, rel=1e-15)
+        assert min_log == pytest.approx(want, rel=1e-15) and holds
 
 
 class TestP2:
@@ -753,7 +813,6 @@ class TestInputChecks:
     """Each checker and constructor refuses what it cannot take, with a message."""
 
     @pytest.mark.parametrize("call, message", [
-        (lambda s: check_guided(s, 2.0, 10, m=63), "at least 64 samples"),
         (lambda s: escape_radius_search(s, 1), "n_max must be >= 2"),
         (lambda s: check_P2(s, -1.0, 10), "A must be >= 0"),
         (lambda s: check_P2(s, 1.0, 0), "n_max must be >= 1"),
@@ -766,7 +825,7 @@ class TestInputChecks:
         (lambda s: check_P2(s, math.inf, 10), "A must be >= 0 and finite"),
         (lambda s: check_finite_condition(s, 0j, math.nan, 10), "radius must be positive and finite"),
         (lambda s: check_finite_condition(s, 0j, math.inf, 10), "radius must be positive and finite"),
-    ], ids=["guided-m", "escape-n_max", "p2-A", "p2-n_max", "finite-zero", "finite-negative",
+    ], ids=["escape-n_max", "p2-A", "p2-n_max", "finite-zero", "finite-negative",
             "guided-nan", "guided-inf", "p2-nan", "p2-inf", "finite-nan", "finite-inf"])
     def test_checkers(self, call, message):
         with pytest.raises(ValueError, match=message):
@@ -836,7 +895,7 @@ class TestFiniteCondition:
 
     def test_coefficients_past_double_range_are_rescaled(self):
         # 1.5e308 (1 + 1j) z**2 overflows on the grid (the sup read inf); 2**-1024 times it
-        # does not.  The check's grid is 64 x 64 on [-2, 2]**2 (m = 4096), cut to the disk.
+        # does not.  The check's grid is 64 x 64 on [-2, 2]**2, cut to the disk.
         seq = custom_sequence([polynomial(0, 0, 1.5e308 * (1 + 1j))], repeat="none")
         rep = check_finite_condition(seq, 0j, 2.0, 1)
         xs = np.linspace(-2.0, 2.0, 64)
