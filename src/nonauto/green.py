@@ -13,18 +13,15 @@ below the band, and _advance keeps it, since lanes almost never do), one
 escape test (_beyond's) and one finishing step (_finish).  orbit_bounded and
 green_nonauto step one point in Python (poly._evaluate), the tests' reference;
 escape_steps and green_field step arrays (_advance), and Preimage.green runs
-one step and _finish.  Preimage nets
-of an exact Chebyshev map (Polynomial.chebyshev_error == 0) are its closed-form
-roots (_chebyshev_roots), except over T_d's critical values, where companion
-roots keep the rounding the benchmark's reference records; other maps' nets
-are companion roots, np.roots's bit for bit.  The vector
-engines carry their points through every step in fixed chunks that fit a
-core's L2 cache.  For a periodic sequence both retire a lane found after a
-whole period in disks certified about an attracting cycle of the period map
-(_trap, _held): its escape step 0 is exact, since its float orbit provably
-never leaves them, and so is green_field's value +0.0, which it takes only
-for a Disk target whose green is provably 0 on them.  With real coefficients
-no result depends on the chunking or on render's thread bands.
+one step and _finish.  Preimage nets take closed-form roots for exact
+Chebyshev maps, companion roots elsewhere, by one rule for one map or many
+(_pullbacks).  The vector engines carry their points through every step in
+fixed chunks that fit a core's L2 cache.  For a periodic sequence both retire
+a lane found after a whole period in disks certified about an attracting cycle
+of the period map (_trap, _held): its escape step 0 is exact, since its float
+orbit provably never leaves them, and so is green_field's value +0.0, which it
+takes only for a Disk target whose green is provably 0 on them.  With real
+coefficients no result depends on the chunking or on render's thread bands.
 With complex ones numpy rounds a product in a one-point chunk differently
 from a wider chunk: a value may move by a few units of rounding,
 EPS (1 + value), always inside green_nonauto's error bound, and an escape
@@ -291,10 +288,10 @@ def _newton(coeffs: np.ndarray, tau: np.ndarray, u: np.ndarray):
     return out, ok
 
 
-def _chebyshev_roots(p: Polynomial, targets: np.ndarray):
-    """(z, crit) for p = C T_d exactly (p.chebyshev_error == 0): z[i] holds the d roots
-    of p(z) = t_i by the closed form, crit the rows with tau = t_i / C = +-1 exactly,
-    T_d's critical values, whose z rows are not meaningful.
+def _chebyshev_roots(polys, targets):
+    """[(z, crit)] for each p = C T_d exactly (chebyshev_error 0) of polys and its targets t,
+    in one elementwise pass over every row: z[i] holds the d roots of p(z) = t_i, crit the
+    rows with tau = t_i / C = +-1 exactly, T_d's critical values (z rows not meaningful).
 
     C = 2**scale2 lead / 2**(d-1).  With W = tau + sqrt(tau - 1) sqrt(tau + 1) (no
     cancellation at any |tau|; cosh is even, so 1/W, the other root of W + 1/W =
@@ -303,20 +300,26 @@ def _chebyshev_roots(p: Polynomial, targets: np.ndarray):
     Past |tau| = 2**500, W is 2 tau to rounding and log W is taken from log2|t|, so
     no scale2 overflows; for d = 1 the root is tau itself.
     """
-    d = p.degree
-    fm, fe = np.frexp(p.array[-1].real)  # lead = fm 2**fe: tau = t 2**shift / fm
-    shift = d - 1 - p.scale2 - fe
-    m, e = _normalize(targets, 0.0)
+    n, d = [t.size for t in targets], np.array([p.degree for p in polys])
+    fm, fe = np.frexp([p.array[-1].real for p in polys])  # lead = fm 2**fe: tau = t 2**shift / fm
+    shift = np.repeat(d - 1 - np.array([p.scale2 for p in polys]) - fe, n)
+    d, fm, log2_fm = (np.repeat(v, n) for v in (d, fm, np.log2(abs(fm))))
+    t = np.concatenate(targets)
+    m, e = _normalize(t, 0.0)
     with np.errstate(divide="ignore"):  # t = 0
-        log2_tau = np.log2(np.abs(m)) + e + shift - np.log2(abs(fm))
+        log2_tau = np.log2(np.abs(m)) + e + shift - log2_fm
     far = log2_tau > 500
-    tau = _ldexp_arr(np.where(far, 0j, targets), shift) / fm
+    tau = _ldexp_arr(np.where(far, 0j, t), shift) / fm
     log_w = np.log(tau + np.sqrt(tau - 1.0) * np.sqrt(tau + 1.0))
-    log_w[far] = (log2_tau[far] + 1.0) * LN2 + 1j * np.angle(targets[far] * np.sign(fm))
-    z = np.cosh((log_w[:, None] + 2j * np.pi * np.arange(d)) / d)
-    if d == 1:  # cosh(log W) loses tau's bits to cancellation near 0
-        z[~far, 0] = tau[~far]
-    return z, np.flatnonzero((tau == 1.0) | (tau == -1.0))
+    log_w[far] = (log2_tau[far] + 1.0) * LN2 + 1j * np.angle(t[far] * np.sign(fm[far]))
+    start = np.cumsum(d) - d  # each row's first root
+    z = np.cosh((np.repeat(log_w, d) + 2j * np.pi * (np.arange(d.sum()) - np.repeat(start, d)))
+                / np.repeat(d, d))
+    one = (d == 1) & ~far  # cosh(log W) loses tau's bits to cancellation near 0
+    z[start[one]] = tau[one]
+    return [(zi.reshape(-1, p.degree), np.flatnonzero(ci)) for p, zi, ci in zip(
+        polys, np.split(z, np.cumsum([k * p.degree for k, p in zip(n, polys)])[:-1]),
+        np.split((tau == 1.0) | (tau == -1.0), np.cumsum(n)[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -327,9 +330,8 @@ class Preimage(ModelSet):
     finishes it like green_field's lanes (_finish): (1/deg f) g_inner(f(z)) for
     f(z) of any size, to one Horner's rounding where inner.green is exact.
     Its nets pull back the inner set's at m // deg f (at least 8); nets solves
-    every size in one _pullback, and a nested preimage once per level.  For
-    f = C T_d exactly, a net row is T_d(z) = t/C solved in closed form, to
-    rounding, unless t/C = +-1 (double roots), where it keeps companion roots.
+    every size in one _pullback, and a nested preimage once per level; _pullbacks
+    gives the rows' rule.
     """
 
     inner: ModelSet
@@ -384,28 +386,8 @@ class Preimage(ModelSet):
         return np.split(z, self.poly.degree * np.cumsum([p.size for p in parts[:-1]]))
 
     def _pullback(self, targets: np.ndarray) -> np.ndarray:
-        """Solve f(z) = t for each target t: its deg f branches, target by target.
-
-        An exact Chebyshev map, f = C T_d (f.chebyshev_error == 0), takes each row by
-        _chebyshev_roots' closed form, to rounding, but a row over a critical value
-        (t = +-C, T_d's double roots) takes companion roots (_solve), np.roots's bit
-        for bit.  bench/reference.json records the smoke classical tail as 1.68e-9,
-        the rounding of companion-split double roots (the exact value is 0), and
-        checks it to 1e-9, which exact roots there would miss (4.2e-9); the rule
-        goes with that record.  Other maps: _solve.  Either way a row depends on
-        its own target alone, so each distinct target (by bit pattern: +0.0 and
-        -0.0 apart) goes to _solve once and its row is copied to every repeat,
-        such as the t = +-1 that both of Segment's net sizes hold.
-        """
-        targets = np.asarray(targets, np.complex128)
-        z, rows = (_chebyshev_roots(self.poly, targets) if self.poly.chebyshev_error == 0 else
-                   (np.empty((targets.size, self.poly.degree), complex), np.arange(targets.size)))
-        if rows.size:
-            t = targets[rows]
-            _, first, back = np.unique(t.view(np.int64).reshape(-1, 2), axis=0,
-                                       return_index=True, return_inverse=True)
-            z[rows] = self._solve(t[first]).reshape(first.size, -1)[back.ravel()]
-        return z.ravel()
+        """f(z) = t for each target t, its deg f branches target by target: _pullbacks."""
+        return _pullbacks([self], [np.asarray(targets, np.complex128)])[0]
 
     def _solve(self, targets: np.ndarray) -> np.ndarray:
         """f(z) = t for each target t by companion roots.
@@ -452,22 +434,52 @@ class Preimage(ModelSet):
             a[:, np.arange(1, d), np.arange(d - 1)] = 1
             roots[at[~held]] = np.linalg.eigvals(a[~held])
         z = _ldexp_arr(roots, k)
-        z[list(exact)] = np.reshape([*exact.values()], (-1, d))
+        if exact:
+            z[list(exact)] = np.reshape([*exact.values()], (-1, d))
         z, tiny = z.ravel(), np.abs(roots) < _U_NORMAL
+        if not tiny.any():
+            return z
         r = tiny.sum(axis=1)
         for i in np.flatnonzero((r > 1) & (r < d) & (c[r] != 0)):  # the r least roots
             if i not in exact or c[1:r[i]].any():  # else z**r divides f - t: all 0
                 low = Preimage(self.inner, polynomial(*c[:r[i] + 1], scale2=s))
                 z[i * d + np.flatnonzero(tiny[i])] = low._pullback(targets[i:i + 1])
         tiny = np.flatnonzero(tiny)
-        if tiny.size:
-            cs, ts = _unit_scaled(c, _ldexp_arr(targets[tiny // d], -s))
-            go = (z[tiny] != 0) | (ts != cs[0]) | (cs[1] != 0)  # else every step is 0/0
-            tiny, ts = tiny[go], ts[go]
+        cs, ts = _unit_scaled(c, _ldexp_arr(targets[tiny // d], -s))
+        go = (z[tiny] != 0) | (ts != cs[0]) | (cs[1] != 0)  # else every step is 0/0
+        tiny, ts = tiny[go], ts[go]
         if tiny.size:
             w, ok = _newton(cs, ts, z[tiny])
             z[tiny[ok]] = w[ok]
         return z
+
+
+def _pullbacks(pres, targets) -> list[np.ndarray]:
+    """[pre._pullback(t) for pre, t in zip(pres, targets)], targets an array per map.
+
+    An exact Chebyshev map, f = C T_d (f.chebyshev_error == 0), takes each row by
+    _chebyshev_roots' closed form, to rounding, in one pass for every such map, but a
+    row over a critical value (t = +-C, T_d's double roots) takes companion roots
+    (_solve), np.roots's bit for bit: bench/reference.json records the smoke classical
+    tail, 1.68e-9 from such roots (exactly 0), to 1e-9, which exact roots (4.2e-9) would
+    miss.  Other maps: _solve, map by map.  A row depends on its own target alone, so
+    each distinct target of a map (by bit pattern: +0.0 and -0.0 apart) is solved once
+    and copied to every repeat, such as Segment's t = +-1 in both net sizes.
+    """
+    cheb = [pre.poly.chebyshev_error == 0 for pre in pres]
+    closed = iter(_chebyshev_roots([pre.poly for pre, c in zip(pres, cheb) if c],
+                                   [t for t, c in zip(targets, cheb) if c]) if any(cheb) else ())
+    out = []
+    for pre, t, c in zip(pres, targets, cheb):
+        z, rows = next(closed) if c else (np.empty((t.size, pre.poly.degree), complex),
+                                          np.arange(t.size))
+        if rows.size:
+            u = t[rows]
+            _, first, back = np.unique(u.view(np.int64).reshape(-1, 2), axis=0,
+                                       return_index=True, return_inverse=True)
+            z[rows] = pre._solve(u[first]).reshape(first.size, -1)[back.ravel()]
+        out.append(z.ravel())
+    return out
 
 
 UNIT_DISK = Disk()

@@ -6,13 +6,13 @@ interiors, and a rectangular fill of the enclosing disk) with the change
 under a 4x refinement reported as the resolution diagnostic; certified upper
 bounds would need derivative information the closed forms do not expose
 uniformly.  gamma_models asks each set once for its nets at both sizes
-(ModelSet.nets), so a preimage set solves one pullback per level;
-tail_constant builds the target's nets once for every n.  The
-convergence table's capacities are not sampled: each is the closed form
-exp(-robin) of the step-n preimage set's exact Robin constant.  Its distances,
-and gamma_nonauto's, take each depth's green_field values chunk by chunk from
-one orbit pass per annulus net (green._depth_fields) and reduce the sup of
-|G_n - G_m| as the chunks pass.
+(ModelSet.nets), so a preimage set solves one pullback per level, and runs
+each set's green once over both; tail_constant stacks every step n in one such
+pass (_tail_gammas).  The convergence table's capacities are not sampled: each
+is the closed form exp(-robin) of the step-n preimage set's exact Robin
+constant.  Its distances, and gamma_nonauto's, take each depth's green_field
+values chunk by chunk from one orbit pass per annulus net (green._depth_fields)
+and reduce the sup of |G_n - G_m| as the chunks pass.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .green import ModelSet, Preimage, _depth_fields, _engine_points, _robin_sums, capacity_of
+from .green import (ModelSet, Preimage, _depth_fields, _engine_points, _pullbacks, _robin_sums,
+                    capacity_of)
 from .poly import Polynomial
 from .sequences import PolySequence, circle_points, escape_radius_search
 
@@ -41,6 +42,8 @@ class KlimekEstimate:
 
 
 def _fill_net(radius: float, m: int) -> np.ndarray:
+    if not math.isfinite(2.0 * radius):  # linspace's span overflows
+        raise ValueError(f"enclosing radius {radius!r} is too large for the fill net")
     side = max(4, int(math.isqrt(max(16, m // 2))))
     xs = np.linspace(-radius, radius, side)
     return (xs + 1j * xs[:, None]).ravel()
@@ -54,22 +57,26 @@ def gamma_models(E: ModelSet, F: ModelSet, m: int = 1024) -> KlimekEstimate:
     net guards preimage variants whose root nets wobble.  Each set gives its
     nets at both sizes, m and 4m, in one ModelSet.nets call (one pullback
     per Preimage level); each size's sup runs over E's points, F's points
-    and the fill net of the enclosing disk.
+    and the fill net of the enclosing disk (_gammas).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _gamma(E, F, m, E.nets((m, 4 * m)))
+    return _gammas(E, [F], (m, 4 * m), E.nets((m, 4 * m)), [F.nets((m, 4 * m))])[0]
 
 
-def _gamma(E: ModelSet, F: ModelSet, m: int, e_nets) -> KlimekEstimate:
-    """gamma_models with E's nets at sizes m and 4m given: tail_constant builds them once."""
-    sizes = (m, 4 * m)
-    radius = max(E.enclosing_radius(), F.enclosing_radius())
-    if not math.isfinite(2.0 * radius):
-        raise ValueError(f"enclosing radius {radius!r} is too large for the fill net")
-    joint = [np.concatenate([e_net, f_net, _fill_net(radius, k)])
-             for k, e_net, f_net in zip(sizes, e_nets, F.nets(sizes))]
-    return _distance(joint, *(float(np.max(np.abs(E.green(pts) - F.green(pts)))) for pts in joint))
+def _gammas(E: ModelSet, Fs, sizes, e_nets, f_nets) -> list[KlimekEstimate]:
+    """gamma_models(E, F) for each F of Fs, given every set's nets at both sizes: one array
+    of every point, E.green once over it, each F.green once over its own two sizes."""
+    radii = [max(E.enclosing_radius(), F.enclosing_radius()) for F in Fs]
+    joints = [[e, f, _fill_net(r, k)] for r, nets in zip(radii, f_nets)
+              for k, e, f in zip(sizes, e_nets, nets)]
+    pts = np.concatenate([part for joint in joints for part in joint])
+    at = np.cumsum([0] + [sum(part.size for part in joint) for joint in joints]).tolist()
+    gaps = E.green(pts)
+    for F, a, b in zip(Fs, at[::2], at[2::2]):
+        gaps[a:b] -= F.green(pts[a:b])
+    sups = np.maximum.reduceat(np.abs(gaps, out=gaps), at[:-1]).tolist()
+    return [_distance(at[i + 2] - at[i + 1], *sups[i:i + 2]) for i in range(0, len(sups), 2)]
 
 
 def _annulus_net(radius: float, m: int) -> np.ndarray:
@@ -81,9 +88,9 @@ def _annulus_net(radius: float, m: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _distance(nets, lo: float, hi: float) -> KlimekEstimate:
+def _distance(samples: int, lo: float, hi: float) -> KlimekEstimate:
     """sup |G_n - G_m| on the base net (lo), refined by the 4x net (hi): gamma_models' rule too."""
-    return KlimekEstimate(max(lo, hi), nets[1].size, abs(hi - lo))
+    return KlimekEstimate(max(lo, hi), samples, abs(hi - lo))
 
 
 _PASS_DEPTHS = 16  # depths per orbit pass: a chunk's values take 256 KB per depth
@@ -93,6 +100,8 @@ def _distances(seq: PolySequence, target: ModelSet, depths, escape_radius: float
     """{n: _distance of G_n, G_m} for each of the increasing depths n but the last, m the
     next, on annulus nets of samples and 4 samples points: one _depth_fields pass per
     net and _PASS_DEPTHS depths, two depths' chunk values held at a time."""
+    if not math.isfinite(2.5 * escape_radius):  # the fill net spans [-1.25 r, 1.25 r]
+        raise ValueError(f"escape radius {escape_radius!r} is too large for the annulus net")
     nets = [_annulus_net(1.25 * escape_radius, k * samples) for k in (1, 4)]
     sups = {n: ([], []) for n in depths[:-1]}
     for j, net in enumerate(nets):
@@ -103,7 +112,7 @@ def _distances(seq: PolySequence, target: ModelSet, depths, escape_radius: float
                 if n != part[0]:
                     sups[prev_n][j].append(np.max(np.abs(prev - vals)))
                 prev_n, prev = n, vals
-    return {n: _distance(nets, *(float(np.max(s)) for s in pair)) for n, pair in sups.items()}
+    return {n: _distance(nets[1].size, *map(float, map(np.max, s))) for n, s in sups.items()}
 
 
 def gamma_nonauto(seq: PolySequence, target: ModelSet, n: int, m: int,
@@ -129,18 +138,27 @@ _TAIL_SAMPLES = 256  # the m of tail_constant's gamma_models nets
 
 def tail_constant(seq: PolySequence, target: ModelSet, n_max: int) -> float:
     """max over 1 <= n <= n_max of gamma_models(target, its pullback under p_{n+1}),
-    with target's nets built once for every n; feeds green_nonauto's truncation term.
+    every n in one stacked pass (_tail_gammas); feeds green_nonauto's truncation term.
 
     A sampled lower bound on the tail constant, not an upper bound: a
     truncation term built on it rests on a sampled estimate.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    nets, worst = target.nets((_TAIL_SAMPLES, 4 * _TAIL_SAMPLES)), 0.0
-    for n in range(1, n_max + 1):
-        pre = Preimage(target, seq.get(n + 1))
-        worst = max(worst, _gamma(target, pre, _TAIL_SAMPLES, nets).lower)
-    return worst
+    return max(0.0, *_tail_gammas(seq, target, n_max))
+
+
+def _tail_gammas(seq: PolySequence, target: ModelSet, n_max: int) -> list[float]:
+    """gamma_models(target, Preimage(target, p_{n+1}), _TAIL_SAMPLES).lower, 1 <= n <= n_max,
+    bit for bit: target's nets once per distinct size, then one _pullbacks and one _gammas."""
+    sizes = (_TAIL_SAMPLES, 4 * _TAIL_SAMPLES)
+    pres = [Preimage(target, seq.get(n + 1)) for n in range(1, n_max + 1)]
+    asks = [[max(8, m // pre.poly.degree) for m in sizes] for pre in pres]  # as Preimage.nets
+    keys = sorted({*sizes, *(k for ask in asks for k in ask)})
+    nets = dict(zip(keys, target.nets(keys)))
+    zs = _pullbacks(pres, [np.concatenate([nets[k] for k in ask]) for ask in asks])
+    f_nets = [np.split(z, [p.poly.degree * nets[ask[0]].size]) for p, ask, z in zip(pres, asks, zs)]
+    return [est.lower for est in _gammas(target, pres, sizes, [nets[k] for k in sizes], f_nets)]
 
 
 class ContractionResult(NamedTuple):

@@ -357,8 +357,8 @@ def _ldexp_c(c: complex, s: int) -> complex:
 
 def _ldexp_arr(z: np.ndarray, k) -> np.ndarray:
     """z * 2**k over arrays; k is clipped to +-4000, past which every finite z
-    flushes or overflows alike."""
-    k = np.clip(k, -4000, 4000).astype(np.int64)
+    flushes or overflows alike.  A Python int k is clipped without numpy."""
+    k = min(max(k, -4000), 4000) if isinstance(k, int) else np.clip(k, -4000, 4000).astype(np.int64)
     out = np.empty_like(z)
     out.real, out.imag = np.ldexp(z.real, k), np.ldexp(z.imag, k)
     return out

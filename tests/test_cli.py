@@ -495,6 +495,10 @@ class TestNonFiniteInput:
         (("table", "--seq", "power", "--n-list", "1", "--samples", "0"), "samples must be >= 1"),
         # exited 2 with "isqrt() argument must be nonnegative"
         (("table", "--seq", "power", "--n-list", "1", "--samples", "-5"), "samples must be >= 1"),
+        # printed three RuntimeWarnings, then "points must be finite": the annulus
+        # net spans 1.25 r, and its fill net's linspace overflowed
+        (("table", "--seq", "power", "--n-list", "1", "--radius", "1e308"),
+         "escape radius 1e+308"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exits_2_with_a_message(self, capsys, argv, word):
         code, out, err = run(capsys, *argv)

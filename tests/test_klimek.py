@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonauto import klimek
+from nonauto import green, klimek
 from nonauto.green import (Disk, Ellipse, Preimage, Segment, UNIT_DISK, capacity_estimate,
                            green_field)
 from nonauto.klimek import (contraction_check, convergence_table, gamma_models,
@@ -114,22 +114,72 @@ class TestOnePullbackPerSet:
         assert calls == [inner, outer]
 
     def test_tail_constant_one_per_depth(self, monkeypatch, min_cheb):
-        calls = self.spy(monkeypatch)
-        tail_constant(min_cheb, UNIT_DISK, 6)
-        assert [pre.poly for pre in calls] == [min_cheb.get(n) for n in range(2, 8)]
+        # one stacked pass: every depth's exact Chebyshev rows in one closed-form
+        # call, no per-depth _pullback, and one Preimage.green call per depth
+        calls, closed, greens = self.spy(monkeypatch), [], []
+        roots, pre_green = green._chebyshev_roots, Preimage.green
+        monkeypatch.setattr(green, "_chebyshev_roots",
+                            lambda ps, ts: closed.append(list(ps)) or roots(ps, ts))
+        monkeypatch.setattr(Preimage, "green",
+                            lambda self, z: greens.append(self.poly) or pre_green(self, z))
+        got = tail_constant(min_cheb, UNIT_DISK, 6)
+        maps = [min_cheb.get(n) for n in range(2, 8)]
+        assert closed == [maps] and greens == maps and not calls
+        monkeypatch.undo()
+        assert got == max(gamma_models(UNIT_DISK, Preimage(UNIT_DISK, f), 256).lower
+                          for f in maps)
 
     @pytest.mark.parametrize("target", [UNIT_DISK, Segment()], ids=["disk", "segment"])
     def test_tail_constant_builds_target_nets_once(self, monkeypatch, min_cheb, target):
-        # the target's own nets at (256, 1024), not once per depth; a Preimage
-        # asks its inner set for nets at m // deg f instead
+        # the target's own nets in one call, each distinct size once: (256, 1024) and
+        # every m // deg f (at least 8) that a depth's Preimage asks its inner set for
         asked, nets = [], type(target).nets
         monkeypatch.setattr(type(target), "nets",
                             lambda self, ms: asked.append(tuple(ms)) or nets(self, ms))
         got = tail_constant(min_cheb, target, 6)
-        assert asked.count((256, 1024)) == 1 and len(asked) == 7
+        sizes = {256, 1024} | {max(8, m // d) for d in range(2, 8) for m in (256, 1024)}
+        assert asked == [tuple(sorted(sizes))]
         monkeypatch.undo()
         assert got == max(gamma_models(target, Preimage(target, min_cheb.get(n + 1)), 256).lower
                           for n in range(1, 7))
+
+
+def bits(a):
+    return np.asarray(a, np.complex128).view(np.int64)
+
+
+class TestStackedTail:
+    """The stacked tail against its definition, bit for bit: each depth's gamma_models
+    lower bound, and each depth's net rows against its own Preimage.nets."""
+
+    CASES = {
+        "minimal-disk": (builtin("minimal_chebyshev"), UNIT_DISK, 12),
+        # t = +-1 rows take companion roots, t = a_0 rows np.roots (held rows)
+        "classical-segment": (builtin("classical_chebyshev"), Segment(), 12),
+        "complex-cycle": (custom_sequence(BASE_CYCLE), Ellipse(1.5), 7),
+        # an exact T_2 stored as 2 (z**2 - 1/2), and a complex map scaled by 2**-3
+        "scaled": (custom_sequence([polynomial(-0.5, 0, 1, scale2=1),
+                                    polynomial(0.1j, 0.2, 0, 1, scale2=-3)]), UNIT_DISK, 6),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_gamma_models(self, monkeypatch, case):
+        seq, target, n_max = self.CASES[case]
+        seen, gammas = [], klimek._gammas
+        monkeypatch.setattr(klimek, "_gammas", lambda *args: seen.append(args) or gammas(*args))
+        got, tail = klimek._tail_gammas(seq, target, n_max), tail_constant(seq, target, n_max)
+        monkeypatch.undo()
+        pres = [Preimage(target, seq.get(n + 1)) for n in range(1, n_max + 1)]
+        want = [gamma_models(target, pre, 256).lower for pre in pres]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+        assert tail == max(want) and len(seen) == 2
+        _, fs, sizes, e_nets, f_nets = seen[0]
+        assert fs == pres and sizes == (256, 1024)
+        for e, t in zip(e_nets, target.nets(sizes)):
+            assert np.array_equal(bits(e), bits(t))
+        for pre, stacked in zip(pres, f_nets):
+            for a, b in zip(stacked, pre.nets(sizes), strict=True):
+                assert np.array_equal(bits(a), bits(b)), pre.poly
 
 
 class TestContraction:
@@ -248,6 +298,16 @@ class TestConvergenceTable:
         assert lines[0] == "n,logD,gamma,cap"
         assert len(lines) == 3
         assert lines[1].startswith("1,")
+
+    def test_radius_past_the_annulus_net_is_refused(self):
+        # the annulus net spans 1.25 r: at r = 1e308 its fill net overflowed
+        seq = builtin("power", degrees=2)
+        with pytest.raises(ValueError, match=r"escape radius 1e\+308"):
+            convergence_table(seq, UNIT_DISK, [1], escape_radius=1e308)
+        with pytest.raises(ValueError, match=r"escape radius 1e\+308"):
+            gamma_nonauto(seq, UNIT_DISK, 1, 2, escape_radius=1e308)
+        row, = convergence_table(seq, UNIT_DISK, [1], escape_radius=1e300)
+        assert (row.gamma, row.cap) == (0.0, 1.0)
 
     def test_classical_chebyshev_capacity_shift(self, classical_cheb, classical_cheb_radius):
         # non-monic leading coefficients 2**(D-1) shift the Robin constant:

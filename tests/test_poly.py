@@ -515,3 +515,14 @@ class TestPredictedExit:
             green.green_nonauto(min_cheb, x, 600, radius)
         assert steps["discarded"] == 0
         assert (steps["horners"], steps["exits"]) == (3648, 576)
+
+
+class TestLdexpArr:
+    """A Python int shift skips numpy's clip and gives the bits of an int64 array shift."""
+
+    @pytest.mark.parametrize("k", [-5000, -4001, -4000, -1075, -1, 0, 3, 1023, 4000, 4001, 5000])
+    def test_scalar_shift_matches_the_array_shift(self, k):
+        z = np.array([1.5 - 2.5j, 5e-324 + 1j, -1.7e308, 0j, complex(-0.0, 3.0)])
+        with np.errstate(over="ignore"):
+            got, want = poly._ldexp_arr(z, k), poly._ldexp_arr(z, np.full(z.size, k, np.int64))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
