@@ -372,12 +372,10 @@ class Preimage(ModelSet):
         return (inner_err + delta) / d
 
     def boundary_net(self, m):
-        targets = self.inner.boundary_net(max(8, m // max(1, self.poly.degree)))
-        return self._pullback(targets)
+        return self._pullback(self.inner.boundary_net(max(8, m // self.poly.degree)))
 
     def interior_net(self, m):
-        targets = self.inner.interior_net(max(8, m // max(1, self.poly.degree)))
-        return self._pullback(targets) if targets.size else targets
+        return self._pullback(self.inner.interior_net(max(8, m // self.poly.degree)))
 
     def nets(self, ms):
         """ModelSet.nets by one _pullback of the inner set's nets at every size."""
@@ -902,78 +900,67 @@ def _depth_fields(seq: PolySequence, pts: np.ndarray, depths, escape_radius: flo
     """Yield (lo, n, values, steps, final_w) for each _CHUNK run of the flat pts
     from index lo and each of the increasing depths n, as the run's one orbit
     passes n: green_field's values at depth n, and its steps and final_w at the
-    deepest (else None).  Depth n's log-mode gate before step k is the max of
-    max(log_safe, floor) over steps k..n; the gates nest, so a lane takes the
-    depths it gates for in order (nxt counts them) and leaves at the deepest."""
-    K, polys = len(depths), [seq.get(k) for k in range(1, depths[-1] + 1)]
-    trap = _trap(seq, escape_radius, target)
-    # log2|w| before step k from which depth n's log update and log|w_n| + robin are exact
+    deepest (else None).  A lane leaves the orbit only at the deepest depth's
+    log-mode gate, keeping its log alone; at each depth the lanes that left take
+    it, trapped lanes 0 and the rest _finish.  Past that gate the log update is
+    exact to rounding for every depth, so the deepest depth's values are
+    green_field's bit for bit and a shallower depth's within one rounding."""
+    polys = [seq.get(k) for k in range(1, depths[-1] + 1)]
+    trap, marks = _trap(seq, escape_radius, target), set(depths)
+    # log2|w| before step k from which the log updates of steps k..N and log|w_N| + robin
+    # are exact: the max of max(log_safe, floor) over those steps
     floor = max(log2_r, target._asymptotic_log2)
-    safe, entry = [max(p.log_safe, floor) for p in polys], np.full((K, len(polys)), math.inf)
-    for row, n in zip(entry, depths):
-        row[:n] = np.maximum.accumulate(safe[n - 1::-1])[::-1]
-    gate = np.array([[2.0 ** x if x < 1024 else math.inf for x in row] for row in entry])
-    # a lane entering log mode before step k takes log|w|/D_(k-1) - S_(k-1) + S_n
+    entry = np.maximum.accumulate([max(p.log_safe, floor) for p in polys][::-1])[::-1]
+    gate = [2.0 ** x if x < 1024 else math.inf for x in entry]
+    # a lane leaving before step k takes log|w|/D_(k-1) - S_(k-1) + S_n at depth n
     inv_d, s = _robin_sums(polys)
-    inv_at, s_at = np.array(inv_d)[depths], np.array(s)[depths]
-    robin_at = target.robin() * inv_at
     for lo in range(0, pts.size, _CHUNK):
         w = pts[lo:lo + _CHUNK].copy()
-        vals, out = [np.zeros(w.size) for _ in depths], np.zeros(w.size, np.int32)
-        w_out = np.full(w.size, complex(np.nan, np.nan))
-        idx, e, a, nxt, shut = (np.arange(w.size), np.zeros(w.size), np.abs(w),
-                                np.zeros(w.size, np.min_scalar_type(K)), 0)
+        glog, out = np.full(w.size, -math.inf), np.zeros(w.size, np.int32)
+        idx, e, a = np.arange(w.size), np.zeros(w.size), np.abs(w)
         for k, p in enumerate(polys, start=1):
-            if idx.size == 0 and shut == K - 1:  # shallower depths still take their step
-                break
-            go = _beyond(a, e, gate[shut, k - 1], entry[shut, k - 1])  # the lowest open gate
-            if go.any():
-                t = np.flatnonzero(go)
-                glog = (np.log(a[t]) + e[t] * LN2) * inv_d[k - 1] - s[k - 1]
-                for i in range(shut, K):  # the gates nest: t passes every open one up to i
-                    if i > shut:
-                        on = _beyond(a[t], e[t], gate[i, k - 1], entry[i, k - 1])
-                        t, glog = t[on], glog[on]
-                    fresh = nxt[t] <= i
-                    vals[i][idx[t[fresh]]] = np.maximum(0.0, (glog[fresh] + s_at[i]) + robin_at[i])
-                    nxt[t[fresh]] = i + 1
-                at, keep = idx[nxt == K], nxt < K  # past the deepest gate: the lane leaves
-                out[at[out[at] == 0]] = k  # |w| >= R and it grows at this step
-                idx, w, e, a, nxt = idx[keep], w[keep], e[keep], a[keep], nxt[keep]
-            w, e, a = _advance(p, w, e, a)
-            hit = idx[_beyond(a, e, escape_radius, log2_r)]
-            out[hit[out[hit] == 0]] = k
-            if trap is not None and k % seq.period == 0:
-                keep = ~_held(trap, w, e)
-                idx, w, e, a, nxt = idx[keep], w[keep], e[keep], a[keep], nxt[keep]
-            if shut < K - 1 and depths[shut] == k:  # the lanes not gated for it finish
-                t = np.flatnonzero(nxt <= shut)
-                vals[shut][idx[t]] = _finish(target, w[t], e[t], a[t], inv_at[shut], floor)[0]
-                nxt[t], shut = shut + 1, shut + 1
-                yield lo, k, vals[shut - 1], None, None
-        vals[-1][idx], w_out[idx], _ = _finish(target, w, e, a, inv_at[-1], floor)
-        yield lo, depths[-1], vals[-1], out, w_out
+            if idx.size:
+                go = _beyond(a, e, gate[k - 1], entry[k - 1])
+                if go.any():  # past the gate: the lane leaves
+                    t, keep = idx[go], ~go
+                    glog[t] = (np.log(a[go]) + e[go] * LN2) * inv_d[k - 1] - s[k - 1]
+                    out[t[out[t] == 0]] = k  # |w| >= R and it grows at this step
+                    idx, w, e, a = idx[keep], w[keep], e[keep], a[keep]
+                w, e, a = _advance(p, w, e, a)
+                hit = idx[_beyond(a, e, escape_radius, log2_r)]
+                out[hit[out[hit] == 0]] = k
+                if trap is not None and k % seq.period == 0:
+                    keep = ~_held(trap, w, e)
+                    idx, w, e, a = idx[keep], w[keep], e[keep], a[keep]
+            if k in marks:  # left lanes take their log, trapped ones 0 (-inf's), the rest
+                vals = np.maximum(0.0, (glog + s[k]) + target.robin() * inv_d[k])
+                final = np.full(glog.size, complex(np.nan, np.nan))
+                # _finish, on a copy: it overwrites the w it is given
+                vals[idx], final[idx], _ = _finish(target, w.copy(), e, a, inv_d[k], floor)
+                yield lo, k, vals, *((out, final) if k == len(polys) else (None, None))
 
 
 def green_field(seq: PolySequence, points, n_steps: int, escape_radius: float,
                 target: ModelSet = UNIT_DISK):
     """(values, escape_steps, final_w): normalized potential over a point set.
 
-    The one-depth pass of _depth_fields: every point steps by the rule of
+    The one-depth pass of _depth_fields, whose shallower depths in a longer
+    pass agree with it to one rounding: every point steps by the rule of
     escape_steps, in the same fixed chunks, after every step p_1..p_N has been
     built once.  With real coefficients its results do not depend on the
     chunking or on thread bands.  With complex ones a point alone in its
     chunk (a one-point call, or the last of _CHUNK + 1) has its complex
     products rounded differently from a point in a wider chunk: final_w then
     differs in the last bits and a value by at most a few EPS (1 + value),
-    inside green_nonauto's error bound.  An escaped point leaves the orbit,
-    and its value is written at once, once the terms that the update
-    log|w_k| = log|lead_k| + d_k log|w_(k-1)| drops are below rounding for
-    every remaining step: log|w|/D_(k-1), plus the updates of steps k..N
-    summed in advance, plus robin/D_N.  A lane held in a trap where the Disk
-    target's green is 0 (_trap, _held) leaves too, with the bits the full loop
-    gives: value +0.0 and its escape step; its final_w is nan; other targets
-    (Segment, say) retire no bounded lane.  final_w holds the last complex
+    inside green_nonauto's error bound.  An escaped point leaves the orbit
+    once the terms that the update log|w_k| = log|lead_k| + d_k log|w_(k-1)|
+    drops are below rounding for every remaining step, and its value is
+    log|w|/D_(k-1), plus the updates of steps k..N summed in advance, plus
+    robin/D_N; it keeps one float, log|w|/D_(k-1) less those of steps 1..k-1.
+    A lane held in a trap where the Disk target's green is 0 (_trap, _held)
+    leaves too, with the bits the full loop gives: value +0.0 and its escape
+    step; its final_w is nan; other targets (Segment, say) retire no bounded
+    lane.  final_w holds the last complex
     orbit value where one exists.
     """
     pts, shape, log2_r = _engine_points(points, n_steps, escape_radius)

@@ -11,8 +11,10 @@ each set's green once over both; tail_constant stacks every step n in one such
 pass (_tail_gammas).  The convergence table's capacities are not sampled: each
 is the closed form exp(-robin) of the step-n preimage set's exact Robin
 constant.  Its distances, and gamma_nonauto's, take each depth's green_field
-values chunk by chunk from one orbit pass per annulus net (green._depth_fields)
-and reduce the sup of |G_n - G_m| as the chunks pass.
+values (the deepest's bit for bit, the others' to one rounding) chunk by chunk
+from one orbit pass per annulus net through every depth (green._depth_fields),
+and reduce the sup of |G_n - G_m| as the chunks pass: a pass holds two depths'
+chunk values at a time, so its memory does not grow with the depth count.
 """
 from __future__ import annotations
 
@@ -93,25 +95,20 @@ def _distance(samples: int, lo: float, hi: float) -> KlimekEstimate:
     return KlimekEstimate(max(lo, hi), samples, abs(hi - lo))
 
 
-_PASS_DEPTHS = 16  # depths per orbit pass: a chunk's values take 256 KB per depth
-
-
 def _distances(seq: PolySequence, target: ModelSet, depths, escape_radius: float, samples: int):
     """{n: _distance of G_n, G_m} for each of the increasing depths n but the last, m the
     next, on annulus nets of samples and 4 samples points: one _depth_fields pass per
-    net and _PASS_DEPTHS depths, two depths' chunk values held at a time."""
+    net through every depth, two depths' chunk values held at a time."""
     if not math.isfinite(2.5 * escape_radius):  # the fill net spans [-1.25 r, 1.25 r]
         raise ValueError(f"escape radius {escape_radius!r} is too large for the annulus net")
     nets = [_annulus_net(1.25 * escape_radius, k * samples) for k in (1, 4)]
     sups = {n: ([], []) for n in depths[:-1]}
     for j, net in enumerate(nets):
         pts, _, log2_r = _engine_points(net, depths[0], escape_radius)
-        for lo in range(0, len(depths) - 1, _PASS_DEPTHS - 1):
-            part = depths[lo:lo + _PASS_DEPTHS]
-            for _, n, vals, _, _ in _depth_fields(seq, pts, part, escape_radius, log2_r, target):
-                if n != part[0]:
-                    sups[prev_n][j].append(np.max(np.abs(prev - vals)))
-                prev_n, prev = n, vals
+        for _, n, vals, _, _ in _depth_fields(seq, pts, depths, escape_radius, log2_r, target):
+            if n != depths[0]:
+                sups[prev_n][j].append(np.max(np.abs(prev - vals)))
+            prev_n, prev = n, vals
     return {n: _distance(nets[1].size, *map(float, map(np.max, s))) for n, s in sups.items()}
 
 
@@ -196,7 +193,8 @@ def convergence_table(seq: PolySequence, target: ModelSet, n_list: Sequence[int]
     """Per-step diagnostics: degree ledger, successive distances, capacities.  cap is
     exp(-(S_n + robin_E / D_n)) from _robin_sums, the constant green_field adds.
     gamma is gamma_nonauto(n, n + 1).lower, from one orbit pass per net through
-    every depth n and n + 1 (_distances), not one per depth."""
+    every depth n and n + 1 (_distances), not one per depth, in memory that does
+    not grow with the number of depths."""
     ns = [int(n) for n in n_list]
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -513,8 +513,8 @@ def depth_fields(seq, pts, depths, radius, target=UNIT_DISK):
 
 
 class TestDepthFields:
-    """One orbit pass gives every requested depth's green_field values bit for
-    bit, and the deepest depth's escape steps and final_w."""
+    """One orbit pass gives the deepest depth's green_field values, escape steps
+    and final_w bit for bit, and every shallower depth's values to one rounding."""
 
     SEQS = {"minimal": lambda: builtin("minimal_chebyshev"),
             "classical": lambda: builtin("classical_chebyshev"),
@@ -535,9 +535,10 @@ class TestDepthFields:
                                + 1j * rng.uniform(-1, 1, green._CHUNK + 1000))
         pts[:4] = [0, 1e3, -0.5, 1e-300]
         got, (steps, final_w) = depth_fields(seq, pts, depths, radius, target)
-        for n in depths:
-            want = green_field(seq, pts, n, radius, target)
-            assert np.array_equal(got[n].view(np.int64), want[0].view(np.int64)), n
+        for n in depths[:-1]:  # lanes leave at the deepest gate, so n finishes its own
+            want = green_field(seq, pts, n, radius, target)[0]
+            assert (np.abs(got[n] - want) <= 4 * EPS * (1 + want)).all(), n
+        want = green_field(seq, pts, depths[-1], radius, target)
         assert same_field((got[depths[-1]], steps, final_w), want)
         if name == "base-cycle" and target is UNIT_DISK:
             assert green._trap(seq, radius, target) is not None and (want[1] == 0).any()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,20 +381,31 @@ class TestConvergenceTable:
             gam = gamma_nonauto(seq, UNIT_DISK, row.n, row.n + 1, radius, 256).lower
             assert row.gamma.hex() == gam.hex()
 
-    def test_long_depth_lists_run_overlapping_passes(self, monkeypatch, min_cheb,
-                                                     min_cheb_radius):
-        # 40 depths make three passes per net, each starting at the last one's
-        # deepest depth, so the rows across a pass boundary are gamma_nonauto's too
+    def test_long_depth_lists_run_one_pass(self, monkeypatch, min_cheb, min_cheb_radius):
+        # 40 depths take one pass per net, as two do: a pass holds two depths'
+        # chunk values at a time, and each row is gamma_nonauto's
         passes, engine = [], klimek._depth_fields
         monkeypatch.setattr(klimek, "_depth_fields",
                             lambda *a: passes.append(list(a[2])) or engine(*a))
         n_list = range(1, 40, 2)
         rows = convergence_table(min_cheb, UNIT_DISK, n_list, min_cheb_radius, samples=64)
-        bounds = [(p[0], p[-1]) for p in passes]
-        assert bounds == 2 * [(1, 16), (16, 31), (31, 40)]
+        assert passes == 2 * [list(range(1, 41))]
         for row in rows:
             gam = gamma_nonauto(min_cheb, UNIT_DISK, row.n, row.n + 1, min_cheb_radius, 64)
             assert row.gamma.hex() == gam.lower.hex()
+
+    def test_peak_memory_does_not_grow_with_depths(self):
+        # a pass keeps one log per lane, not a chunk of values per depth: 40 depths
+        # once peaked 1.5 times as high as 2
+        def peak(n_list):
+            tracemalloc.start()
+            try:
+                convergence_table(builtin("minimal_chebyshev"), UNIT_DISK, n_list,
+                                  escape_radius=3.005203820042822, samples=16384)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(range(1, 41)) <= 1.1 * peak(range(1, 3))
 
     @pytest.mark.parametrize("n_list", [[0], [-1, 2]])
     def test_depth_below_one_before_any_field(self, monkeypatch, n_list):
